@@ -12,8 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+
+from .workspace import Workspace
 
 # Hard floor / soft ceiling for the slope.  b = 60 corresponds to a threshold
 # of roughly 0.05, the lowest value that is numerically workable.
@@ -33,15 +36,79 @@ def _check_slope(b: float) -> None:
         raise ValueError(f"slope must be a finite value >= 1, got {b}")
 
 
-def _log1p_bexp(x, b: float):
-    """log(1 + b*exp(b*x)), evaluated without overflow."""
-    bx = b * np.asarray(x, dtype=float)
-    out = np.where(
-        bx > _LOG_SWITCH,
-        math.log(b) + bx,
-        np.log1p(b * np.exp(np.minimum(bx, _LOG_SWITCH))),
-    )
-    return out
+def _check_tau(tau: float) -> None:
+    if not 0.0 < tau < 1.0:
+        raise ValueError(f"tau must be in (0, 1), got {tau}")
+
+
+def _astra_terms(x: np.ndarray, b: float, ws: Workspace):
+    """(b*x, u, -u/b) with u = log(1 + b*exp(b*x)), evaluated without
+    overflow: above _LOG_SWITCH, u is replaced by its asymptote log(b) + b*x."""
+    bx = np.multiply(b, x, out=ws.get("bx", x.shape))
+    u = np.minimum(bx, _LOG_SWITCH, out=ws.get("u", x.shape))
+    np.exp(u, out=u)
+    u *= b
+    np.log1p(u, out=u)
+    big = np.greater(bx, _LOG_SWITCH, out=ws.get("big", x.shape, bool))
+    if big.any():
+        u[big] = math.log(b) + bx[big]
+    neg_u_b = np.negative(u, out=ws.get("neg_u_b", x.shape))
+    neg_u_b /= b
+    return bx, u, neg_u_b
+
+
+def _astra_grads(bx, u, neg_u_b, b: float, slope: bool, ws: Workspace):
+    """(dy/dx, dy/db) from _astra_terms; dy/db is None unless `slope`."""
+    r = np.add(math.log(b), bx, out=ws.get("r", bx.shape))
+    r -= u
+    np.exp(r, out=r)                     # s / (1 + s), s = b*exp(b*x)
+    one_my = np.exp(neg_u_b, out=ws.get("exp_neg_u_b", bx.shape))   # 1 - y
+    dy_dx = np.multiply(r, one_my, out=ws.get("dy_dx", bx.shape))
+    if not slope:
+        return dy_dx, None
+    # one_my / (b*b) * (r*(1 + bx) - u)
+    dy_db = np.add(1.0, bx, out=ws.get("dy_db", bx.shape))
+    dy_db *= r
+    dy_db -= u
+    one_my /= b * b
+    dy_db *= one_my
+    return dy_dx, dy_db
+
+
+def _z_terms(y, tau: float, ws: Workspace):
+    """(1 - y, denominator, z) of the z-transform of clamped outputs y."""
+    one_my = np.subtract(1.0, y, out=ws.get("one_my", y.shape))
+    num = np.multiply(y, 1.0 - tau, out=ws.get("z", y.shape))
+    den = np.multiply(one_my, tau, out=ws.get("den", y.shape))
+    den += num
+    return one_my, den, np.divide(num, den, out=num)
+
+
+def _z_grads(y, one_my, den, tau: float, slope: bool, ws: Workspace):
+    """(dz/dy, dz/dtau) from _z_terms; dz/dtau is None unless `slope`."""
+    den2 = np.multiply(den, den, out=ws.get("den2", y.shape))
+    dz_dy = np.divide(tau * (1.0 - tau), den2, out=ws.get("dz_dy", y.shape))
+    if not slope:
+        return dz_dy, None
+    dz_dtau = np.negative(y, out=ws.get("dz_dtau", y.shape))
+    dz_dtau *= one_my
+    dz_dtau /= den2
+    return dz_dy, dz_dtau
+
+
+def _preactivation(x, b: float) -> np.ndarray:
+    _check_slope(b)
+    xa = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(xa)):
+        raise ValueError("preactivation must be finite")
+    return np.atleast_1d(xa)
+
+
+def _unwrap(x, *arrays):
+    """Scalars back out for scalar input, arrays otherwise."""
+    if np.isscalar(x) or np.ndim(x) == 0:
+        return tuple(float(a[0]) for a in arrays)
+    return arrays
 
 
 def astra_forward(x, b: float):
@@ -50,14 +117,8 @@ def astra_forward(x, b: float):
     Strictly increasing in x, stable for b*x up to +/-700 (saturates smoothly
     to 0 or 1).  Scalar or ndarray x; scalar b.
     """
-    _check_slope(b)
-    xa = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(xa)):
-        raise ValueError("preactivation must be finite")
-    u = _log1p_bexp(xa, b)
-    y = -np.expm1(-u / b)
-    if np.isscalar(x) or xa.ndim == 0:
-        return float(y)
+    _, _, neg_u_b = _astra_terms(_preactivation(x, b), b, Workspace())
+    (y,) = _unwrap(x, -np.expm1(neg_u_b))
     return y
 
 
@@ -126,20 +187,9 @@ def astra_backward(x, b: float):
     dy/dx = s/(1+s) * (1+s)**(-1/b) with s = b*exp(b*x); it is positive
     everywhere and maximal at x = 0, the threshold point.
     """
-    _check_slope(b)
-    xa = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(xa)):
-        raise ValueError("preactivation must be finite")
-    bx = b * xa
-    u = _log1p_bexp(xa, b)
-    log_s = math.log(b) + bx
-    r = np.exp(log_s - u)          # s / (1 + s)
-    one_my = np.exp(-u / b)        # 1 - y
-    dy_dx = r * one_my
-    dy_db = one_my / (b * b) * (r * (1.0 + bx) - u)
-    if np.isscalar(x) or xa.ndim == 0:
-        return float(dy_dx), float(dy_db)
-    return dy_dx, dy_db
+    ws = Workspace()
+    terms = _astra_terms(_preactivation(x, b), b, ws)
+    return _unwrap(x, *_astra_grads(*terms, b, slope=True, ws=ws))
 
 
 def threshold_grad_b(b: float) -> float:
@@ -149,9 +199,9 @@ def threshold_grad_b(b: float) -> float:
     return g * (1.0 / (b * (1.0 + b)) - math.log1p(b) / (b * b))
 
 
-def clamp_unit(y):
+def clamp_unit(y, out=None):
     """Clamp activation outputs into [EPS, 1 - EPS] before logarithms."""
-    return np.clip(y, EPS, 1.0 - EPS)
+    return np.clip(y, EPS, 1.0 - EPS, out=out)
 
 
 def z_transform(y_hat, tau: float):
@@ -160,27 +210,19 @@ def z_transform(y_hat, tau: float):
     z = y*(1-tau) / (y*(1-tau) + (1-y)*tau); strictly increasing in y and
     maps tau -> 0.5.
     """
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"tau must be in (0, 1), got {tau}")
-    y = clamp_unit(np.asarray(y_hat, dtype=float))
-    num = y * (1.0 - tau)
-    z = num / (num + (1.0 - y) * tau)
-    if np.isscalar(y_hat) or y.ndim == 0:
-        return float(z)
+    _check_tau(tau)
+    y = clamp_unit(np.atleast_1d(np.asarray(y_hat, dtype=float)))
+    (z,) = _unwrap(y_hat, _z_terms(y, tau, Workspace())[2])
     return z
 
 
 def z_transform_backward(y_hat, tau: float):
     """Partial derivatives (dz/dy_hat, dz/dtau) of z_transform."""
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"tau must be in (0, 1), got {tau}")
-    y = clamp_unit(np.asarray(y_hat, dtype=float))
-    den = y * (1.0 - tau) + (1.0 - y) * tau
-    dz_dy = tau * (1.0 - tau) / (den * den)
-    dz_dtau = -y * (1.0 - y) / (den * den)
-    if np.isscalar(y_hat) or y.ndim == 0:
-        return float(dz_dy), float(dz_dtau)
-    return dz_dy, dz_dtau
+    _check_tau(tau)
+    y = clamp_unit(np.atleast_1d(np.asarray(y_hat, dtype=float)))
+    ws = Workspace()
+    one_my, den, _ = _z_terms(y, tau, ws)
+    return _unwrap(y_hat, *_z_grads(y, one_my, den, tau, slope=True, ws=ws))
 
 
 def misorder_band_upper(b: float) -> float:
@@ -195,6 +237,42 @@ def misorder_band_upper(b: float) -> float:
     log2 = math.log(2.0)
     # log(2**b - 1) = b*log(2) + log1p(-2**-b)
     return (b * log2 + math.log1p(-math.exp(-b * log2)) - math.log(b)) / b
+
+
+class OutputTerms(NamedTuple):
+    """The activation and z-transform of an array of preactivations, with
+    the intermediates their derivatives reuse."""
+
+    bx: np.ndarray          # b*x
+    u: np.ndarray           # log(1 + b*exp(b*x))
+    neg_u_b: np.ndarray     # -u/b; 1 - y = exp(-u/b) before clamping
+    y_hat: np.ndarray       # clamped activation output
+    one_my: np.ndarray      # 1 - y_hat
+    den: np.ndarray         # z-transform denominator
+    z: np.ndarray           # clamped z-transform output
+
+
+def output_forward(x: np.ndarray, b: float, tau: float,
+                   ws: Workspace) -> OutputTerms:
+    """clamp_unit(z_transform(clamp_unit(astra_forward(x, b)), tau)), bit for
+    bit, keeping what output_backward needs.  The arrays live in `ws`."""
+    x = _preactivation(x, b)
+    _check_tau(tau)
+    bx, u, neg_u_b = _astra_terms(x, b, ws)
+    y = np.expm1(neg_u_b, out=ws.get("y_hat", x.shape))
+    clamp_unit(np.negative(y, out=y), out=y)
+    one_my, den, z = _z_terms(y, tau, ws)
+    clamp_unit(z, out=z)
+    return OutputTerms(bx, u, neg_u_b, y, one_my, den, z)
+
+
+def output_backward(terms: OutputTerms, b: float, tau: float, slope: bool,
+                    ws: Workspace):
+    """(dy/dx, dz/dy, dy/db, dz/dtau) as astra_backward and
+    z_transform_backward give them; the slope terms are None unless `slope`."""
+    dy_dx, dy_db = _astra_grads(terms.bx, terms.u, terms.neg_u_b, b, slope, ws)
+    dz_dy, dz_dtau = _z_grads(terms.y_hat, terms.one_my, terms.den, tau, slope, ws)
+    return dy_dx, dz_dy, dy_db, dz_dtau
 
 
 @dataclass

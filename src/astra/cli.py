@@ -32,6 +32,11 @@ from .metrics import counting_cm, g_mean, mcc
 from .network import predict_labels, save_checkpoint
 from .trainer import TrainConfig, train, write_epoch_csv
 
+# Exit codes besides 0 (success): 2 parse error, 3 i/o error, 4 invalid
+# configuration, and this one: `cv` finished and wrote its outputs, but at
+# least one run failed.
+EXIT_RUNS_FAILED = 5
+
 
 def _load_dataset(path: str) -> Dataset:
     p = Path(path)
@@ -124,15 +129,18 @@ def cmd_cv(cfg: dict) -> int:
     else:
         methods = list(ALL_KINDS)
     tcfg = _train_config(cfg, methods[0], seed)
+    k = int(cfg.get("folds", 5))
+    keep_positives = cfg.get("keep_positives")
+    experiment.check_protocol(ds, k, keep_positives)
 
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "manifest.json", {"command": "cv", **cfg})
     results = experiment.run_cv(
         ds, tcfg, methods,
         repeats=int(cfg.get("repeats", 10)),
-        k=int(cfg.get("folds", 5)),
+        k=k,
         base_seed=seed,
-        keep_positives=cfg.get("keep_positives"),
+        keep_positives=keep_positives,
         jobs=int(cfg.get("jobs", 1)),
     )
     experiment.write_run_csv(results, out / "runs.csv")
@@ -142,6 +150,7 @@ def cmd_cv(cfg: dict) -> int:
     failures = [r for r in results if r.error]
     if failures:
         print(f"{len(failures)} run(s) failed; see report", file=sys.stderr)
+        return EXIT_RUNS_FAILED
     return 0
 
 

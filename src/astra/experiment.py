@@ -157,6 +157,14 @@ def _run_single(args):
                          best_epoch=0, final_b=1.0, error=str(exc))
 
 
+def check_protocol(ds: Dataset, k: int, keep_positives: int | None = None) -> None:
+    """Reject a protocol under which some fold would get no positive: every
+    fold serves once as the validation fold, which needs one."""
+    m1 = ds.m1 if keep_positives is None else min(ds.m1, keep_positives)
+    if m1 < k:
+        raise ValueError(f"{k} folds need at least {k} positives, got {m1}")
+
+
 def run_cv(ds: Dataset, cfg: TrainConfig, methods: list[LossKind],
            repeats: int = 10, k: int = 5, base_seed: int = 0,
            keep_positives: int | None = None, jobs: int = 1) -> list[RunResult]:
@@ -166,6 +174,7 @@ def run_cv(ds: Dataset, cfg: TrainConfig, methods: list[LossKind],
     (method, repeat, fold) and reproducible for a fixed base seed regardless
     of the worker count.
     """
+    check_protocol(ds, k, keep_positives)
     tasks = []
     for repeat in range(repeats):
         ds_r = ds

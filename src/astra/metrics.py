@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .workspace import Workspace
+
 E_RATIO_EPS = 1e-12
 
 
@@ -74,15 +76,22 @@ def counting_cm(pred_labels, y) -> CountCM:
     return CountCM(tn=tn, fp=fp, fn=fn, tp=tp)
 
 
-def approx_cm(y_hat, y) -> ApproxCM:
-    """Approximated confusion matrix from probabilistic outputs."""
+def approx_cm(y_hat, y, ws: Workspace | None = None) -> ApproxCM:
+    """Approximated confusion matrix from probabilistic outputs.
+
+    A training loop passes the same `ws` every epoch for the work arrays.
+    """
     _check_lengths(y_hat, y)
     yh = np.asarray(y_hat, dtype=float)
     t = np.asarray(y, dtype=float)
-    tp = float(np.sum(yh * t))
-    fn = float(np.sum((1.0 - yh) * t))
-    fp = float(np.sum(yh * (1.0 - t)))
-    tn = float(np.sum((1.0 - yh) * (1.0 - t)))
+    ws = Workspace() if ws is None else ws
+    not_yh = np.subtract(1.0, yh, out=ws.get("acm.not_yh", yh.shape))
+    not_t = np.subtract(1.0, t, out=ws.get("acm.not_t", t.shape))
+    prod = ws.get("acm.prod", yh.shape)
+    tp = float(np.sum(np.multiply(yh, t, out=prod)))
+    fn = float(np.sum(np.multiply(not_yh, t, out=prod)))
+    fp = float(np.sum(np.multiply(yh, not_t, out=prod)))
+    tn = float(np.sum(np.multiply(not_yh, not_t, out=prod)))
     return ApproxCM(tn_apx=tn, fp_apx=fp, fn_apx=fn, tp_apx=tp)
 
 

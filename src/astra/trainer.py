@@ -25,6 +25,7 @@ from .network import (
     hidden_width,
     init_mlp,
 )
+from .workspace import Workspace
 
 log = logging.getLogger(__name__)
 
@@ -85,11 +86,15 @@ def eta_b_update(eta_b: float, e_ratio_value: float, cfg: TrainConfig) -> float:
     return eta_b
 
 
-def _val_fnr_apx(model: Mlp, val: Dataset) -> float:
-    # Needs only m_1 >= 1: FNR_apx = FN_apx / m_1.
-    trace = forward(model, val.X)
-    acm = approx_cm(trace.z, val.y)
-    return acm.fn_apx / acm.m1
+def _val_fnr_apx(model: Mlp, X: np.ndarray, t: np.ndarray, ws: Workspace) -> float:
+    # FN_apx / m_1 of approx_cm, from only the two cells it needs; needs only
+    # m_1 >= 1.
+    z = forward(model, X, ws).z
+    prod = ws.get("val.prod", z.shape)
+    tp = float(np.sum(np.multiply(z, t, out=prod)))
+    np.subtract(1.0, z, out=prod)
+    fn = float(np.sum(np.multiply(prod, t, out=prod)))
+    return fn / (fn + tp)
 
 
 def build_model(cfg: TrainConfig, n_x: int) -> Mlp:
@@ -116,22 +121,26 @@ def train(cfg: TrainConfig, train_set: Dataset, val_set: Dataset):
 
     model = build_model(cfg, train_set.n_x)
     m0, m1 = train_set.m0, train_set.m1
+    t_train = np.asarray(train_set.y, dtype=float)
+    t_val = np.asarray(val_set.y, dtype=float)
+    # One workspace per batch: after the first epoch nothing is allocated.
+    ws_train, ws_val = Workspace(), Workspace()
     eta_b = cfg.eta_b_min
 
     snapshot = Snapshot(epoch=0, model=model.copy(),
-                        val_fnr_apx=_val_fnr_apx(model, val_set))
+                        val_fnr_apx=_val_fnr_apx(model, val_set.X, t_val, ws_val))
     records: list[EpochRecord] = []
 
     for epoch in range(1, cfg.epochs + 1):
-        trace = forward(model, train_set.X)
-        acm = approx_cm(trace.z, train_set.y)
+        trace = forward(model, train_set.X, ws_train)
+        acm = approx_cm(trace.z, t_train, ws_train)
         r = rates(acm)
         er = e_ratio(acm)
         eta_b = eta_b_update(eta_b, er, cfg)
         model.astra.eta_b = eta_b
         try:
             loss_value, _ = backward_and_step(
-                model, trace, train_set.y, cfg.loss, cfg.eta, eta_b, m0, m1)
+                model, trace, t_train, cfg.loss, cfg.eta, eta_b, m0, m1, acm)
         except NonFiniteGradientError as exc:
             log.warning("epoch %d: %s; stopping with last good snapshot",
                         epoch, exc)
@@ -142,7 +151,7 @@ def train(cfg: TrainConfig, train_set: Dataset, val_set: Dataset):
                         "snapshot", epoch)
             snapshot.diverged = True
             break
-        val_fnr = _val_fnr_apx(model, val_set)
+        val_fnr = _val_fnr_apx(model, val_set.X, t_val, ws_val)
         records.append(EpochRecord(
             epoch=epoch, train_loss=loss_value, train_e_ratio=er,
             train_fnr_apx=r.fnr, train_fpr_apx=r.fpr, val_fnr_apx=val_fnr,

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from astra import cli
+from astra import cli, experiment
 from astra.data import parse_sparse, write_sparse
 
 
@@ -170,6 +170,34 @@ class TestErrorPaths:
                        "--epochs", "1"])
         assert rc == 4
         assert "invalid configuration" in capsys.readouterr().err
+
+    def test_cv_rejects_unsatisfiable_protocol(self, tmp_path, sparse_dataset,
+                                               capsys):
+        out = tmp_path / "cv"
+        rc = cli.main(["cv", "--dataset", str(sparse_dataset), "--out", str(out),
+                       "--epochs", "1", "--repeats", "1", "--folds", "5",
+                       "--keep-positives", "3", "--seed", "0"])
+        assert rc == 4
+        assert "invalid configuration" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cv_exit_code_on_failed_run(self, tmp_path, sparse_dataset,
+                                        monkeypatch, capsys):
+        real_train = experiment.train
+
+        def train_failing_one_fold(cfg, train_ds, val_ds):
+            if cfg.seed == [0, 0, 2]:
+                raise RuntimeError("injected failure")
+            return real_train(cfg, train_ds, val_ds)
+
+        monkeypatch.setattr(experiment, "train", train_failing_one_fold)
+        out = tmp_path / "cv"
+        rc = cli.main(["cv", "--dataset", str(sparse_dataset), "--out", str(out),
+                       "--loss", "bce", "--epochs", "3", "--repeats", "1",
+                       "--folds", "5", "--seed", "0", "--jobs", "1"])
+        assert rc == cli.EXIT_RUNS_FAILED == 5
+        assert "1 run(s) failed" in capsys.readouterr().err
+        assert len((out / "runs.csv").read_text().splitlines()) == 1 + 5
 
     def test_missing_out_flag(self, sparse_dataset):
         with pytest.raises(SystemExit):

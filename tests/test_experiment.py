@@ -224,6 +224,17 @@ class TestRunCv:
         for r in results:
             assert r.test_cm.tp + r.test_cm.fn == 1
 
+    @pytest.mark.parametrize("m1, keep", [(3, None), (20, 3), (20, 4)])
+    def test_rejects_folds_without_positives(self, m1, keep):
+        # Fewer positives than folds would leave a validation fold without
+        # one, and those runs would fail and score 0.
+        rng = np.random.default_rng(22)
+        ds = Dataset(X=rng.normal(size=(100 + m1, 2)),
+                     y=np.array([0] * 100 + [1] * m1))
+        with pytest.raises(ValueError, match="5 folds need at least 5 positives"):
+            run_cv(ds, TrainConfig(epochs=1), [LossKind("bce", False)],
+                   repeats=1, k=5, keep_positives=keep)
+
     def test_jobs_parallel_identical(self, small_cv_results):
         ds, cfg, methods, results = small_cv_results
         parallel = run_cv(ds, cfg, methods, repeats=2, k=5, base_seed=3, jobs=2)
