@@ -277,8 +277,7 @@ def output_backward(terms: OutputTerms, b: float, tau: float, slope: bool,
 
 @dataclass
 class AstraParams:
-    """Learnable slope state: beta, the derived slope b and threshold tau,
-    and the current slope learning rate eta_b.
+    """Learnable slope state: beta and the derived slope b and threshold tau.
 
     When ``trainable`` is False the slope is frozen at b = 1 (standard
     logistic) and beta is ignored.
@@ -287,19 +286,18 @@ class AstraParams:
     beta: float
     b: float
     tau: float
-    eta_b: float
     trainable: bool = True
 
     @classmethod
-    def from_tau_init(cls, tau_init: float, eta_b: float, trainable: bool = True) -> "AstraParams":
+    def from_tau_init(cls, tau_init: float, trainable: bool = True) -> "AstraParams":
         b = slope_from_tau(tau_init)
         return cls(beta=beta_from_slope(b), b=b, tau=astra_threshold(b),
-                   eta_b=eta_b, trainable=trainable)
+                   trainable=trainable)
 
     @classmethod
     def frozen(cls) -> "AstraParams":
         """Slope fixed at 1: plain logistic output, threshold 0.5."""
-        return cls(beta=0.0, b=1.0, tau=0.5, eta_b=0.0, trainable=False)
+        return cls(beta=0.0, b=1.0, tau=0.5, trainable=False)
 
     def step_beta(self, grad_beta: float, eta_b: float) -> None:
         """One gradient step on beta, clamping b into [B_MIN, B_MAX]."""

@@ -1,8 +1,8 @@
 """Command-line entry point: train / cv / undersample / report.
 
 Configuration comes from an optional JSON config file plus flag overrides
-(flags win).  Every command writes a manifest with the fully resolved
-configuration and seed so outputs can be reproduced bit-exactly.
+(flags win).  Every command writes a manifest, itself a valid config file,
+with the fully resolved configuration so outputs can be reproduced bit-exactly.
 """
 
 from __future__ import annotations
@@ -10,7 +10,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -37,6 +39,9 @@ from .trainer import TrainConfig, train, write_epoch_csv
 # least one run failed.
 EXIT_RUNS_FAILED = 5
 
+# Allowed values of the string options, from a flag or a config file.
+CHOICES = {"loss": ("bce", "gmn"), "astra": ("on", "off")}
+
 
 def _load_dataset(path: str) -> Dataset:
     p = Path(path)
@@ -53,53 +58,77 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _resolve(args: argparse.Namespace) -> dict:
-    """Merge config file values under CLI flags; flags take precedence."""
+    """Merge config file values under CLI flags (flags win).  A config file
+    may set only what a flag of the command or a TrainConfig field names."""
+    flags = {k: v for k, v in vars(args).items()
+             if k not in ("config", "func", "command")}
     cfg = {}
     if args.config:
         with open(args.config) as fh:
-            cfg.update(json.load(fh))
-    for key, value in vars(args).items():
-        if key in ("config", "func", "command"):
-            continue
-        if value is not None:
-            cfg[key] = value
+            try:
+                cfg = json.load(fh)
+            except ValueError as exc:
+                raise DataFormatError(f"config {args.config}: {exc}") from None
+        if not isinstance(cfg, dict):
+            raise DataFormatError(f"config {args.config}: not a JSON object")
+        cfg.pop("command", None)    # a manifest names the command that wrote it
+    unknown = set(cfg) - set(flags) - {f.name for f in fields(TrainConfig)}
+    if unknown:
+        raise ValueError(f"unknown config key(s): {', '.join(sorted(unknown))}")
+    cfg.update((k, v) for k, v in flags.items() if v is not None)
+    for key, allowed in CHOICES.items():
+        if cfg.get(key, allowed[0]) not in allowed:
+            raise ValueError(f"{key} must be one of {allowed}, got {cfg[key]!r}")
     return cfg
 
 
-def _train_config(cfg: dict, loss: LossKind, seed) -> TrainConfig:
-    return TrainConfig(
-        epochs=int(cfg.get("epochs", 10000)),
-        eta=float(cfg.get("eta", 0.001)),
-        eta_b_min=float(cfg.get("eta_b_min", 0.01)),
-        eta_b_max=float(cfg.get("eta_b_max", 0.5)),
-        k_mult=float(cfg.get("k_mult", 1.1)),
-        k_dec=float(cfg.get("k_dec", 0.99)),
-        tau_init=float(cfg.get("tau_init", 0.25)),
-        loss=loss,
-        seed=seed,
-        n_h=cfg.get("n_h"),
-    )
+def _train_config(cfg: dict) -> TrainConfig:
+    """The TrainConfig the options set: each given field cast to its type
+    (`int | None` to int), every other field at its default."""
+    types = get_type_hints(TrainConfig)
+    given = {}
+    for f in fields(TrainConfig):
+        value = cfg.get(f.name)
+        if f.name != "loss" and value is not None:
+            kind = (get_args(types[f.name]) or [types[f.name]])[0]
+            try:
+                given[f.name] = kind(value)
+            except (TypeError, ValueError):
+                raise ValueError(f"{f.name} must be {kind.__name__}, "
+                                 f"got {value!r}") from None
+    return TrainConfig(loss=_loss_kind(cfg), **given)
 
 
 def _loss_kind(cfg: dict) -> LossKind:
-    return LossKind(variant=cfg.get("loss", "bce"),
-                    use_astra=cfg.get("astra", "off") == "on")
+    """The method the loss/astra options name, TrainConfig's by default."""
+    default = TrainConfig.loss
+    use_astra = cfg["astra"] == "on" if "astra" in cfg else default.use_astra
+    return LossKind(cfg.get("loss", default.variant), use_astra)
+
+
+def _manifest(command: str, cfg: dict, tcfg: TrainConfig, loss: bool) -> dict:
+    """The options given plus every TrainConfig field at its resolved value,
+    the loss (if `loss`) under the option names loss/astra."""
+    manifest = {"command": command, **cfg, **vars(tcfg)}
+    del manifest["loss"]
+    if loss:
+        manifest.update(loss=tcfg.loss.variant,
+                        astra="on" if tcfg.loss.use_astra else "off")
+    return manifest
 
 
 def cmd_train(cfg: dict) -> int:
     out = Path(cfg["out"])
-    ds = _load_dataset(cfg["dataset"])
-    seed = int(cfg.get("seed", 0))
+    tcfg = _train_config(cfg)
     k = int(cfg.get("folds", 5))
-    kind = _loss_kind(cfg)
-    tcfg = _train_config(cfg, kind, seed)
+    ds = _load_dataset(cfg["dataset"])
 
-    plan = stratified_folds(ds, k, seed=[seed, 0, 202])
+    plan = stratified_folds(ds, k, seed=[tcfg.seed, 0, 202])
     train_ds, val_ds, test_ds = fold_split(ds, plan, test_fold=0, val_fold=1)
     train_ds, (val_ds, test_ds), _, _ = standardize(train_ds, [val_ds, test_ds])
 
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "manifest.json", {"command": "train", **cfg})
+    _write_json(out / "manifest.json", _manifest("train", cfg, tcfg, True))
     snapshot, records = train(tcfg, train_ds, val_ds)
     save_checkpoint(snapshot.model, out / "checkpoint.json")
     write_epoch_csv(records, out / "epochs.csv")
@@ -122,24 +151,21 @@ def cmd_train(cfg: dict) -> int:
 
 def cmd_cv(cfg: dict) -> int:
     out = Path(cfg["out"])
-    ds = _load_dataset(cfg["dataset"])
-    seed = int(cfg.get("seed", 0))
-    if "loss" in cfg:
-        methods = [_loss_kind(cfg)]
-    else:
-        methods = list(ALL_KINDS)
-    tcfg = _train_config(cfg, methods[0], seed)
+    tcfg = _train_config(cfg)
+    methods = [tcfg.loss] if "loss" in cfg else list(ALL_KINDS)
     k = int(cfg.get("folds", 5))
+    repeats = int(cfg.get("repeats", 10))
     keep_positives = cfg.get("keep_positives")
-    experiment.check_protocol(ds, k, keep_positives)
+    ds = _load_dataset(cfg["dataset"])
+    experiment.check_protocol(ds, k, keep_positives, repeats, len(methods))
 
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "manifest.json", {"command": "cv", **cfg})
+    _write_json(out / "manifest.json", _manifest("cv", cfg, tcfg, "loss" in cfg))
     results = experiment.run_cv(
         ds, tcfg, methods,
-        repeats=int(cfg.get("repeats", 10)),
+        repeats=repeats,
         k=k,
-        base_seed=seed,
+        base_seed=tcfg.seed,
         keep_positives=keep_positives,
         jobs=int(cfg.get("jobs", 1)),
     )
@@ -198,8 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="train one model on one dataset")
     common(p_train)
     p_train.add_argument("--dataset")
-    p_train.add_argument("--loss", choices=["bce", "gmn"])
-    p_train.add_argument("--astra", choices=["on", "off"])
+    p_train.add_argument("--loss", choices=CHOICES["loss"])
+    p_train.add_argument("--astra", choices=CHOICES["astra"])
     p_train.add_argument("--epochs", type=int)
     p_train.add_argument("--folds", type=int)
     p_train.add_argument("--n-h", dest="n_h", type=int)
@@ -208,8 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cv = sub.add_parser("cv", help="repeated stratified cross-validation")
     common(p_cv)
     p_cv.add_argument("--dataset")
-    p_cv.add_argument("--loss", choices=["bce", "gmn"])
-    p_cv.add_argument("--astra", choices=["on", "off"])
+    p_cv.add_argument("--loss", choices=CHOICES["loss"])
+    p_cv.add_argument("--astra", choices=CHOICES["astra"])
     p_cv.add_argument("--epochs", type=int)
     p_cv.add_argument("--repeats", type=int)
     p_cv.add_argument("--folds", type=int)
@@ -234,10 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = _resolve(args)
-    if not cfg.get("out"):
-        parser.error("--out is required")
     try:
+        cfg = _resolve(args)
+        if not cfg.get("out"):
+            parser.error("--out is required")
         return args.func(cfg)
     except DataFormatError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

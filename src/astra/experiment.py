@@ -27,6 +27,7 @@ from .trainer import TrainConfig, train
 log = logging.getLogger(__name__)
 
 P_THRESHOLD = 0.05
+MIN_PAIRS = 5        # fewest paired observations compare() accepts
 
 
 @dataclass(frozen=True)
@@ -126,8 +127,8 @@ def compare(a, b) -> float:
     b = np.asarray(b, dtype=float)
     if len(a) != len(b):
         raise ValueError("paired vectors must have equal length")
-    if len(a) < 5:
-        raise ValueError("need at least 5 paired observations")
+    if len(a) < MIN_PAIRS:
+        raise ValueError(f"need at least {MIN_PAIRS} paired observations")
     return wilcoxon_signed_rank(a - b)
 
 
@@ -157,12 +158,18 @@ def _run_single(args):
                          best_epoch=0, final_b=1.0, error=str(exc))
 
 
-def check_protocol(ds: Dataset, k: int, keep_positives: int | None = None) -> None:
-    """Reject a protocol under which some fold would get no positive: every
-    fold serves once as the validation fold, which needs one."""
+def check_protocol(ds: Dataset, k: int, keep_positives: int | None,
+                   repeats: int, n_methods: int) -> None:
+    """Reject a protocol that cannot give a report: every fold serves once as
+    the validation fold, which needs a positive, and the paired tests of two
+    or more methods need MIN_PAIRS runs each."""
     m1 = ds.m1 if keep_positives is None else min(ds.m1, keep_positives)
     if m1 < k:
         raise ValueError(f"{k} folds need at least {k} positives, got {m1}")
+    if repeats < 1:
+        raise ValueError(f"need at least 1 repeat, got {repeats}")
+    if n_methods > 1 and repeats * k < MIN_PAIRS:
+        raise ValueError(f"paired tests need repeats * folds >= {MIN_PAIRS}")
 
 
 def run_cv(ds: Dataset, cfg: TrainConfig, methods: list[LossKind],
@@ -174,7 +181,7 @@ def run_cv(ds: Dataset, cfg: TrainConfig, methods: list[LossKind],
     (method, repeat, fold) and reproducible for a fixed base seed regardless
     of the worker count.
     """
-    check_protocol(ds, k, keep_positives)
+    check_protocol(ds, k, keep_positives, repeats, len(methods))
     tasks = []
     for repeat in range(repeats):
         ds_r = ds

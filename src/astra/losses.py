@@ -33,14 +33,6 @@ class LossKind:
     def name(self) -> str:
         return self.variant + ("-astra" if self.use_astra else "")
 
-    @classmethod
-    def parse(cls, name: str) -> "LossKind":
-        base = name.lower()
-        astra = base.endswith("-astra")
-        if astra:
-            base = base[: -len("-astra")]
-        return cls(variant=base, use_astra=astra)
-
 
 ALL_KINDS = (
     LossKind("bce", False),

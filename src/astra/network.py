@@ -7,11 +7,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .activation import (  # noqa: F401  (the unused helpers are re-exported)
+# The unused helpers stay bound here: bench/spans.py trace points wrap them
+# in astra.network.
+from .activation import (  # noqa: F401
     AstraParams,
     OutputTerms,
     astra_backward,
@@ -62,7 +64,6 @@ class AdamState:
         return cls(
             m={k: np.zeros_like(p) for k, p in params.items()},
             v={k: np.zeros_like(p) for k, p in params.items()},
-            t=0,
         )
 
 
@@ -100,7 +101,6 @@ class Mlp:
     w2: np.ndarray          # (n_h,)
     b2: float
     astra: AstraParams
-    adam: AdamState
     seed: int
 
     @property
@@ -116,17 +116,8 @@ class Mlp:
                 "b2": np.array([self.b2])}
 
     def copy(self) -> "Mlp":
-        return Mlp(
-            w1=self.w1.copy(), b1=self.b1.copy(), w2=self.w2.copy(),
-            b2=self.b2,
-            astra=AstraParams(**vars(self.astra)),
-            adam=AdamState(
-                m={k: v.copy() for k, v in self.adam.m.items()},
-                v={k: v.copy() for k, v in self.adam.v.items()},
-                t=self.adam.t,
-            ),
-            seed=self.seed,
-        )
+        return replace(self, w1=self.w1.copy(), b1=self.b1.copy(),
+                       w2=self.w2.copy(), astra=replace(self.astra))
 
 
 def init_mlp(n_x: int, n_h: int, seed: int,
@@ -141,17 +132,14 @@ def init_mlp(n_x: int, n_h: int, seed: int,
     w1 = rng.normal(0.0, math.sqrt(2.0 / n_x), size=(n_h, n_x))
     limit = math.sqrt(6.0 / (n_h + 1))
     w2 = rng.uniform(-limit, limit, size=n_h)
-    model = Mlp(
+    return Mlp(
         w1=w1,
         b1=np.zeros(n_h),
         w2=w2,
         b2=0.0,
         astra=astra if astra is not None else AstraParams.frozen(),
-        adam=AdamState(m={}, v={}, t=0),
         seed=int(seed) if np.isscalar(seed) else list(seed),
     )
-    model.adam = AdamState.for_shapes(model.params())
-    return model
 
 
 def forward(model: Mlp, X: np.ndarray, ws: Workspace | None = None) -> ForwardTrace:
@@ -187,8 +175,7 @@ class NonFiniteGradientError(RuntimeError):
     pass
 
 
-def _adam_step(model: Mlp, grads: dict, eta: float) -> None:
-    st = model.adam
+def _adam_step(model: Mlp, st: AdamState, grads: dict, eta: float) -> None:
     st.t += 1
     params = model.params()
     for k, g in grads.items():
@@ -225,14 +212,16 @@ def _column_sums(a: np.ndarray, ws: Workspace) -> np.ndarray:
     return np.array(sums)
 
 
-def backward_and_step(model: Mlp, trace: ForwardTrace, y, kind: LossKind,
-                      eta: float, eta_b: float, m0: int | None = None,
-                      m1: int | None = None, acm: ApproxCM | None = None):
+def backward_and_step(model: Mlp, adam: AdamState, trace: ForwardTrace, y,
+                      kind: LossKind, eta: float, eta_b: float,
+                      m0: int | None = None, m1: int | None = None,
+                      acm: ApproxCM | None = None):
     """One full-batch training step.
 
     Backpropagates the chosen loss through the z-transform and the output
-    activation, applies an Adam step to the weights and (when the slope is
-    trainable) a plain gradient step to beta, then re-derives b and tau.
+    activation, applies an Adam step to the weights (updating `adam` in
+    place) and (when the slope is trainable) a plain gradient step to beta,
+    then re-derives b and tau.
     `acm`, if given, is approx_cm(trace.z, y), reused by the GMN loss.
     Returns (pre-step loss value, grad wrt beta).
     """
@@ -279,7 +268,7 @@ def backward_and_step(model: Mlp, trace: ForwardTrace, y, kind: LossKind,
     if not np.isfinite(grad_beta):
         raise NonFiniteGradientError("non-finite gradient in beta")
 
-    _adam_step(model, grads, eta)
+    _adam_step(model, adam, grads, eta)
     ap.step_beta(grad_beta, eta_b)
     for k, p in model.params().items():
         if not np.isfinite(p).all():
@@ -297,7 +286,8 @@ def predict_labels(model: Mlp, X: np.ndarray) -> np.ndarray:
 
 
 def to_checkpoint(model: Mlp) -> dict:
-    """Self-describing, bit-exact checkpoint payload."""
+    """Self-describing, bit-exact checkpoint payload: the parameters only,
+    no optimizer state."""
     ap = model.astra
     return {
         "n_x": model.n_x,
@@ -308,28 +298,17 @@ def to_checkpoint(model: Mlp) -> dict:
         "w2": model.w2.tolist(),
         "b2": model.b2,
         "astra": {"beta": ap.beta, "b": ap.b, "tau": ap.tau,
-                  "eta_b": ap.eta_b, "trainable": ap.trainable},
-        "adam": {
-            "t": model.adam.t,
-            "m": {k: v.tolist() for k, v in model.adam.m.items()},
-            "v": {k: v.tolist() for k, v in model.adam.v.items()},
-        },
+                  "trainable": ap.trainable},
     }
 
 
 def from_checkpoint(payload: dict) -> Mlp:
-    ap = AstraParams(**payload["astra"])
     return Mlp(
         w1=np.array(payload["w1"], dtype=float),
         b1=np.array(payload["b1"], dtype=float),
         w2=np.array(payload["w2"], dtype=float),
         b2=float(payload["b2"]),
-        astra=ap,
-        adam=AdamState(
-            m={k: np.array(v, dtype=float) for k, v in payload["adam"]["m"].items()},
-            v={k: np.array(v, dtype=float) for k, v in payload["adam"]["v"].items()},
-            t=payload["adam"]["t"],
-        ),
+        astra=AstraParams(**payload["astra"]),
         seed=payload["seed"],
     )
 
@@ -337,8 +316,3 @@ def from_checkpoint(payload: dict) -> Mlp:
 def save_checkpoint(model: Mlp, path) -> None:
     with open(path, "w") as fh:
         json.dump(to_checkpoint(model), fh)
-
-
-def load_checkpoint(path) -> Mlp:
-    with open(path) as fh:
-        return from_checkpoint(json.load(fh))

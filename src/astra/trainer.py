@@ -9,7 +9,7 @@ keeps the parameters of the epoch with the lowest validation FNR_apx.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -18,6 +18,7 @@ from .data import Dataset
 from .losses import LossKind
 from .metrics import approx_cm, e_ratio, rates
 from .network import (
+    AdamState,
     Mlp,
     NonFiniteGradientError,
     backward_and_step,
@@ -28,9 +29,6 @@ from .network import (
 from .workspace import Workspace
 
 log = logging.getLogger(__name__)
-
-EPOCH_CSV_HEADER = ("epoch,train_loss,train_e_ratio,train_fnr_apx,"
-                    "train_fpr_apx,val_fnr_apx,b,tau,eta_b")
 
 
 @dataclass(frozen=True)
@@ -68,6 +66,9 @@ class EpochRecord:
     eta_b: float
 
 
+EPOCH_CSV_HEADER = ",".join(f.name for f in fields(EpochRecord))
+
+
 @dataclass
 class Snapshot:
     epoch: int
@@ -100,7 +101,7 @@ def _val_fnr_apx(model: Mlp, X: np.ndarray, t: np.ndarray, ws: Workspace) -> flo
 def build_model(cfg: TrainConfig, n_x: int) -> Mlp:
     n_h = cfg.n_h if cfg.n_h is not None else hidden_width(n_x)
     if cfg.loss.use_astra:
-        astra = AstraParams.from_tau_init(cfg.tau_init, eta_b=cfg.eta_b_min)
+        astra = AstraParams.from_tau_init(cfg.tau_init)
     else:
         astra = AstraParams.frozen()
     return init_mlp(n_x, n_h, cfg.seed, astra=astra)
@@ -120,6 +121,7 @@ def train(cfg: TrainConfig, train_set: Dataset, val_set: Dataset):
         raise ValueError("validation set must contain positives")
 
     model = build_model(cfg, train_set.n_x)
+    adam = AdamState.for_shapes(model.params())
     m0, m1 = train_set.m0, train_set.m1
     t_train = np.asarray(train_set.y, dtype=float)
     t_val = np.asarray(val_set.y, dtype=float)
@@ -137,10 +139,10 @@ def train(cfg: TrainConfig, train_set: Dataset, val_set: Dataset):
         r = rates(acm)
         er = e_ratio(acm)
         eta_b = eta_b_update(eta_b, er, cfg)
-        model.astra.eta_b = eta_b
         try:
             loss_value, _ = backward_and_step(
-                model, trace, t_train, cfg.loss, cfg.eta, eta_b, m0, m1, acm)
+                model, adam, trace, t_train, cfg.loss, cfg.eta, eta_b, m0, m1,
+                acm)
         except NonFiniteGradientError as exc:
             log.warning("epoch %d: %s; stopping with last good snapshot",
                         epoch, exc)
@@ -166,9 +168,5 @@ def write_epoch_csv(records: list[EpochRecord], path) -> None:
     """Stream the epoch log as CSV with round-trip-exact float formatting."""
     with open(path, "w") as fh:
         fh.write(EPOCH_CSV_HEADER + "\n")
-        for r in records:
-            fh.write(",".join([
-                str(r.epoch), repr(r.train_loss), repr(r.train_e_ratio),
-                repr(r.train_fnr_apx), repr(r.train_fpr_apx),
-                repr(r.val_fnr_apx), repr(r.b), repr(r.tau), repr(r.eta_b),
-            ]) + "\n")
+        for r in records:    # vars(r) holds the fields in header order
+            fh.write(",".join(map(repr, vars(r).values())) + "\n")

@@ -92,7 +92,7 @@ def test_criterion_2_gradients():
     X = rng.normal(size=(6, 3))
     y = np.array([1, 0, 0, 1, 0, 0], dtype=float)
     for kind in ALL_KINDS:
-        ap = (AstraParams.from_tau_init(0.25, eta_b=0.01) if kind.use_astra
+        ap = (AstraParams.from_tau_init(0.25) if kind.use_astra
               else AstraParams.frozen())
         model = init_mlp(3, 2, seed=23, astra=ap)
         trace = forward(model, X)

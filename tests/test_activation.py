@@ -239,7 +239,7 @@ class TestMisorderBand:
 
 class TestAstraParams:
     def test_from_tau_init(self):
-        p = AstraParams.from_tau_init(0.25, eta_b=0.01)
+        p = AstraParams.from_tau_init(0.25)
         assert p.b == pytest.approx(7.396, abs=1e-3)
         assert p.beta == pytest.approx(5.396, abs=1e-3)
         assert p.tau == pytest.approx(0.25, abs=1e-12)
@@ -251,13 +251,13 @@ class TestAstraParams:
         assert p.b == 1.0
 
     def test_step_clamps_ceiling(self):
-        p = AstraParams.from_tau_init(0.25, eta_b=0.01)
+        p = AstraParams.from_tau_init(0.25)
         p.step_beta(-1e6, 1.0)
         assert p.b == 60.0
         assert p.tau == pytest.approx(astra_threshold(60.0))
 
     def test_b_cached_consistently(self):
-        p = AstraParams.from_tau_init(0.3, eta_b=0.01)
+        p = AstraParams.from_tau_init(0.3)
         p.step_beta(0.37, 0.1)
         assert p.b == pytest.approx(slope_from_beta(p.beta), rel=1e-15)
         assert p.tau == pytest.approx(astra_threshold(p.b), rel=1e-15)

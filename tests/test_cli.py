@@ -1,10 +1,12 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from astra import cli, experiment
 from astra.data import parse_sparse, write_sparse
+from astra.trainer import TrainConfig
 
 
 @pytest.fixture
@@ -44,6 +46,28 @@ class TestTrainCommand:
         assert manifest["command"] == "train"
         assert manifest["seed"] == 3
         assert manifest["epochs"] == 5
+        # every TrainConfig field, defaults included
+        resolved = TrainConfig(epochs=5, seed=3)
+        for f in fields(TrainConfig):
+            if f.name != "loss":
+                assert manifest[f.name] == getattr(resolved, f.name), f.name
+        assert (manifest["loss"], manifest["astra"]) == ("bce", "off")
+
+    def test_rerun_from_manifest_byte_identical(self, tmp_path, sparse_dataset):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"eta": 0.01, "tau_init": 0.3, "n_h": 3}))
+        first, again = tmp_path / "a", tmp_path / "b"
+        assert cli.main(["train", "--dataset", str(sparse_dataset),
+                         "--config", str(config), "--out", str(first),
+                         "--loss", "gmn", "--astra", "on", "--epochs", "30",
+                         "--seed", "2"]) == 0
+        assert cli.main(["train", "--config", str(first / "manifest.json"),
+                         "--out", str(again)]) == 0
+        for fname in ("checkpoint.json", "epochs.csv", "summary.json"):
+            assert (first / fname).read_bytes() == (again / fname).read_bytes()
+        manifests = [json.loads((d / "manifest.json").read_text())
+                     for d in (first, again)]
+        assert {**manifests[0], "out": None} == {**manifests[1], "out": None}
 
     def test_rerun_byte_identical(self, tmp_path, sparse_dataset):
         outs = []
@@ -106,6 +130,21 @@ class TestCvCommand:
             outs.append(out)
         assert (outs[0] / "runs.csv").read_bytes() == (outs[1] / "runs.csv").read_bytes()
         assert (outs[0] / "report.json").read_bytes() == (outs[1] / "report.json").read_bytes()
+
+    def test_rerun_from_manifest_byte_identical(self, tmp_path, sparse_dataset):
+        first, again = tmp_path / "a", tmp_path / "b"
+        assert cli.main(["cv", "--dataset", str(sparse_dataset), "--out",
+                         str(first), "--epochs", "8", "--repeats", "2",
+                         "--folds", "5", "--seed", "6"]) == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        assert "loss" not in manifest    # every method ran, not the default
+        assert cli.main(["cv", "--config", str(first / "manifest.json"),
+                         "--out", str(again)]) == 0
+        for fname in ("runs.csv", "report.json"):
+            assert (first / fname).read_bytes() == (again / fname).read_bytes()
+        methods = {line.split(",")[0] for line in
+                   (again / "runs.csv").read_text().splitlines()[1:]}
+        assert len(methods) == 4
 
 
 class TestUndersampleCommand:
@@ -181,6 +220,17 @@ class TestErrorPaths:
         assert "invalid configuration" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("repeats, folds", [("1", "4"), ("0", "5")])
+    def test_cv_rejects_protocol_without_report(self, tmp_path, sparse_dataset,
+                                                capsys, repeats, folds):
+        # 1 x 4 runs are too few to compare methods; 0 repeats give no runs.
+        out = tmp_path / "cv"
+        rc = cli.main(["cv", "--dataset", str(sparse_dataset), "--out", str(out),
+                       "--epochs", "1", "--repeats", repeats, "--folds", folds])
+        assert rc == 4
+        assert "invalid configuration" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_cv_exit_code_on_failed_run(self, tmp_path, sparse_dataset,
                                         monkeypatch, capsys):
         real_train = experiment.train
@@ -202,3 +252,40 @@ class TestErrorPaths:
     def test_missing_out_flag(self, sparse_dataset):
         with pytest.raises(SystemExit):
             cli.main(["train", "--dataset", str(sparse_dataset)])
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize("content, rc, message", [
+        ("[1, 2]", 2, "parse error"),
+        ('{"eta": ', 2, "parse error"),
+        ('{"n_h": "three"}', 4, "invalid configuration: n_h"),
+        ('{"loss": "gmn", "astra": true}', 4, "invalid configuration: astra"),
+        ('{"eta_b_mni": 0.1}', 4, "unknown config key(s): eta_b_mni"),
+    ], ids=["not-an-object", "malformed", "bad-type", "bad-choice",
+            "unknown-key"])
+    def test_rejected(self, tmp_path, sparse_dataset, capsys, content, rc,
+                      message):
+        config = tmp_path / "cfg.json"
+        config.write_text(content)
+        out = tmp_path / "o"
+        assert cli.main(["train", "--dataset", str(sparse_dataset), "--config",
+                         str(config), "--out", str(out), "--epochs", "1"]) == rc
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_file(self, tmp_path, sparse_dataset, capsys):
+        out = tmp_path / "o"
+        assert cli.main(["train", "--dataset", str(sparse_dataset), "--config",
+                         str(tmp_path / "nope.json"), "--out", str(out)]) == 3
+        assert "i/o error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_values_cast_to_field_types(self, tmp_path, sparse_dataset):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"n_h": "3", "eta": "0.01", "epochs": 4}))
+        out = tmp_path / "o"
+        assert cli.main(["train", "--dataset", str(sparse_dataset), "--config",
+                         str(config), "--out", str(out)]) == 0
+        assert json.loads((out / "checkpoint.json").read_text())["n_h"] == 3
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["n_h"], manifest["eta"]) == (3, 0.01)

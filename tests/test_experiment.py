@@ -235,6 +235,24 @@ class TestRunCv:
             run_cv(ds, TrainConfig(epochs=1), [LossKind("bce", False)],
                    repeats=1, k=5, keep_positives=keep)
 
+    @pytest.mark.parametrize("repeats, k, methods, match", [
+        (0, 5, [LossKind("bce", False)], "at least 1 repeat"),
+        (1, 4, list(ALL_KINDS), "paired tests need repeats \\* folds >= 5"),
+    ])
+    def test_rejects_protocol_without_report(self, repeats, k, methods, match):
+        # Both would train every run and then fail to aggregate or compare.
+        rng = np.random.default_rng(23)
+        ds = Dataset(X=rng.normal(size=(110, 2)), y=np.array([0] * 100 + [1] * 10))
+        with pytest.raises(ValueError, match=match):
+            run_cv(ds, TrainConfig(epochs=1), methods, repeats=repeats, k=k)
+
+    def test_single_method_needs_no_pairs(self):
+        rng = np.random.default_rng(23)
+        ds = Dataset(X=rng.normal(size=(110, 2)), y=np.array([0] * 100 + [1] * 10))
+        results = run_cv(ds, TrainConfig(epochs=1), [LossKind("bce", False)],
+                         repeats=1, k=4)
+        assert len(results) == 4
+
     def test_jobs_parallel_identical(self, small_cv_results):
         ds, cfg, methods, results = small_cv_results
         parallel = run_cv(ds, cfg, methods, repeats=2, k=5, base_seed=3, jobs=2)

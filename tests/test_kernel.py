@@ -28,6 +28,7 @@ from astra.network import (
     ADAM_EPS,
     LEAKY_SLOPE,
     NARROW_MAX,
+    AdamState,
     backward_and_step,
     forward,
     init_mlp,
@@ -56,9 +57,13 @@ def batch(seed, n_x, n=400, m1=12):
 
 
 def make_model(kind, n_x, n_h, seed):
-    ap = (AstraParams.from_tau_init(0.25, eta_b=0.05) if kind.use_astra
+    ap = (AstraParams.from_tau_init(0.25) if kind.use_astra
           else AstraParams.frozen())
     return init_mlp(n_x, n_h, seed, astra=ap)
+
+
+def fresh_adam(model):
+    return AdamState.for_shapes(model.params())
 
 
 def reference_forward(model, X):
@@ -70,7 +75,7 @@ def reference_forward(model, X):
     return hidden_pre, hidden_act, out_pre, y_hat, z
 
 
-def reference_step(model, X, y, kind, eta, eta_b, m0, m1):
+def reference_step(model, st, X, y, kind, eta, eta_b, m0, m1):
     """One training step as the unfused code took it; returns the loss."""
     ap = model.astra
     hidden_pre, hidden_act, out_pre, y_hat, z = reference_forward(model, X)
@@ -89,7 +94,6 @@ def reference_step(model, X, y, kind, eta, eta_b, m0, m1):
     else:
         grad_beta = 0.0
 
-    st = model.adam
     st.t += 1
     params = model.params()
     for k, g in grads.items():
@@ -103,16 +107,17 @@ def reference_step(model, X, y, kind, eta, eta_b, m0, m1):
     return float(loss_value), grad_beta
 
 
-def assert_same_state(fused, ref):
+def assert_same_state(fused, ref, fused_adam, ref_adam):
     for name in ("w1", "b1", "w2"):
         assert same_bits(getattr(fused, name), getattr(ref, name)), name
     assert same_bits(fused.b2, ref.b2)
     for name in ("beta", "b", "tau"):
         assert same_bits(getattr(fused.astra, name), getattr(ref.astra, name)), name
-    assert fused.adam.t == ref.adam.t
-    for k in ref.adam.m:
-        assert same_bits(fused.adam.m[k], ref.adam.m[k]), f"m[{k}]"
-        assert same_bits(fused.adam.v[k], ref.adam.v[k]), f"v[{k}]"
+    assert fused_adam.t == ref_adam.t
+    assert fused_adam.m.keys() == ref_adam.m.keys() == ref_adam.v.keys()
+    for k in ref_adam.m:
+        assert same_bits(fused_adam.m[k], ref_adam.m[k]), f"m[{k}]"
+        assert same_bits(fused_adam.v[k], ref_adam.v[k]), f"v[{k}]"
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -123,14 +128,16 @@ def test_step_matches_reference(kind, n_h, seed):
     X, y, m0, m1 = batch(seed, n_x)
     fused = make_model(kind, n_x, n_h, seed)
     ref = fused.copy()
+    fused_adam, ref_adam = fresh_adam(fused), fresh_adam(ref)
     ws = Workspace()
     for _ in range(STEPS):
         trace = forward(fused, X, ws)
         acm = approx_cm(trace.z, y, ws)
-        got = backward_and_step(fused, trace, y, kind, 0.01, 0.05, m0, m1, acm)
-        want = reference_step(ref, X, y, kind, 0.01, 0.05, m0, m1)
+        got = backward_and_step(fused, fused_adam, trace, y, kind, 0.01, 0.05,
+                                m0, m1, acm)
+        want = reference_step(ref, ref_adam, X, y, kind, 0.01, 0.05, m0, m1)
         assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
-        assert_same_state(fused, ref)
+        assert_same_state(fused, ref, fused_adam, ref_adam)
 
 
 @pytest.mark.parametrize("n_h", WIDTHS)
@@ -155,10 +162,12 @@ def test_step_without_acm_or_workspace_matches():
     kind = ALL_KINDS[3]
     a = make_model(kind, 3, 2, 3)
     b = a.copy()
-    backward_and_step(a, forward(a, X), y, kind, 0.01, 0.05)
+    adam_a, adam_b = fresh_adam(a), fresh_adam(b)
+    backward_and_step(a, adam_a, forward(a, X), y, kind, 0.01, 0.05)
     trace = forward(b, X, Workspace())
-    backward_and_step(b, trace, y, kind, 0.01, 0.05, m0, m1, approx_cm(trace.z, y))
-    assert_same_state(a, b)
+    backward_and_step(b, adam_b, trace, y, kind, 0.01, 0.05, m0, m1,
+                      approx_cm(trace.z, y))
+    assert_same_state(a, b, adam_a, adam_b)
 
 
 def test_workspace_reuses_arrays():

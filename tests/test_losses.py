@@ -19,10 +19,6 @@ class TestLossKind:
     def test_four_candidates(self):
         assert {k.name for k in ALL_KINDS} == {"bce", "gmn", "bce-astra", "gmn-astra"}
 
-    def test_parse(self):
-        assert LossKind.parse("gmn-astra") == LossKind("gmn", True)
-        assert LossKind.parse("BCE") == LossKind("bce", False)
-
     def test_rejects_unknown(self):
         with pytest.raises(ValueError):
             LossKind("mse", False)

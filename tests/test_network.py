@@ -11,6 +11,7 @@ from astra.activation import (
 )
 from astra.losses import ALL_KINDS, LossKind, loss_and_grad
 from astra.network import (
+    AdamState,
     backward_and_step,
     forward,
     from_checkpoint,
@@ -19,6 +20,10 @@ from astra.network import (
     predict_labels,
     to_checkpoint,
 )
+
+
+def fresh_adam(model):
+    return AdamState.for_shapes(model.params())
 
 
 def end_to_end_loss(model, X, y, kind, m0, m1):
@@ -74,7 +79,7 @@ class TestForward:
         assert trace.y_hat == pytest.approx([0.5] * 3)
 
     def test_zero_weights_astra(self):
-        ap = AstraParams.from_tau_init(0.25, eta_b=0.01)
+        ap = AstraParams.from_tau_init(0.25)
         model = init_mlp(2, 2, seed=0, astra=ap)
         model.w1[:] = 0
         model.w2[:] = 0
@@ -107,7 +112,7 @@ class TestBackward:
     def test_full_gradient_finite_differences(self, kind, toy_batch):
         X, y, m0, m1 = toy_batch
         if kind.use_astra:
-            ap = AstraParams.from_tau_init(0.25, eta_b=0.01)
+            ap = AstraParams.from_tau_init(0.25)
         else:
             ap = AstraParams.frozen()
         model = init_mlp(3, 2, seed=7, astra=ap)
@@ -170,10 +175,11 @@ class TestBackward:
     def test_zero_rates_leave_parameters(self, toy_batch):
         X, y, m0, m1 = toy_batch
         model = init_mlp(3, 2, seed=7,
-                         astra=AstraParams.from_tau_init(0.25, eta_b=0.01))
+                         astra=AstraParams.from_tau_init(0.25))
         before = to_checkpoint(model)
         trace = forward(model, X)
-        backward_and_step(model, trace, y, LossKind("gmn", True), 0.0, 0.0, m0, m1)
+        backward_and_step(model, fresh_adam(model), trace, y,
+                          LossKind("gmn", True), 0.0, 0.0, m0, m1)
         after = to_checkpoint(model)
         assert before["w1"] == after["w1"]
         assert before["b2"] == after["b2"]
@@ -184,8 +190,9 @@ class TestBackward:
         model = init_mlp(3, 2, seed=7)
         trace = forward(model, X)
         beta_before = model.astra.beta
-        _, grad_beta = backward_and_step(model, trace, y, LossKind("bce", False),
-                                         0.001, 0.01, m0, m1)
+        _, grad_beta = backward_and_step(model, fresh_adam(model), trace, y,
+                                         LossKind("bce", False), 0.001, 0.01,
+                                         m0, m1)
         assert grad_beta == 0.0
         assert model.astra.beta == beta_before
         assert model.astra.b == 1.0
@@ -196,8 +203,8 @@ class TestBackward:
         def one_step():
             model = init_mlp(3, 2, seed=7)
             trace = forward(model, X)
-            backward_and_step(model, trace, y, LossKind("bce", False),
-                              0.001, 0.01, m0, m1)
+            backward_and_step(model, fresh_adam(model), trace, y,
+                              LossKind("bce", False), 0.001, 0.01, m0, m1)
             return to_checkpoint(model)
 
         assert one_step() == one_step()
@@ -205,7 +212,7 @@ class TestBackward:
 
 class TestPredictLabels:
     def test_boundary_maps_to_positive(self):
-        ap = AstraParams.from_tau_init(0.25, eta_b=0.01)
+        ap = AstraParams.from_tau_init(0.25)
         model = init_mlp(2, 2, seed=0, astra=ap)
         model.w1[:] = 0
         model.w2[:] = 0
@@ -219,7 +226,7 @@ class TestPredictLabels:
         assert np.array_equal(predict_labels(model, X), (trace.y_hat >= 0.5).astype(int))
 
     def test_three_formulations_agree(self):
-        ap = AstraParams.from_tau_init(0.25, eta_b=0.01)
+        ap = AstraParams.from_tau_init(0.25)
         model = init_mlp(3, 2, seed=5, astra=ap)
         X = np.random.default_rng(1).normal(size=(200, 3))
         trace = forward(model, X)
@@ -233,22 +240,24 @@ class TestCheckpoint:
     def test_roundtrip_bit_exact(self, tmp_path, toy_batch):
         X, y, m0, m1 = toy_batch
         model = init_mlp(3, 2, seed=11,
-                         astra=AstraParams.from_tau_init(0.25, eta_b=0.01))
+                         astra=AstraParams.from_tau_init(0.25))
+        adam = fresh_adam(model)
         for _ in range(3):
             trace = forward(model, X)
-            backward_and_step(model, trace, y, LossKind("gmn", True),
+            backward_and_step(model, adam, trace, y, LossKind("gmn", True),
                               0.001, 0.01, m0, m1)
         import json
         path = tmp_path / "model.json"
         with open(path, "w") as fh:
             json.dump(to_checkpoint(model), fh)
         with open(path) as fh:
-            restored = from_checkpoint(json.load(fh))
+            payload = json.load(fh)
+        restored = from_checkpoint(payload)
         assert np.array_equal(restored.w1, model.w1)
         assert np.array_equal(restored.w2, model.w2)
         assert restored.b2 == model.b2
         assert restored.astra == model.astra
-        assert restored.adam.t == model.adam.t
-        for k in model.adam.m:
-            assert np.array_equal(restored.adam.m[k], model.adam.m[k])
-            assert np.array_equal(restored.adam.v[k], model.adam.v[k])
+        # parameters only: no optimizer state, no slope learning rate
+        assert set(payload) == {"n_x", "n_h", "seed", "w1", "b1", "w2", "b2",
+                                "astra"}
+        assert set(payload["astra"]) == {"beta", "b", "tau", "trainable"}
