@@ -42,6 +42,9 @@ EXIT_RUNS_FAILED = 5
 # Allowed values of the string options, from a flag or a config file.
 CHOICES = {"loss": ("bce", "gmn"), "astra": ("on", "off")}
 
+# The integer options that are not TrainConfig fields.
+INT_OPTIONS = ("folds", "repeats", "keep_positives", "jobs")
+
 
 def _load_dataset(path: str) -> Dataset:
     p = Path(path)
@@ -59,7 +62,9 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _resolve(args: argparse.Namespace) -> dict:
     """Merge config file values under CLI flags (flags win).  A config file
-    may set only what a flag of the command or a TrainConfig field names."""
+    may set only what a flag of the command or a TrainConfig field names.
+    Each value is checked against its choices or cast to its type; a null
+    one is dropped, leaving the default."""
     flags = {k: v for k, v in vars(args).items()
              if k not in ("config", "func", "command")}
     cfg = {}
@@ -79,23 +84,30 @@ def _resolve(args: argparse.Namespace) -> dict:
     for key, allowed in CHOICES.items():
         if cfg.get(key, allowed[0]) not in allowed:
             raise ValueError(f"{key} must be one of {allowed}, got {cfg[key]!r}")
+    for key, kind in _option_types().items():
+        value = cfg.pop(key, None)
+        if value is not None:
+            try:
+                cfg[key] = kind(value)
+            except (TypeError, ValueError):
+                raise ValueError(f"{key} must be {kind.__name__}, "
+                                 f"got {value!r}") from None
     return cfg
 
 
+def _option_types() -> dict:
+    """The type of each option that is cast: every TrainConfig field but the
+    loss (`int | None` as int), and INT_OPTIONS."""
+    hints = get_type_hints(TrainConfig)
+    types = {f.name: (get_args(hints[f.name]) or [hints[f.name]])[0]
+             for f in fields(TrainConfig) if f.name != "loss"}
+    return types | dict.fromkeys(INT_OPTIONS, int)
+
+
 def _train_config(cfg: dict) -> TrainConfig:
-    """The TrainConfig the options set: each given field cast to its type
-    (`int | None` to int), every other field at its default."""
-    types = get_type_hints(TrainConfig)
-    given = {}
-    for f in fields(TrainConfig):
-        value = cfg.get(f.name)
-        if f.name != "loss" and value is not None:
-            kind = (get_args(types[f.name]) or [types[f.name]])[0]
-            try:
-                given[f.name] = kind(value)
-            except (TypeError, ValueError):
-                raise ValueError(f"{f.name} must be {kind.__name__}, "
-                                 f"got {value!r}") from None
+    """The TrainConfig the options set, every other field at its default."""
+    given = {f.name: cfg[f.name] for f in fields(TrainConfig)
+             if f.name != "loss" and f.name in cfg}
     return TrainConfig(loss=_loss_kind(cfg), **given)
 
 
@@ -120,7 +132,7 @@ def _manifest(command: str, cfg: dict, tcfg: TrainConfig, loss: bool) -> dict:
 def cmd_train(cfg: dict) -> int:
     out = Path(cfg["out"])
     tcfg = _train_config(cfg)
-    k = int(cfg.get("folds", 5))
+    k = cfg.get("folds", 5)
     ds = _load_dataset(cfg["dataset"])
 
     plan = stratified_folds(ds, k, seed=[tcfg.seed, 0, 202])
@@ -152,9 +164,13 @@ def cmd_train(cfg: dict) -> int:
 def cmd_cv(cfg: dict) -> int:
     out = Path(cfg["out"])
     tcfg = _train_config(cfg)
-    methods = [tcfg.loss] if "loss" in cfg else list(ALL_KINDS)
-    k = int(cfg.get("folds", 5))
-    repeats = int(cfg.get("repeats", 10))
+    if "loss" in cfg:
+        methods = [tcfg.loss]
+    else:   # all four, or the two with the ASTra setting given
+        methods = [kind for kind in ALL_KINDS if "astra" not in cfg
+                   or kind.use_astra == tcfg.loss.use_astra]
+    k = cfg.get("folds", 5)
+    repeats = cfg.get("repeats", 10)
     keep_positives = cfg.get("keep_positives")
     ds = _load_dataset(cfg["dataset"])
     experiment.check_protocol(ds, k, keep_positives, repeats, len(methods))
@@ -167,7 +183,7 @@ def cmd_cv(cfg: dict) -> int:
         k=k,
         base_seed=tcfg.seed,
         keep_positives=keep_positives,
-        jobs=int(cfg.get("jobs", 1)),
+        jobs=cfg.get("jobs", 1),
     )
     experiment.write_run_csv(results, out / "runs.csv")
     report = experiment.determine_winners(results)
@@ -183,8 +199,8 @@ def cmd_cv(cfg: dict) -> int:
 def cmd_undersample(cfg: dict) -> int:
     out = Path(cfg["out"])
     ds = _load_dataset(cfg["dataset"])
-    keep = int(cfg["keep_positives"])
-    seed = int(cfg.get("seed", 0))
+    keep = cfg["keep_positives"]
+    seed = cfg.get("seed", 0)
     reduced, kept_idx = undersample_minority(ds, keep, seed=[seed, 0, 101])
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "manifest.json", {"command": "undersample", **cfg})

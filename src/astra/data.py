@@ -2,15 +2,21 @@
 planning and minority undersampling.
 
 Input formats: a sparse text format (``<label> <index>:<value> ...`` with
-1-based ascending indices) and a plain CSV (``label,f1,...,fn``).  Datasets
-are dense in memory; the largest set targeted here is ~20k x 22.
+1-based ascending indices), read in blocks of lines, and a plain CSV
+(``label,f1,...,fn``).  Datasets are dense in memory; the largest set
+targeted here is ~20k x 22.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, islice
 
 import numpy as np
+
+# Lines the sparse reader converts at a time: one block's tokens and arrays
+# are all it holds besides the blocks already converted.
+BLOCK_LINES = 256
 
 
 class DataFormatError(ValueError):
@@ -76,27 +82,106 @@ class FoldPlan:
 def parse_sparse(source) -> RawData:
     """Parse the sparse text format from a path or open text stream.
 
-    Omitted indices read as 0; the feature width is the largest index seen.
-    Malformed lines are reported with their line number.
+    Each non-blank line is a label and ``index:value`` tokens, split on
+    whitespace: the label and the values as ``float()`` reads them, each
+    index as ``int()`` does, strictly ascending from 1.  Lines are those of
+    ``str.splitlines``.  Omitted indices read as 0; the feature width is the
+    largest index seen.  Malformed lines are reported with their line number.
+
+    The source is read and converted BLOCK_LINES lines at a time, so the
+    peak memory is about twice the result (the converted blocks, then X)
+    plus one block's text and tokens.  A stream passed in is not closed.
     """
     if hasattr(source, "read"):
-        lines = source.read().splitlines()
-    else:
-        with open(source) as fh:
-            lines = fh.read().splitlines()
-    rows = []
-    labels = []
-    n_x = 0
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
+        return _parse_blocks(source)
+    with open(source) as fh:
+        return _parse_blocks(fh)
+
+
+def _parse_blocks(fh) -> RawData:
+    labels, blocks, lineno = [], [], 1
+    for lines in _line_blocks(fh):
+        try:
+            block_labels, block = _convert_block(lines)
+        except (ValueError, OverflowError):
+            block_labels, block = _scan_block(lines, lineno)
+        lineno += len(lines)
+        labels.append(block_labels)
+        blocks.append(block)
+    n = sum(map(len, labels))
+    if not n:
+        raise DataFormatError("empty file")
+    X = np.zeros((n, max(block.shape[1] for block in blocks)))
+    row = 0
+    for block in blocks:
+        X[row:row + len(block), :block.shape[1]] = block
+        row += len(block)
+    return RawData(X=X, labels=np.concatenate(labels))
+
+
+def _line_blocks(fh):
+    """The lines of ``fh.read().splitlines()``, line breaks kept, in lists
+    of about BLOCK_LINES.  The last line read is held back and split again
+    with the next read, in case it ends in a carriage return that the next
+    read's line feed completes."""
+    tail = ""
+    while chunk := "".join(islice(fh, BLOCK_LINES)):
+        lines = (tail + chunk).splitlines(keepends=True)
+        tail = lines.pop()
+        yield lines
+    if tail:
+        yield [tail]
+
+
+def _convert_block(lines):
+    """The labels and the dense rows of a block, each kind of token
+    converted in one call.
+
+    Raises ValueError or OverflowError (an index beyond int64) if any line
+    is not in the format; _scan_block then finds the line.
+    """
+    rows = [tokens for tokens in map(str.split, lines) if tokens]
+    labels = np.array([tokens[0] for tokens in rows], dtype=float)
+    counts = np.fromiter(map(len, rows), np.intp, len(rows)) - 1
+    feats = list(chain.from_iterable([tokens[1:] for tokens in rows]))
+    joined = " ".join(feats)
+    parts = joined.replace(":", " ").split()
+    # One ":" per token: the ":"s alternate with the spaces that join the
+    # tokens.  Two parts per token: neither side of a ":" is empty.
+    text = np.frombuffer(joined.encode(), np.uint8)
+    colons = np.flatnonzero(text == ord(":"))
+    spaces = np.flatnonzero(text == ord(" "))
+    if (len(colons) != len(feats) or len(parts) != 2 * len(feats)
+            or not (colons[:-1] < spaces).all()
+            or not (spaces < colons[1:]).all()):
+        raise ValueError("not in the sparse format")
+    idx = np.array(parts[0::2], dtype=np.int64)
+    vals = np.array(parts[1::2], dtype=float)
+    # Each index exceeds the one before it in its row, the first exceeds 0.
+    prev = np.empty_like(idx)
+    prev[1:] = idx[:-1]
+    starts = np.cumsum(counts) - counts
+    prev[starts[counts > 0]] = 0
+    if not (idx > prev).all():
+        raise ValueError("indices not ascending from 1")
+    block = np.zeros((len(rows), idx.max(initial=0)))
+    block[np.repeat(np.arange(len(rows)), counts), idx - 1] = vals
+    return labels, block
+
+
+def _scan_block(lines, lineno: int):
+    """_convert_block line by line, ``lines[0]`` being line ``lineno``:
+    raises the DataFormatError of the first malformed line.  A block with
+    none (an index beyond int64) is converted here."""
+    labels, rows, cols, vals = [], [], [], []
+    for lineno, line in enumerate(lines, start=lineno):
         tokens = line.split()
+        if not tokens:
+            continue
         try:
             labels.append(float(tokens[0]))
         except ValueError:
             raise DataFormatError(f"line {lineno}: bad label {tokens[0]!r}")
-        row = {}
         prev = 0
         for tok in tokens[1:]:
             try:
@@ -109,16 +194,12 @@ def parse_sparse(source) -> RawData:
                 raise DataFormatError(
                     f"line {lineno}: indices must be ascending and 1-based")
             prev = idx
-            row[idx] = val
-            n_x = max(n_x, idx)
-        rows.append(row)
-    if not rows:
-        raise DataFormatError("empty file")
-    X = np.zeros((len(rows), n_x))
-    for i, row in enumerate(rows):
-        for idx, val in row.items():
-            X[i, idx - 1] = val
-    return RawData(X=X, labels=np.array(labels))
+            rows.append(len(labels) - 1)
+            cols.append(idx - 1)
+            vals.append(val)
+    block = np.zeros((len(labels), max(cols, default=-1) + 1))
+    block[rows, cols] = vals
+    return np.array(labels, dtype=float), block
 
 
 def parse_csv(source) -> RawData:

@@ -146,6 +146,23 @@ class TestCvCommand:
                    (again / "runs.csv").read_text().splitlines()[1:]}
         assert len(methods) == 4
 
+    @pytest.mark.parametrize("astra, expected", [
+        ("on", {"bce-astra", "gmn-astra"}), ("off", {"bce", "gmn"})])
+    def test_astra_without_loss_runs_two_methods(self, tmp_path, sparse_dataset,
+                                                 astra, expected):
+        first, again = tmp_path / "a", tmp_path / "b"
+        assert cli.main(["cv", "--dataset", str(sparse_dataset), "--out",
+                         str(first), "--astra", astra, "--epochs", "3",
+                         "--repeats", "1", "--folds", "5", "--seed", "2"]) == 0
+        lines = (first / "runs.csv").read_text().splitlines()[1:]
+        assert {line.split(",")[0] for line in lines} == expected
+        assert len(lines) == 2 * 5
+        manifest = json.loads((first / "manifest.json").read_text())
+        assert manifest["astra"] == astra and "loss" not in manifest
+        assert cli.main(["cv", "--config", str(first / "manifest.json"),
+                         "--out", str(again)]) == 0
+        assert (first / "runs.csv").read_bytes() == (again / "runs.csv").read_bytes()
+
 
 class TestUndersampleCommand:
     def test_counts_and_reload(self, tmp_path, sparse_dataset):
@@ -279,6 +296,61 @@ class TestConfigFile:
                          str(tmp_path / "nope.json"), "--out", str(out)]) == 3
         assert "i/o error" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, content", [
+        ("cv", '{"folds": [5]}'),
+        ("cv", '{"repeats": "ten"}'),
+        ("cv", '{"keep_positives": "six"}'),
+        ("cv", '{"jobs": {"n": 2}}'),
+        ("train", '{"folds": [5]}'),
+        ("undersample", '{"keep_positives": [6]}'),
+        ("undersample", '{"seed": "zero"}'),
+    ])
+    def test_integer_option_rejected(self, tmp_path, sparse_dataset, capsys,
+                                     command, content):
+        config = tmp_path / "cfg.json"
+        config.write_text(content)
+        out = tmp_path / "o"
+        key = next(iter(json.loads(content)))
+        assert cli.main([command, "--dataset", str(sparse_dataset), "--config",
+                         str(config), "--out", str(out)]) == 4
+        assert f"invalid configuration: {key} must be int" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integer_options_cast(self, tmp_path, sparse_dataset):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"keep_positives": "6", "folds": "5",
+                                      "repeats": "1", "jobs": "1",
+                                      "seed": "4", "epochs": 3}))
+        from_config, from_flags = tmp_path / "a", tmp_path / "b"
+        assert cli.main(["cv", "--dataset", str(sparse_dataset), "--loss", "bce",
+                         "--config", str(config), "--out", str(from_config)]) == 0
+        assert cli.main(["cv", "--dataset", str(sparse_dataset), "--loss", "bce",
+                         "--keep-positives", "6", "--folds", "5", "--repeats",
+                         "1", "--jobs", "1", "--seed", "4", "--epochs", "3",
+                         "--out", str(from_flags)]) == 0
+        for fname in ("runs.csv", "report.json"):
+            assert ((from_config / fname).read_bytes()
+                    == (from_flags / fname).read_bytes())
+        manifest = json.loads((from_config / "manifest.json").read_text())
+        assert [manifest[k] for k in ("keep_positives", "folds", "repeats",
+                                      "jobs", "seed")] == [6, 5, 1, 1, 4]
+
+    @pytest.mark.parametrize("command, content, flags", [
+        ("undersample", {"seed": None}, ["--keep-positives", "4"]),
+        ("train", {"folds": None, "seed": None}, ["--epochs", "2"]),
+        ("cv", {"folds": None, "repeats": None, "jobs": None},
+         ["--loss", "bce", "--epochs", "1"]),
+    ])
+    def test_null_option_takes_default(self, tmp_path, sparse_dataset, command,
+                                       content, flags):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(content))
+        out = tmp_path / "o"
+        assert cli.main([command, "--dataset", str(sparse_dataset), "--config",
+                         str(config), "--out", str(out), *flags]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert all(manifest.get(key) in (None, 0) for key in content)
 
     def test_values_cast_to_field_types(self, tmp_path, sparse_dataset):
         config = tmp_path / "cfg.json"

@@ -91,6 +91,29 @@ class TestWilcoxon:
         p_normal = wilcoxon_signed_rank(d, exact_limit=25)
         assert p_normal == pytest.approx(p_exact_style, abs=0.01)
 
+    @pytest.mark.parametrize("n", range(5, 51))
+    def test_exact_matches_scipy(self, n):
+        stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng([n, 51])
+        for share_negative in (0.0, 0.1, 0.3, 0.5, 0.8):
+            # Distinct non-zero magnitudes: no ties, no zeros.
+            d = (rng.permutation(n) + 1.25) * np.where(
+                rng.random(n) < share_negative, -1.0, 1.0)
+            assert wilcoxon_signed_rank(d) == pytest.approx(
+                stats.wilcoxon(d, method="exact").pvalue, rel=1e-12, abs=0)
+
+    def test_fifty_pairs_take_the_exact_path(self):
+        # The normal approximation gives about 7.8e-10.
+        assert wilcoxon_signed_rank(np.arange(1.0, 51.0)) == 2.0 / 2 ** 50
+
+    def test_exact_counts_stay_within_int64(self):
+        d = np.random.default_rng(10).normal(0.3, 1.0, 80)
+        p_exact = wilcoxon_signed_rank(d[:62], exact_limit=100)
+        assert p_exact == pytest.approx(
+            wilcoxon_signed_rank(d[:62], exact_limit=61), abs=0.01)
+        assert wilcoxon_signed_rank(d, exact_limit=100) == \
+            wilcoxon_signed_rank(d, exact_limit=62)
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             compare([1, 2, 3, 4, 5], [1, 2, 3])
