@@ -45,6 +45,9 @@ CHOICES = {"loss": ("bce", "gmn"), "astra": ("on", "off")}
 # The integer options that are not TrainConfig fields.
 INT_OPTIONS = ("folds", "repeats", "keep_positives", "jobs")
 
+# The path options: strings, never cast (a number is no path).
+PATH_OPTIONS = ("out", "dataset", "runs")
+
 
 def _load_dataset(path: str) -> Dataset:
     p = Path(path)
@@ -63,8 +66,8 @@ def _write_json(path: Path, payload: dict) -> None:
 def _resolve(args: argparse.Namespace) -> dict:
     """Merge config file values under CLI flags (flags win).  A config file
     may set only what a flag of the command or a TrainConfig field names.
-    Each value is checked against its choices or cast to its type; a null
-    one is dropped, leaving the default."""
+    Each value is checked against its choices, checked to be a string (a
+    path) or cast to its type; a null one is dropped, leaving the default."""
     flags = {k: v for k, v in vars(args).items()
              if k not in ("config", "func", "command")}
     cfg = {}
@@ -84,6 +87,11 @@ def _resolve(args: argparse.Namespace) -> dict:
     for key, allowed in CHOICES.items():
         if cfg.get(key, allowed[0]) not in allowed:
             raise ValueError(f"{key} must be one of {allowed}, got {cfg[key]!r}")
+    for key in PATH_OPTIONS:
+        if cfg.get(key) is None:
+            cfg.pop(key, None)
+        elif not isinstance(cfg[key], str):
+            raise ValueError(f"{key} must be a path string, got {cfg[key]!r}")
     for key, kind in _option_types().items():
         value = cfg.pop(key, None)
         if value is not None:

@@ -9,6 +9,7 @@ targeted here is ~20k x 22.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import chain, islice
 
@@ -227,14 +228,20 @@ def parse_csv(source) -> RawData:
     return RawData(X=arr[:, 1:], labels=arr[:, 0])
 
 
+def _negative_zero(v: float) -> bool:
+    return v == 0.0 and math.copysign(1.0, v) < 0
+
+
 def write_sparse(path, X: np.ndarray, labels: np.ndarray) -> None:
-    """Emit the sparse format; zero entries are omitted, floats round-trip."""
+    """Emit the sparse format; +0.0 entries are omitted, and every float,
+    -0.0 included, round-trips."""
     with open(path, "w") as fh:
         for row, lab in zip(X, labels):
-            lab_s = str(int(lab)) if float(lab).is_integer() else repr(float(lab))
-            feats = " ".join(
-                f"{j + 1}:{repr(float(v))}" for j, v in enumerate(row) if v != 0.0
-            )
+            lab = float(lab)
+            integral = lab.is_integer() and not _negative_zero(lab)
+            lab_s = str(int(lab)) if integral else repr(lab)
+            feats = " ".join(f"{j + 1}:{float(v)!r}" for j, v in enumerate(row)
+                             if v != 0.0 or _negative_zero(v))
             fh.write(f"{lab_s} {feats}".rstrip() + "\n")
 
 

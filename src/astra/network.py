@@ -35,17 +35,6 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-# One numpy pass over a C-ordered (n, n_h) array with a per-column operand
-# runs its inner loop over only n_h elements, n times.  Up to this width a
-# Python loop over the n_h columns is faster (about 4x at n_h = 2); above it,
-# the single pass is.  Both give the same bits.
-NARROW_MAX = 5
-
-
-def _narrow(a: np.ndarray) -> bool:
-    return a.shape[1] <= NARROW_MAX
-
-
 def hidden_width(n_x: int, n_y: int = 1) -> int:
     """Architecture rule: n_h = ceil((n_x + n_y) / 2)."""
     return math.ceil((n_x + n_y) / 2)
@@ -71,7 +60,7 @@ class AdamState:
 class ForwardTrace:
     """What forward computed and backward_and_step reads.
 
-    `hidden_pre`, `leak` and `hidden_act` are C-ordered (n, n_h) arrays;
+    `hidden_pre`, `leak` and `hidden_act` are column-major (n, n_h) arrays;
     `leak` is the Leaky ReLU slope of each unit, exactly 1.0 or LEAKY_SLOPE.
     All arrays live in `ws`, so the next forward with the same workspace
     overwrites them.
@@ -152,19 +141,16 @@ def forward(model: Mlp, X: np.ndarray, ws: Workspace | None = None) -> ForwardTr
     if X.ndim != 2 or X.shape[1] != model.n_x:
         raise ValueError(f"expected shape (*, {model.n_x}), got {X.shape}")
     ws = Workspace() if ws is None else ws
-    shape = (len(X), model.n_h)
-    hidden_pre = np.matmul(X, model.w1.T, out=ws.get("hidden_pre", shape))
-    if _narrow(hidden_pre):
-        for col, b in zip(hidden_pre.T, model.b1):
-            col += b
-    else:
-        hidden_pre += model.b1
+    # Column-major hidden arrays: each per-unit pass runs over a contiguous
+    # column of n rows, not over n rows of only n_h elements.
+    units = (model.n_h, len(X))
+    hidden_pre = np.matmul(X, model.w1.T, out=ws.get("hidden_pre", units).T)
+    hidden_pre += model.b1
     # Branch-free Leaky ReLU: the same bits as np.where(h > 0, h, slope*h).
-    positive = np.greater(hidden_pre, 0.0, out=ws.get("positive", shape, bool))
-    leak = np.multiply(positive, 1.0 - LEAKY_SLOPE, out=ws.get("leak", shape))
-    leak += LEAKY_SLOPE
-    hidden_act = np.multiply(hidden_pre, leak, out=ws.get("hidden_act", shape))
-    out_pre = np.matmul(hidden_act, model.w2, out=ws.get("out_pre", shape[:1]))
+    leak = np.sign(hidden_pre, out=ws.get("leak", units).T)
+    np.maximum(leak, LEAKY_SLOPE, out=leak)
+    hidden_act = np.multiply(hidden_pre, leak, out=ws.get("hidden_act", units).T)
+    out_pre = np.matmul(hidden_act, model.w2, out=ws.get("out_pre", units[1:]))
     out_pre += model.b2
     out = output_forward(out_pre, model.astra.b, model.astra.tau, ws)
     return ForwardTrace(inputs=X, hidden_pre=hidden_pre, leak=leak,
@@ -188,28 +174,6 @@ def _adam_step(model: Mlp, st: AdamState, grads: dict, eta: float) -> None:
         v_hat = v / (1 - ADAM_BETA2 ** st.t)
         params[k] -= eta * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     model.b2 = float(params["b2"][0])
-
-
-def _column_sums(a: np.ndarray, ws: Workspace) -> np.ndarray:
-    """a.sum(axis=0) of a C-ordered (n, k) array, bit for bit.
-
-    That sum adds row after row, and so does a running sum down each column
-    (a per-column np.sum would add pairwise and change the bits).  Two
-    neighbouring columns viewed as one complex column run both sums in one
-    pass, since complex addition adds real and imaginary parts separately.
-    """
-    if not _narrow(a):
-        return a.sum(axis=0)
-    k = a.shape[1]
-    pairs = a[:, :k - k % 2].view(complex)
-    run = ws.get("column_sums", a.shape[:1], complex)
-    sums = []
-    for col in pairs.T:
-        last = np.cumsum(col, out=run)[-1]
-        sums += [last.real, last.imag]
-    if k % 2:
-        sums.append(np.cumsum(a[:, -1], out=ws.get("column_sums.odd", a.shape[:1]))[-1])
-    return np.array(sums)
 
 
 def backward_and_step(model: Mlp, adam: AdamState, trace: ForwardTrace, y,
@@ -241,15 +205,11 @@ def backward_and_step(model: Mlp, adam: AdamState, trace: ForwardTrace, y,
     dj_dx *= dy_dx                                    # (n,)
     gw2 = trace.hidden_act.T @ dj_dx                  # (n_h,)
     gb2 = float(np.sum(dj_dx))
-    dhidden = ws.get("dhidden", trace.leak.shape)    # np.outer(dj_dx, w2)
-    if _narrow(dhidden):
-        for col, w in zip(dhidden.T, model.w2):
-            np.multiply(dj_dx, w, out=col)
-    else:
-        np.multiply(dj_dx[:, None], model.w2, out=dhidden)
+    dhidden = ws.get("dhidden", trace.leak.T.shape).T     # column-major
+    np.multiply(dj_dx[:, None], model.w2, out=dhidden)    # np.outer(dj_dx, w2)
     dhidden *= trace.leak
     gw1 = dhidden.T @ trace.inputs                    # (n_h, n_x)
-    gb1 = _column_sums(dhidden, ws)
+    gb1 = dhidden.sum(axis=0)
 
     if ap.trainable:
         # dj_dz * (dz_dy*dy_db + dz_dtau*dtau_db), in the buffer of dy_db

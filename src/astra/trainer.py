@@ -87,14 +87,16 @@ def eta_b_update(eta_b: float, e_ratio_value: float, cfg: TrainConfig) -> float:
     return eta_b
 
 
-def _val_fnr_apx(model: Mlp, X: np.ndarray, t: np.ndarray, ws: Workspace) -> float:
-    # FN_apx / m_1 of approx_cm, from only the two cells it needs; needs only
-    # m_1 >= 1.
-    z = forward(model, X, ws).z
-    prod = ws.get("val.prod", z.shape)
-    tp = float(np.sum(np.multiply(z, t, out=prod)))
-    np.subtract(1.0, z, out=prod)
-    fn = float(np.sum(np.multiply(prod, t, out=prod)))
+def _val_fnr_apx(model: Mlp, X_pos: np.ndarray, ws: Workspace) -> float:
+    """FNR_apx = FN_apx / (FN_apx + TP_apx) of the validation set, from its
+    positive rows `X_pos` alone: the two cells read no negative row.
+
+    Only these rows pass through the network, so a non-finite preactivation
+    on a validation negative raises nothing; it could not move FNR_apx.
+    """
+    z = forward(model, X_pos, ws).z
+    tp = float(np.sum(z))
+    fn = float(np.sum(np.subtract(1.0, z, out=ws.get("val.fn", z.shape))))
     return fn / (fn + tp)
 
 
@@ -112,8 +114,9 @@ def train(cfg: TrainConfig, train_set: Dataset, val_set: Dataset):
 
     Per epoch: train-set telemetry on the current model, eta_b update from the
     train e-ratio, one parameter step, then validation FNR_apx on the stepped
-    model; the snapshot is replaced only on strictly lower validation FNR_apx
-    (earliest epoch kept among ties).  Deterministic for a fixed seed.
+    model, from the validation positives alone (see _val_fnr_apx); the
+    snapshot is replaced only on strictly lower validation FNR_apx (earliest
+    epoch kept among ties).  Deterministic for a fixed seed.
     """
     if train_set.m1 < 1 or train_set.m0 < 1:
         raise ValueError("train set must contain both classes")
@@ -124,13 +127,13 @@ def train(cfg: TrainConfig, train_set: Dataset, val_set: Dataset):
     adam = AdamState.for_shapes(model.params())
     m0, m1 = train_set.m0, train_set.m1
     t_train = np.asarray(train_set.y, dtype=float)
-    t_val = np.asarray(val_set.y, dtype=float)
+    X_val_pos = val_set.X[val_set.y == 1]    # a contiguous copy
     # One workspace per batch: after the first epoch nothing is allocated.
     ws_train, ws_val = Workspace(), Workspace()
     eta_b = cfg.eta_b_min
 
     snapshot = Snapshot(epoch=0, model=model.copy(),
-                        val_fnr_apx=_val_fnr_apx(model, val_set.X, t_val, ws_val))
+                        val_fnr_apx=_val_fnr_apx(model, X_val_pos, ws_val))
     records: list[EpochRecord] = []
 
     for epoch in range(1, cfg.epochs + 1):
@@ -153,7 +156,7 @@ def train(cfg: TrainConfig, train_set: Dataset, val_set: Dataset):
                         "snapshot", epoch)
             snapshot.diverged = True
             break
-        val_fnr = _val_fnr_apx(model, val_set.X, t_val, ws_val)
+        val_fnr = _val_fnr_apx(model, X_val_pos, ws_val)
         records.append(EpochRecord(
             epoch=epoch, train_loss=loss_value, train_e_ratio=er,
             train_fnr_apx=r.fnr, train_fpr_apx=r.fpr, val_fnr_apx=val_fnr,

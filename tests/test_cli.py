@@ -278,15 +278,21 @@ class TestConfigFile:
         ('{"n_h": "three"}', 4, "invalid configuration: n_h"),
         ('{"loss": "gmn", "astra": true}', 4, "invalid configuration: astra"),
         ('{"eta_b_mni": 0.1}', 4, "unknown config key(s): eta_b_mni"),
+        ('{"out": 5}', 4, "invalid configuration: out must be a path string"),
+        ('{"dataset": ["x"]}', 4,
+         "invalid configuration: dataset must be a path string"),
     ], ids=["not-an-object", "malformed", "bad-type", "bad-choice",
-            "unknown-key"])
+            "unknown-key", "out-not-a-string", "dataset-not-a-string"])
     def test_rejected(self, tmp_path, sparse_dataset, capsys, content, rc,
                       message):
         config = tmp_path / "cfg.json"
         config.write_text(content)
         out = tmp_path / "o"
-        assert cli.main(["train", "--dataset", str(sparse_dataset), "--config",
-                         str(config), "--out", str(out), "--epochs", "1"]) == rc
+        # A flag would override the config value of the same name.
+        flags = [arg for flag, value in (("dataset", sparse_dataset), ("out", out))
+                 if f'"{flag}"' not in content for arg in (f"--{flag}", str(value))]
+        assert cli.main(["train", "--config", str(config), "--epochs", "1",
+                         *flags]) == rc
         assert message in capsys.readouterr().err
         assert not out.exists()
 

@@ -244,13 +244,12 @@ class TestParseSparseMatchesReference:
             X, labels = case
             write_sparse(path, X, labels)
             raw = parse_sparse(path)
-            # -0.0 is omitted or written as 0; trailing all-zero columns
-            # leave no index behind.
-            nonzero = np.flatnonzero((X != 0).any(axis=0))
-            width = nonzero[-1] + 1 if len(nonzero) else 0
-            assert raw.X.tobytes() == (X[:, :width] + 0.0).tobytes()
+            # Trailing columns of +0.0 alone leave no index behind.
+            written = np.flatnonzero(((X != 0) | np.signbit(X)).any(axis=0))
+            width = written[-1] + 1 if len(written) else 0
+            assert raw.X.tobytes() == X[:, :width].tobytes()
             assert raw.X.shape == (len(X), width)
-            assert raw.labels.tobytes() == (labels + 0.0).tobytes()
+            assert raw.labels.tobytes() == labels.tobytes()
             assert outcome(parse_sparse, path) == outcome(reference_parse_sparse, path)
 
         roundtrip()

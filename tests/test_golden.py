@@ -12,7 +12,8 @@ A change that alters numerics on purpose regenerates the golden with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and says why in CHANGES.md.
+which also prints the artifacts whose hashes changed against the golden.json
+it replaces, and says why in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -97,5 +98,8 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         payload = {"environment": environment(), "sha256": run_reduced(Path(tmp))}
+    old = json.loads(GOLDEN.read_text())["sha256"] if GOLDEN.exists() else {}
     GOLDEN.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(json.dumps(payload, indent=2, sort_keys=True), file=sys.stderr)
+    changed = sorted(k for k, v in payload["sha256"].items() if old.get(k) != v)
+    print("changed: " + (", ".join(changed) if changed else "none"))

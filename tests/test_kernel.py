@@ -3,8 +3,11 @@
 The reference is the straightforward composition the kernel replaces:
 separate activation and z-transform calls, np.where for the Leaky ReLU,
 np.outer for the hidden gradient, an axis-0 sum for its bias, and Adam as
-written in the paper.  Every comparison is bit for bit, signs of zero
-included.
+written in the paper.  It holds its (n, n_h) hidden arrays column-major, as
+the kernel does, and then every comparison is bit for bit, signs of zero
+included.  Held row-major, the same composition rounds the hidden-layer
+products and the bias sum differently; a second comparison bounds that
+difference.
 """
 
 import numpy as np
@@ -27,7 +30,6 @@ from astra.network import (
     ADAM_BETA2,
     ADAM_EPS,
     LEAKY_SLOPE,
-    NARROW_MAX,
     AdamState,
     backward_and_step,
     forward,
@@ -35,9 +37,8 @@ from astra.network import (
 )
 from astra.workspace import Workspace
 
-# Even and odd widths on both sides of NARROW_MAX, and the widths of the
-# two benchmark shapes.
-WIDTHS = (2, 3, 4, NARROW_MAX, NARROW_MAX + 1, 12)
+# Even and odd widths from 1 up, and the widths of the two benchmark shapes.
+WIDTHS = (1, 2, 3, 4, 5, 6, 12)
 SEEDS = (0, 1, 2)
 STEPS = 3
 
@@ -66,27 +67,37 @@ def fresh_adam(model):
     return AdamState.for_shapes(model.params())
 
 
-def reference_forward(model, X):
-    hidden_pre = X @ model.w1.T + model.b1
+def n_inputs(n_h):
+    """The skin shape's 3 inputs, or the wide shape's 22 from width 6 on."""
+    return 3 if n_h <= 5 else 22
+
+
+def reference_forward(model, X, hold=np.asfortranarray):
+    """`hold` sets the memory order of the hidden arrays before each BLAS
+    product: np.asfortranarray as the kernel, np.ascontiguousarray as the
+    row-major composition."""
+    hidden_pre = hold(X @ model.w1.T) + model.b1
     hidden_act = np.where(hidden_pre > 0, hidden_pre, LEAKY_SLOPE * hidden_pre)
-    out_pre = hidden_act @ model.w2 + model.b2
+    out_pre = hold(hidden_act) @ model.w2 + model.b2
     y_hat = clamp_unit(astra_forward(out_pre, model.astra.b))
     z = clamp_unit(z_transform(y_hat, model.astra.tau))
     return hidden_pre, hidden_act, out_pre, y_hat, z
 
 
-def reference_step(model, st, X, y, kind, eta, eta_b, m0, m1):
+def reference_step(model, st, X, y, kind, eta, eta_b, m0, m1,
+                   hold=np.asfortranarray):
     """One training step as the unfused code took it; returns the loss."""
     ap = model.astra
-    hidden_pre, hidden_act, out_pre, y_hat, z = reference_forward(model, X)
+    hidden_pre, hidden_act, out_pre, y_hat, z = reference_forward(model, X, hold)
     loss_value, dj_dz = loss_and_grad(kind, z, y, m0, m1)
     dz_dy, dz_dtau = z_transform_backward(y_hat, ap.tau)
     dy_dx, dy_db = astra_backward(out_pre, ap.b)
     dj_dx = dj_dz * dz_dy * dy_dx
-    dhidden = np.outer(dj_dx, model.w2)
+    dhidden = hold(np.outer(dj_dx, model.w2))
     dhidden *= np.where(hidden_pre > 0, 1.0, LEAKY_SLOPE)
     grads = {"w1": dhidden.T @ X, "b1": dhidden.sum(axis=0),
-             "w2": hidden_act.T @ dj_dx, "b2": np.array([float(np.sum(dj_dx))])}
+             "w2": hold(hidden_act).T @ dj_dx,
+             "b2": np.array([float(np.sum(dj_dx))])}
     if ap.trainable:
         dj_db = float(np.sum(dj_dz * (dz_dy * dy_db
                                       + dz_dtau * threshold_grad_b(ap.b))))
@@ -124,7 +135,7 @@ def assert_same_state(fused, ref, fused_adam, ref_adam):
 @pytest.mark.parametrize("n_h", WIDTHS)
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.name)
 def test_step_matches_reference(kind, n_h, seed):
-    n_x = 3 if n_h <= NARROW_MAX else 22
+    n_x = n_inputs(n_h)
     X, y, m0, m1 = batch(seed, n_x)
     fused = make_model(kind, n_x, n_h, seed)
     ref = fused.copy()
@@ -143,7 +154,7 @@ def test_step_matches_reference(kind, n_h, seed):
 @pytest.mark.parametrize("n_h", WIDTHS)
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.name)
 def test_forward_matches_reference(kind, n_h):
-    n_x = 3 if n_h <= NARROW_MAX else 22
+    n_x = n_inputs(n_h)
     X, _, _, _ = batch(7, n_x)
     model = make_model(kind, n_x, n_h, 7)
     trace = forward(model, X)
@@ -154,6 +165,32 @@ def test_forward_matches_reference(kind, n_h):
     assert same_bits(trace.y_hat, y_hat)
     assert same_bits(trace.z, z)
     assert set(np.unique(trace.leak)) <= {1.0, LEAKY_SLOPE}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("n_h", WIDTHS)
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.name)
+def test_steps_near_row_major_reference(kind, n_h, seed):
+    # The size of the rounding change from the row-major hidden layer.
+    n_x = n_inputs(n_h)
+    X, y, m0, m1 = batch(seed, n_x)
+    fused = make_model(kind, n_x, n_h, seed)
+    ref = fused.copy()
+    fused_adam, ref_adam = fresh_adam(fused), fresh_adam(ref)
+    ws = Workspace()
+    for _ in range(STEPS):
+        trace = forward(fused, X, ws)
+        backward_and_step(fused, fused_adam, trace, y, kind, 0.01, 0.05,
+                          m0, m1, approx_cm(trace.z, y, ws))
+        reference_step(ref, ref_adam, X, y, kind, 0.01, 0.05, m0, m1,
+                       hold=np.ascontiguousarray)
+    for name in ("w1", "b1", "w2", "b2"):
+        np.testing.assert_allclose(getattr(fused, name), getattr(ref, name),
+                                   rtol=1e-12, atol=1e-15, err_msg=name)
+    for name in ("beta", "b", "tau"):
+        np.testing.assert_allclose(getattr(fused.astra, name),
+                                   getattr(ref.astra, name),
+                                   rtol=1e-12, atol=1e-15, err_msg=name)
 
 
 def test_step_without_acm_or_workspace_matches():
@@ -176,5 +213,6 @@ def test_workspace_reuses_arrays():
     ws = Workspace()
     first = forward(model, X, ws)
     second = forward(model, X, ws)
-    assert first.z is second.z and first.hidden_act is second.hidden_act
-    assert forward(model, X).z is not second.z
+    assert np.shares_memory(first.z, second.z)
+    assert np.shares_memory(first.hidden_act, second.hidden_act)
+    assert not np.shares_memory(forward(model, X).z, second.z)

@@ -1,5 +1,5 @@
-"""Property tests of the math identities the activation, the z-transform and
-the approximated confusion matrix rest on."""
+"""Property tests of the math identities the activation, the z-transform,
+the approximated confusion matrix and the validation criterion rest on."""
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from astra.activation import (  # noqa: E402
     B_MAX,
+    AstraParams,
     B_MIN,
     EPS,
     astra_forward,
@@ -19,7 +20,10 @@ from astra.activation import (  # noqa: E402
     slope_from_beta,
     z_transform,
 )
-from astra.metrics import approx_cm, counting_cm  # noqa: E402
+from astra.metrics import approx_cm, counting_cm, rates  # noqa: E402
+from astra.network import forward, init_mlp  # noqa: E402
+from astra.trainer import _val_fnr_apx  # noqa: E402
+from astra.workspace import Workspace  # noqa: E402
 
 # 200 examples per property keep the file at a few seconds.
 CHECK = settings(max_examples=200, deadline=None)
@@ -85,3 +89,21 @@ def test_acm_on_labels_is_counting_matrix(case):
 @given(st.floats(-10.0, B_MAX - 2.0))
 def test_beta_slope_round_trip(beta):
     assert beta_from_slope(slope_from_beta(beta)) == pytest.approx(beta, abs=1e-9)
+
+
+@CHECK
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 12),
+       st.integers(2, 60), st.one_of(st.none(), st.floats(0.1, 0.45)))
+def test_val_fnr_apx_from_positives_is_full_set_fnr(seed, n_x, n_h, n, tau):
+    # Random weights and biases; tau None is the frozen logistic output.
+    # rates needs both classes in the full set.
+    rng = np.random.default_rng(seed)
+    X = rng.normal(0.0, 2.0, (n, n_x))
+    y = rng.permutation(np.r_[0, 1, rng.integers(0, 2, n - 2)])
+    astra = AstraParams.frozen() if tau is None else AstraParams.from_tau_init(tau)
+    model = init_mlp(n_x, n_h, seed, astra=astra)
+    model.b1 = rng.normal(0.0, 1.0, n_h)
+    model.b2 = float(rng.normal())
+    want = rates(approx_cm(forward(model, X).z, y)).fnr
+    assert _val_fnr_apx(model, X[y == 1], Workspace()) == pytest.approx(
+        want, rel=1e-12, abs=0.0)
