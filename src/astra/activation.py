@@ -42,30 +42,31 @@ def _check_tau(tau: float) -> None:
 
 
 def _astra_terms(x: np.ndarray, b: float, ws: Workspace):
-    """(b*x, u, -u/b) with u = log(1 + b*exp(b*x)), evaluated without
-    overflow: above _LOG_SWITCH, u is replaced by its asymptote log(b) + b*x."""
+    """(b*x, s, u, -u/b) with s = b*exp(min(b*x, _LOG_SWITCH)) and
+    u = log(1 + b*exp(b*x)), evaluated without overflow: above _LOG_SWITCH,
+    u is replaced by its asymptote log(b) + b*x."""
     bx = np.multiply(b, x, out=ws.get("bx", x.shape))
-    u = np.minimum(bx, _LOG_SWITCH, out=ws.get("u", x.shape))
-    np.exp(u, out=u)
-    u *= b
-    np.log1p(u, out=u)
+    s = np.minimum(bx, _LOG_SWITCH, out=ws.get("s", x.shape))
+    np.exp(s, out=s)
+    s *= b
+    u = np.log1p(s, out=ws.get("u", x.shape))
     big = np.greater(bx, _LOG_SWITCH, out=ws.get("big", x.shape, bool))
     if big.any():
         u[big] = math.log(b) + bx[big]
     neg_u_b = np.negative(u, out=ws.get("neg_u_b", x.shape))
     neg_u_b /= b
-    return bx, u, neg_u_b
+    return bx, s, u, neg_u_b
 
 
-def _astra_grads(bx, u, neg_u_b, b: float, slope: bool, ws: Workspace):
-    """(dy/dx, dy/db) from _astra_terms; dy/db is None unless `slope`."""
-    r = np.add(math.log(b), bx, out=ws.get("r", bx.shape))
-    r -= u
-    np.exp(r, out=r)                     # s / (1 + s), s = b*exp(b*x)
-    one_my = np.exp(neg_u_b, out=ws.get("exp_neg_u_b", bx.shape))   # 1 - y
+def _astra_grads(bx, s, u, neg_u_b, b: float, ws: Workspace):
+    """(dy/dx, dy/db) from _astra_terms."""
+    # r = s/(1 + s); above _LOG_SWITCH, s is capped and r is 1 within 1e-15.
+    r = np.add(1.0, s, out=ws.get("r", bx.shape))
+    np.divide(s, r, out=r)
+    # 1 - y = exp(-u/b) before the clamp.  Not 1 + expm1(-u/b): that
+    # cancels as b -> 1 at large x.
+    one_my = np.exp(neg_u_b, out=ws.get("exp_neg_u_b", bx.shape))
     dy_dx = np.multiply(r, one_my, out=ws.get("dy_dx", bx.shape))
-    if not slope:
-        return dy_dx, None
     # one_my / (b*b) * (r*(1 + bx) - u)
     dy_db = np.add(1.0, bx, out=ws.get("dy_db", bx.shape))
     dy_db *= r
@@ -84,12 +85,10 @@ def _z_terms(y, tau: float, ws: Workspace):
     return one_my, den, np.divide(num, den, out=num)
 
 
-def _z_grads(y, one_my, den, tau: float, slope: bool, ws: Workspace):
-    """(dz/dy, dz/dtau) from _z_terms; dz/dtau is None unless `slope`."""
+def _z_grads(y, one_my, den, tau: float, ws: Workspace):
+    """(dz/dy, dz/dtau) from _z_terms."""
     den2 = np.multiply(den, den, out=ws.get("den2", y.shape))
     dz_dy = np.divide(tau * (1.0 - tau), den2, out=ws.get("dz_dy", y.shape))
-    if not slope:
-        return dz_dy, None
     dz_dtau = np.negative(y, out=ws.get("dz_dtau", y.shape))
     dz_dtau *= one_my
     dz_dtau /= den2
@@ -117,7 +116,7 @@ def astra_forward(x, b: float):
     Strictly increasing in x, stable for b*x up to +/-700 (saturates smoothly
     to 0 or 1).  Scalar or ndarray x; scalar b.
     """
-    _, _, neg_u_b = _astra_terms(_preactivation(x, b), b, Workspace())
+    neg_u_b = _astra_terms(_preactivation(x, b), b, Workspace())[3]
     (y,) = _unwrap(x, -np.expm1(neg_u_b))
     return y
 
@@ -189,7 +188,7 @@ def astra_backward(x, b: float):
     """
     ws = Workspace()
     terms = _astra_terms(_preactivation(x, b), b, ws)
-    return _unwrap(x, *_astra_grads(*terms, b, slope=True, ws=ws))
+    return _unwrap(x, *_astra_grads(*terms, b, ws))
 
 
 def threshold_grad_b(b: float) -> float:
@@ -222,7 +221,7 @@ def z_transform_backward(y_hat, tau: float):
     y = clamp_unit(np.atleast_1d(np.asarray(y_hat, dtype=float)))
     ws = Workspace()
     one_my, den, _ = _z_terms(y, tau, ws)
-    return _unwrap(y_hat, *_z_grads(y, one_my, den, tau, slope=True, ws=ws))
+    return _unwrap(y_hat, *_z_grads(y, one_my, den, tau, ws))
 
 
 def misorder_band_upper(b: float) -> float:
@@ -244,6 +243,7 @@ class OutputTerms(NamedTuple):
     the intermediates their derivatives reuse."""
 
     bx: np.ndarray          # b*x
+    s: np.ndarray           # b*exp(min(b*x, _LOG_SWITCH))
     u: np.ndarray           # log(1 + b*exp(b*x))
     neg_u_b: np.ndarray     # -u/b; 1 - y = exp(-u/b) before clamping
     y_hat: np.ndarray       # clamped activation output
@@ -258,21 +258,61 @@ def output_forward(x: np.ndarray, b: float, tau: float,
     bit, keeping what output_backward needs.  The arrays live in `ws`."""
     x = _preactivation(x, b)
     _check_tau(tau)
-    bx, u, neg_u_b = _astra_terms(x, b, ws)
+    bx, s, u, neg_u_b = _astra_terms(x, b, ws)
     y = np.expm1(neg_u_b, out=ws.get("y_hat", x.shape))
     clamp_unit(np.negative(y, out=y), out=y)
     one_my, den, z = _z_terms(y, tau, ws)
     clamp_unit(z, out=z)
-    return OutputTerms(bx, u, neg_u_b, y, one_my, den, z)
+    return OutputTerms(bx, s, u, neg_u_b, y, one_my, den, z)
 
 
-def output_backward(terms: OutputTerms, b: float, tau: float, slope: bool,
-                    ws: Workspace):
+def output_backward(terms: OutputTerms, b: float, tau: float, ws: Workspace):
     """(dy/dx, dz/dy, dy/db, dz/dtau) as astra_backward and
-    z_transform_backward give them; the slope terms are None unless `slope`."""
-    dy_dx, dy_db = _astra_grads(terms.bx, terms.u, terms.neg_u_b, b, slope, ws)
-    dz_dy, dz_dtau = _z_grads(terms.y_hat, terms.one_my, terms.den, tau, slope, ws)
+    z_transform_backward give them."""
+    dy_dx, dy_db = _astra_grads(terms.bx, terms.s, terms.u, terms.neg_u_b, b, ws)
+    dz_dy, dz_dtau = _z_grads(terms.y_hat, terms.one_my, terms.den, tau, ws)
     return dy_dx, dz_dy, dy_db, dz_dtau
+
+
+# exp(700) is finite, and below x = -700 the logistic is under 1e-304, which
+# the clamp raises to EPS anyway.
+_LOGISTIC_FLOOR = -700.0
+
+
+class LogisticTerms(NamedTuple):
+    """The output of a frozen slope (b = 1, tau = 0.5): the plain logistic,
+    where the z-transform is the identity, with what its derivative reuses."""
+
+    e: np.ndarray           # exp(-max(x, _LOGISTIC_FLOOR))
+    y: np.ndarray           # 1/(1 + e), before clamping
+    z: np.ndarray           # clamp_unit(y), also the activation output
+
+    @property
+    def y_hat(self) -> np.ndarray:
+        return self.z
+
+
+def logistic_forward(x: np.ndarray, ws: Workspace) -> LogisticTerms:
+    """clamp_unit(1/(1 + exp(-x))): output_forward(x, 1.0, 0.5, ws).z within
+    rounding (4.4e-16 relative), in fewer passes.  The arrays live in `ws`."""
+    x = _preactivation(x, B_MIN)
+    e = np.maximum(x, _LOGISTIC_FLOOR, out=ws.get("e", x.shape))
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    y = np.add(1.0, e, out=ws.get("y", x.shape))
+    np.divide(1.0, y, out=y)
+    return LogisticTerms(e, y, clamp_unit(y, out=ws.get("z", x.shape)))
+
+
+def logistic_backward(terms: LogisticTerms, ws: Workspace) -> np.ndarray:
+    """dy/dx = e*y*y of logistic_forward; dz/dy is 1.
+
+    Equal to y*(1 - y), which cancels at the positive tail: its relative
+    error reaches 100% from x = 37 on.
+    """
+    dy_dx = np.multiply(terms.e, terms.y, out=ws.get("dy_dx", terms.y.shape))
+    dy_dx *= terms.y
+    return dy_dx
 
 
 @dataclass
@@ -280,7 +320,8 @@ class AstraParams:
     """Learnable slope state: beta and the derived slope b and threshold tau.
 
     When ``trainable`` is False the slope is frozen at b = 1 (standard
-    logistic) and beta is ignored.
+    logistic, threshold 0.5) and beta is ignored; the network then takes
+    the logistic path, so no other frozen state is accepted.
     """
 
     beta: float
@@ -288,11 +329,26 @@ class AstraParams:
     tau: float
     trainable: bool = True
 
+    def __post_init__(self):
+        if not self.trainable and (self.b, self.tau) != (B_MIN, 0.5):
+            raise ValueError(f"a frozen slope has b = 1 and tau = 0.5, got "
+                             f"b = {self.b}, tau = {self.tau}")
+
     @classmethod
-    def from_tau_init(cls, tau_init: float, trainable: bool = True) -> "AstraParams":
+    def from_tau_init(cls, tau_init: float) -> "AstraParams":
+        """The trainable slope whose threshold is `tau_init`.
+
+        beta reaches every b in (B_MIN, B_MAX] but not B_MIN, and
+        slope_from_tau stops short of B_MAX, so tau_init must lie strictly
+        between astra_threshold(B_MAX) (about 0.066) and
+        astra_threshold(B_MIN) = 0.5.
+        """
+        lo, hi = astra_threshold(B_MAX), astra_threshold(B_MIN)
+        if not lo < tau_init < hi:
+            raise ValueError(f"tau_init must be in ({lo!r}, {hi!r}), "
+                             f"got {tau_init!r}")
         b = slope_from_tau(tau_init)
-        return cls(beta=beta_from_slope(b), b=b, tau=astra_threshold(b),
-                   trainable=trainable)
+        return cls(beta=beta_from_slope(b), b=b, tau=astra_threshold(b))
 
     @classmethod
     def frozen(cls) -> "AstraParams":

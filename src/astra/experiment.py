@@ -143,12 +143,8 @@ def _run_single(args):
         snapshot, _ = train(cfg, train_ds, val_ds)
         labels = predict_labels(snapshot.model, test_ds.X)
         cm = counting_cm(labels, test_ds.y)
-        try:
-            gm = g_mean(cm)
-        except ValueError:
-            gm = 0.0
         return RunResult(repeat=repeat, fold=fold, method=method, test_cm=cm,
-                         g_mean=gm, mcc=mcc(cm), best_epoch=snapshot.epoch,
+                         g_mean=g_mean(cm), mcc=mcc(cm), best_epoch=snapshot.epoch,
                          final_b=snapshot.model.astra.b)
     except Exception as exc:  # failed runs are recorded, never dropped
         log.warning("run (%s, repeat %d, fold %d) failed: %s",

@@ -49,61 +49,71 @@ def _check(z, y):
         raise ValueError("empty input")
 
 
-def _bce(z, y, ws: Workspace, grad: bool):
-    """(mean BCE, d(mean BCE)/dz or None), with arrays in `ws`."""
-    _check(z, y)
-    t = np.asarray(y, dtype=float)
-    zc = clamp_unit(np.asarray(z, dtype=float), out=ws.get("loss.zc", t.shape))
-    a = np.log(zc, out=ws.get("loss.a", t.shape))
-    b = np.negative(t, out=ws.get("loss.b", t.shape))
-    b *= a                                        # -t*log z
-    not_t = np.subtract(1.0, t, out=ws.get("loss.not_t", t.shape))
-    np.negative(zc, out=a)
+def positives(y) -> np.ndarray:
+    """Indices of the positives of 0/1 targets `y`.
+
+    Both losses are per-class: the gradient of a row depends on its class
+    and its own output only, so they take the targets as these indices.  A
+    training loop gathers them once per run.
+    """
+    t = np.asarray(y)
+    pos = np.flatnonzero(t == 1)
+    if np.count_nonzero(t == 0) + len(pos) != t.size:
+        raise ValueError("targets must be 0 or 1")
+    return pos
+
+
+def _bce(z, pos, ws: Workspace, grad: bool):
+    """(mean BCE, d(mean BCE)/dz or None) for the positives `pos`, with
+    arrays in `ws`."""
+    zc = clamp_unit(np.asarray(z, dtype=float), out=ws.get("loss.zc", np.shape(z)))
+    zp = zc[pos]
+    # -log(1 - z) on a negative, -log(z) on a positive; the mean of their
+    # negation rounds to the negated mean.
+    a = np.negative(zc, out=ws.get("loss.a", zc.shape))
     np.log1p(a, out=a)
-    a *= not_t                                    # (1-t)*log(1-z)
-    b -= a
-    value = float(np.mean(b))
+    a[pos] = np.log(zp)
+    value = -float(np.mean(a))
     if not grad:
         return value, None
-    g = np.negative(t, out=ws.get("loss.grad", t.shape))
-    g /= zc
-    np.subtract(1.0, zc, out=a)
-    np.divide(not_t, a, out=a)
-    g += a                                        # -t/z + (1-t)/(1-z)
+    g = np.subtract(1.0, zc, out=ws.get("loss.grad", zc.shape))
+    np.divide(1.0, g, out=g)                      # 1/(1 - z)
+    g[pos] = -1.0 / zp                            # -1/z
     g /= len(zc)
     return value, g
 
 
 def bce_loss(z, y) -> float:
     """Mean binary cross-entropy -y*log z - (1-y)*log(1-z)."""
-    return _bce(z, y, Workspace(), grad=False)[0]
+    _check(z, y)
+    return _bce(z, positives(y), Workspace(), grad=False)[0]
 
 
 def bce_grad(z, y) -> np.ndarray:
     """Per-example d(mean BCE)/dz."""
-    return _bce(z, y, Workspace(), grad=True)[1]
+    _check(z, y)
+    return _bce(z, positives(y), Workspace(), grad=True)[1]
 
 
-def _gmn(y_hat, y, m0: int, m1: int, acm: ApproxCM | None, ws: Workspace):
-    """(loss, d loss/dy_hat) of the approximated-G-Mean loss, with arrays in
-    `ws`; `acm`, if given, is approx_cm(y_hat, y)."""
-    _check(y_hat, y)
+def _gmn(y_hat, y, pos, m0: int, m1: int, acm: ApproxCM | None,
+         ws: Workspace):
+    """(loss, d loss/dy_hat) of the approximated-G-Mean loss for the
+    positives `pos` of `y`, with arrays in `ws`; `acm`, if given, is
+    approx_cm(y_hat, y)."""
     if m0 < 1 or m1 < 1:
         raise ValueError("GMN needs at least one example of each class")
-    t = np.asarray(y, dtype=float)
     # No clamp here: the loss has no logs, and unclamped inputs make the
     # reduction to the counting G-Mean exact on binary predictions.
-    cm = approx_cm(np.asarray(y_hat, dtype=float), t, ws) if acm is None else acm
+    cm = approx_cm(y_hat, y, ws) if acm is None else acm
     g_apx = np.sqrt(cm.tn_apx * cm.tp_apx / (m0 * m1))
     # Network outputs are clamped to (0, 1) upstream, so the approximated
     # cells stay positive there; the floor only guards raw binary input.
     tp = max(cm.tp_apx, 1e-12)
     tn = max(cm.tn_apx, 1e-12)
-    g = np.divide(t, tp, out=ws.get("loss.grad", t.shape))
-    a = np.subtract(1.0, t, out=ws.get("loss.a", t.shape))
-    a /= tn
-    g -= a                                        # y/TP - (1-y)/TN
-    g *= -0.5 * g_apx
+    c = -0.5 * g_apx
+    g = ws.get("loss.grad", np.shape(y_hat))
+    g.fill((0.0 - 1.0 / tn) * c)                  # (y/TP - (1-y)/TN) * c
+    g[pos] = (1.0 / tp) * c
     return 1.0 - g_apx, g
 
 
@@ -113,7 +123,8 @@ def gmn_loss(y_hat, y, m0: int, m1: int) -> float:
     Set-level (not averaged); the product form aggressively penalizes false
     negatives.
     """
-    return _gmn(y_hat, y, m0, m1, None, Workspace())[0]
+    _check(y_hat, y)
+    return _gmn(y_hat, y, positives(y), m0, m1, None, Workspace())[0]
 
 
 def gmn_grad(y_hat, y, m0: int, m1: int) -> np.ndarray:
@@ -122,18 +133,22 @@ def gmn_grad(y_hat, y, m0: int, m1: int) -> np.ndarray:
     Negative on positive-class examples, positive on negative-class ones;
     examples couple only through the set-level sums TP_apx and TN_apx.
     """
-    return _gmn(y_hat, y, m0, m1, None, Workspace())[1]
+    _check(y_hat, y)
+    return _gmn(y_hat, y, positives(y), m0, m1, None, Workspace())[1]
 
 
 def loss_and_grad(kind: LossKind, z, y, m0: int, m1: int,
-                  acm: ApproxCM | None = None, ws: Workspace | None = None):
+                  acm: ApproxCM | None = None, ws: Workspace | None = None,
+                  pos: np.ndarray | None = None):
     """Loss value and gradient with respect to the (z-transformed) outputs.
 
     `acm`, if given, is approx_cm(z, y), which the GMN loss then does not
-    rebuild.  A training loop passes the same `ws` every epoch; the gradient
-    lives there.
+    rebuild, and `pos`, if given, is positives(y).  A training loop passes
+    the same `ws` every epoch; the gradient lives there.
     """
+    _check(z, y)
     ws = Workspace() if ws is None else ws
+    pos = positives(y) if pos is None else pos
     if kind.variant == "bce":
-        return _bce(z, y, ws, grad=True)
-    return _gmn(z, y, m0, m1, acm, ws)
+        return _bce(z, pos, ws, grad=True)
+    return _gmn(z, y, pos, m0, m1, acm, ws)

@@ -15,9 +15,12 @@ import numpy as np
 # in astra.network.
 from .activation import (  # noqa: F401
     AstraParams,
+    LogisticTerms,
     OutputTerms,
     astra_backward,
     astra_forward,
+    logistic_backward,
+    logistic_forward,
     output_backward,
     output_forward,
     slope_grad_beta,
@@ -25,7 +28,7 @@ from .activation import (  # noqa: F401
     z_transform,
     z_transform_backward,
 )
-from .losses import LossKind, loss_and_grad
+from .losses import LossKind, loss_and_grad, positives
 from .metrics import ApproxCM
 from .workspace import Workspace
 
@@ -40,20 +43,25 @@ def hidden_width(n_x: int, n_y: int = 1) -> int:
     return math.ceil((n_x + n_y) / 2)
 
 
+PARAM_NAMES = ("w1", "b1", "w2", "b2")
+
+
 @dataclass
 class AdamState:
-    """First/second moment accumulators and a shared step counter."""
+    """First/second moment accumulators and a shared step counter.
 
-    m: dict
-    v: dict
+    `m` and `v` are flat: the parameters w1 (row by row), b1, w2 and b2 in
+    that order, the layout of the gradient backward_and_step builds.
+    """
+
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @classmethod
     def for_shapes(cls, params: dict) -> "AdamState":
-        return cls(
-            m={k: np.zeros_like(p) for k, p in params.items()},
-            v={k: np.zeros_like(p) for k, p in params.items()},
-        )
+        size = sum(np.size(p) for p in params.values())
+        return cls(m=np.zeros(size), v=np.zeros(size))
 
 
 @dataclass
@@ -71,7 +79,7 @@ class ForwardTrace:
     leak: np.ndarray
     hidden_act: np.ndarray
     out_pre: np.ndarray
-    out: OutputTerms
+    out: OutputTerms | LogisticTerms
     ws: Workspace
 
     @property
@@ -152,7 +160,11 @@ def forward(model: Mlp, X: np.ndarray, ws: Workspace | None = None) -> ForwardTr
     hidden_act = np.multiply(hidden_pre, leak, out=ws.get("hidden_act", units).T)
     out_pre = np.matmul(hidden_act, model.w2, out=ws.get("out_pre", units[1:]))
     out_pre += model.b2
-    out = output_forward(out_pre, model.astra.b, model.astra.tau, ws)
+    ap = model.astra
+    if ap.trainable:
+        out = output_forward(out_pre, ap.b, ap.tau, ws)
+    else:   # b = 1 and tau = 0.5: the logistic, no z-transform
+        out = logistic_forward(out_pre, ws)
     return ForwardTrace(inputs=X, hidden_pre=hidden_pre, leak=leak,
                         hidden_act=hidden_act, out_pre=out_pre, out=out, ws=ws)
 
@@ -161,77 +173,101 @@ class NonFiniteGradientError(RuntimeError):
     pass
 
 
-def _adam_step(model: Mlp, st: AdamState, grads: dict, eta: float) -> None:
+def _blocks(model: Mlp, flat: np.ndarray) -> dict:
+    """Views of a flat parameter-sized vector shaped as each parameter, in
+    the order of PARAM_NAMES."""
+    n_w1, n_h = model.w1.size, model.n_h
+    return {"w1": flat[:n_w1].reshape(model.w1.shape),
+            "b1": flat[n_w1:n_w1 + n_h],
+            "w2": flat[n_w1 + n_h:n_w1 + 2 * n_h],
+            "b2": flat[n_w1 + 2 * n_h:]}
+
+
+def _adam_step(model: Mlp, st: AdamState, grad: np.ndarray, eta: float,
+               ws: Workspace) -> None:
+    """Adam on the flat gradient, in one pass over all parameters."""
     st.t += 1
-    params = model.params()
-    for k, g in grads.items():
-        m, v = st.m[k], st.v[k]
-        m *= ADAM_BETA1
-        m += (1 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1 - ADAM_BETA2) * g * g
-        m_hat = m / (1 - ADAM_BETA1 ** st.t)
-        v_hat = v / (1 - ADAM_BETA2 ** st.t)
-        params[k] -= eta * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    model.b2 = float(params["b2"][0])
+    tmp = np.multiply(1 - ADAM_BETA1, grad, out=ws.get("adam.tmp", grad.shape))
+    st.m *= ADAM_BETA1
+    st.m += tmp
+    np.multiply(1 - ADAM_BETA2, grad, out=tmp)
+    tmp *= grad
+    st.v *= ADAM_BETA2
+    st.v += tmp
+    den = np.divide(st.v, 1 - ADAM_BETA2 ** st.t, out=ws.get("adam.den", grad.shape))
+    np.sqrt(den, out=den)
+    den += ADAM_EPS                                   # sqrt(v_hat) + eps
+    step = np.divide(st.m, 1 - ADAM_BETA1 ** st.t, out=tmp)
+    step *= eta
+    step /= den                                       # eta*m_hat / den
+    s = _blocks(model, step)
+    model.w1 -= s["w1"]
+    model.b1 -= s["b1"]
+    model.w2 -= s["w2"]
+    model.b2 = float(model.b2 - step[-1])
 
 
 def backward_and_step(model: Mlp, adam: AdamState, trace: ForwardTrace, y,
                       kind: LossKind, eta: float, eta_b: float,
                       m0: int | None = None, m1: int | None = None,
-                      acm: ApproxCM | None = None):
+                      acm: ApproxCM | None = None,
+                      pos: np.ndarray | None = None):
     """One full-batch training step.
 
     Backpropagates the chosen loss through the z-transform and the output
-    activation, applies an Adam step to the weights (updating `adam` in
-    place) and (when the slope is trainable) a plain gradient step to beta,
-    then re-derives b and tau.
-    `acm`, if given, is approx_cm(trace.z, y), reused by the GMN loss.
+    activation (through the logistic alone for a frozen slope), applies an
+    Adam step to the weights (updating `adam` in place) and (when the slope
+    is trainable) a plain gradient step to beta, then re-derives b and tau.
+    `acm`, if given, is approx_cm(trace.z, y), reused by the GMN loss, and
+    `pos`, if given, is losses.positives(y).
     Returns (pre-step loss value, grad wrt beta).
     """
     t = np.asarray(y, dtype=float)
-    if m0 is None:
-        m0 = int(np.sum(t == 0))
-    if m1 is None:
-        m1 = int(np.sum(t == 1))
+    if pos is None:
+        pos = positives(t)
+    m0 = len(t) - len(pos) if m0 is None else m0
+    m1 = len(pos) if m1 is None else m1
     ap = model.astra
 
     ws = trace.ws
-    loss_value, dj_dz = loss_and_grad(kind, trace.z, t, m0, m1, acm, ws)
-    dy_dx, dz_dy, dy_db, dz_dtau = output_backward(trace.out, ap.b, ap.tau,
-                                                   ap.trainable, ws)
-
-    dj_dx = np.multiply(dj_dz, dz_dy, out=ws.get("dj_dx", dj_dz.shape))
-    dj_dx *= dy_dx                                    # (n,)
-    gw2 = trace.hidden_act.T @ dj_dx                  # (n_h,)
-    gb2 = float(np.sum(dj_dx))
-    dhidden = ws.get("dhidden", trace.leak.T.shape).T     # column-major
-    np.multiply(dj_dx[:, None], model.w2, out=dhidden)    # np.outer(dj_dx, w2)
-    dhidden *= trace.leak
-    gw1 = dhidden.T @ trace.inputs                    # (n_h, n_x)
-    gb1 = dhidden.sum(axis=0)
-
+    loss_value, dj_dz = loss_and_grad(kind, trace.z, t, m0, m1, acm, ws, pos)
+    dj_dx = ws.get("dj_dx", dj_dz.shape)
     if ap.trainable:
+        dy_dx, dz_dy, dy_db, dz_dtau = output_backward(trace.out, ap.b, ap.tau,
+                                                       ws)
+        np.multiply(dj_dz, dz_dy, out=dj_dx)
+        dj_dx *= dy_dx                                # (n,)
         # dj_dz * (dz_dy*dy_db + dz_dtau*dtau_db), in the buffer of dy_db
         dj_db = np.multiply(dz_dy, dy_db, out=dy_db)
         dz_dtau *= threshold_grad_b(ap.b)
         dj_db += dz_dtau
         dj_db *= dj_dz
         grad_beta = float(np.sum(dj_db)) * slope_grad_beta(ap.beta)
-    else:
+    else:   # dz/dy = 1
+        np.multiply(dj_dz, logistic_backward(trace.out, ws), out=dj_dx)
         grad_beta = 0.0
 
-    grads = {"w1": gw1, "b1": gb1, "w2": gw2, "b2": np.array([gb2])}
-    for k, g in grads.items():
-        if not np.isfinite(g).all():
-            raise NonFiniteGradientError(f"non-finite gradient in {k}")
+    # The gradient of every parameter, written into one flat vector.
+    grad = ws.get("grad", adam.m.shape)
+    g = _blocks(model, grad)
+    np.matmul(trace.hidden_act.T, dj_dx, out=g["w2"])
+    g["b2"][0] = np.sum(dj_dx)
+    dhidden = ws.get("dhidden", trace.leak.T.shape).T     # column-major
+    np.multiply(dj_dx[:, None], model.w2, out=dhidden)    # np.outer(dj_dx, w2)
+    dhidden *= trace.leak
+    np.matmul(dhidden.T, trace.inputs, out=g["w1"])
+    dhidden.sum(axis=0, out=g["b1"])
+
+    if not np.isfinite(grad).all():
+        k = next(k for k, a in g.items() if not np.isfinite(a).all())
+        raise NonFiniteGradientError(f"non-finite gradient in {k}")
     if not np.isfinite(grad_beta):
         raise NonFiniteGradientError("non-finite gradient in beta")
 
-    _adam_step(model, adam, grads, eta)
+    _adam_step(model, adam, grad, eta, ws)
     ap.step_beta(grad_beta, eta_b)
-    for k, p in model.params().items():
-        if not np.isfinite(p).all():
+    for k in PARAM_NAMES:     # separate arrays: one check each
+        if not np.isfinite(getattr(model, k)).all():
             raise NonFiniteGradientError(f"non-finite parameter {k} after update")
     return float(loss_value), grad_beta
 

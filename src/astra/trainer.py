@@ -15,7 +15,7 @@ import numpy as np
 
 from .activation import AstraParams
 from .data import Dataset
-from .losses import LossKind
+from .losses import LossKind, positives
 from .metrics import approx_cm, e_ratio, rates
 from .network import (
     AdamState,
@@ -49,8 +49,7 @@ class TrainConfig:
             raise ValueError("need 0 < eta_b_min <= eta_b_max")
         if self.k_mult <= 1 or not 0 < self.k_dec < 1:
             raise ValueError("need k_mult > 1 and 0 < k_dec < 1")
-        if not 0.05 < self.tau_init <= 0.5:
-            raise ValueError("tau_init must be in (0.05, 0.5]")
+        AstraParams.from_tau_init(self.tau_init)    # checks its range
 
 
 @dataclass(frozen=True)
@@ -127,6 +126,7 @@ def train(cfg: TrainConfig, train_set: Dataset, val_set: Dataset):
     adam = AdamState.for_shapes(model.params())
     m0, m1 = train_set.m0, train_set.m1
     t_train = np.asarray(train_set.y, dtype=float)
+    pos_train = positives(t_train)
     X_val_pos = val_set.X[val_set.y == 1]    # a contiguous copy
     # One workspace per batch: after the first epoch nothing is allocated.
     ws_train, ws_val = Workspace(), Workspace()
@@ -145,7 +145,7 @@ def train(cfg: TrainConfig, train_set: Dataset, val_set: Dataset):
         try:
             loss_value, _ = backward_and_step(
                 model, adam, trace, t_train, cfg.loss, cfg.eta, eta_b, m0, m1,
-                acm)
+                acm, pos_train)
         except NonFiniteGradientError as exc:
             log.warning("epoch %d: %s; stopping with last good snapshot",
                         epoch, exc)

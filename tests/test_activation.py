@@ -250,6 +250,11 @@ class TestAstraParams:
         p.step_beta(10.0, 0.5)
         assert p.b == 1.0
 
+    def test_frozen_only_at_one(self):
+        # The network takes the logistic path for every frozen slope.
+        with pytest.raises(ValueError, match="frozen slope"):
+            AstraParams(beta=0.0, b=2.0, tau=astra_threshold(2.0), trainable=False)
+
     def test_step_clamps_ceiling(self):
         p = AstraParams.from_tau_init(0.25)
         p.step_beta(-1e6, 1.0)

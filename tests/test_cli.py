@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from astra import cli, experiment
+from astra.activation import B_MAX, astra_threshold
 from astra.data import parse_sparse, write_sparse
 from astra.trainer import TrainConfig
 
@@ -281,8 +282,13 @@ class TestConfigFile:
         ('{"out": 5}', 4, "invalid configuration: out must be a path string"),
         ('{"dataset": ["x"]}', 4,
          "invalid configuration: dataset must be a path string"),
+        # The two ends of the thresholds a trainable slope starts from.
+        ('{"tau_init": 0.5}', 4, "invalid configuration: tau_init must be in"),
+        (json.dumps({"tau_init": astra_threshold(B_MAX)}), 4,
+         "invalid configuration: tau_init must be in"),
     ], ids=["not-an-object", "malformed", "bad-type", "bad-choice",
-            "unknown-key", "out-not-a-string", "dataset-not-a-string"])
+            "unknown-key", "out-not-a-string", "dataset-not-a-string",
+            "tau-init-at-half", "tau-init-at-b-max"])
     def test_rejected(self, tmp_path, sparse_dataset, capsys, content, rc,
                       message):
         config = tmp_path / "cfg.json"

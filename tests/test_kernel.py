@@ -3,21 +3,31 @@
 The reference is the straightforward composition the kernel replaces:
 separate activation and z-transform calls, np.where for the Leaky ReLU,
 np.outer for the hidden gradient, an axis-0 sum for its bias, and Adam as
-written in the paper.  It holds its (n, n_h) hidden arrays column-major, as
-the kernel does, and then every comparison is bit for bit, signs of zero
-included.  Held row-major, the same composition rounds the hidden-layer
-products and the bias sum differently; a second comparison bounds that
-difference.
+written in the paper, one parameter at a time.  A frozen slope (b = 1,
+tau = 0.5) has its own reference, the logistic written out.  The reference
+holds its (n, n_h) hidden arrays column-major, as the kernel does, and then
+every comparison is bit for bit, signs of zero included.  Held row-major,
+the same composition rounds the hidden-layer products and the bias sum
+differently; a second comparison bounds that difference.  A third bounds
+the logistic path against the general path at b = 1.
 """
+
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from astra.activation import (
     AstraParams,
+    LogisticTerms,
     astra_backward,
     astra_forward,
     clamp_unit,
+    logistic_backward,
+    logistic_forward,
+    output_backward,
+    output_forward,
     slope_grad_beta,
     threshold_grad_b,
     z_transform,
@@ -30,7 +40,9 @@ from astra.network import (
     ADAM_BETA2,
     ADAM_EPS,
     LEAKY_SLOPE,
+    PARAM_NAMES,
     AdamState,
+    NonFiniteGradientError,
     backward_and_step,
     forward,
     init_mlp,
@@ -63,13 +75,35 @@ def make_model(kind, n_x, n_h, seed):
     return init_mlp(n_x, n_h, seed, astra=ap)
 
 
+@dataclass
+class ReferenceAdam:
+    """Adam's moments per parameter, as the paper writes them."""
+
+    m: dict
+    v: dict
+    t: int = 0
+
+
 def fresh_adam(model):
     return AdamState.for_shapes(model.params())
+
+
+def reference_adam(model):
+    params = model.params()
+    return ReferenceAdam(m={k: np.zeros_like(p) for k, p in params.items()},
+                         v={k: np.zeros_like(p) for k, p in params.items()})
 
 
 def n_inputs(n_h):
     """The skin shape's 3 inputs, or the wide shape's 22 from width 6 on."""
     return 3 if n_h <= 5 else 22
+
+
+def reference_logistic(x):
+    """(e, y) of the frozen slope's output y = 1/(1 + e), e = exp(-x) with
+    x floored at -700."""
+    e = np.exp(-np.maximum(x, -700.0))
+    return e, 1.0 / (1.0 + e)
 
 
 def reference_forward(model, X, hold=np.asfortranarray):
@@ -79,8 +113,11 @@ def reference_forward(model, X, hold=np.asfortranarray):
     hidden_pre = hold(X @ model.w1.T) + model.b1
     hidden_act = np.where(hidden_pre > 0, hidden_pre, LEAKY_SLOPE * hidden_pre)
     out_pre = hold(hidden_act) @ model.w2 + model.b2
-    y_hat = clamp_unit(astra_forward(out_pre, model.astra.b))
-    z = clamp_unit(z_transform(y_hat, model.astra.tau))
+    if model.astra.trainable:
+        y_hat = clamp_unit(astra_forward(out_pre, model.astra.b))
+        z = clamp_unit(z_transform(y_hat, model.astra.tau))
+    else:
+        y_hat = z = clamp_unit(reference_logistic(out_pre)[1])
     return hidden_pre, hidden_act, out_pre, y_hat, z
 
 
@@ -90,9 +127,13 @@ def reference_step(model, st, X, y, kind, eta, eta_b, m0, m1,
     ap = model.astra
     hidden_pre, hidden_act, out_pre, y_hat, z = reference_forward(model, X, hold)
     loss_value, dj_dz = loss_and_grad(kind, z, y, m0, m1)
-    dz_dy, dz_dtau = z_transform_backward(y_hat, ap.tau)
-    dy_dx, dy_db = astra_backward(out_pre, ap.b)
-    dj_dx = dj_dz * dz_dy * dy_dx
+    if ap.trainable:
+        dz_dy, dz_dtau = z_transform_backward(y_hat, ap.tau)
+        dy_dx, dy_db = astra_backward(out_pre, ap.b)
+        dj_dx = dj_dz * dz_dy * dy_dx
+    else:
+        e, y_out = reference_logistic(out_pre)
+        dj_dx = dj_dz * (e * y_out * y_out)
     dhidden = hold(np.outer(dj_dx, model.w2))
     dhidden *= np.where(hidden_pre > 0, 1.0, LEAKY_SLOPE)
     grads = {"w1": dhidden.T @ X, "b1": dhidden.sum(axis=0),
@@ -125,10 +166,15 @@ def assert_same_state(fused, ref, fused_adam, ref_adam):
     for name in ("beta", "b", "tau"):
         assert same_bits(getattr(fused.astra, name), getattr(ref.astra, name)), name
     assert fused_adam.t == ref_adam.t
-    assert fused_adam.m.keys() == ref_adam.m.keys() == ref_adam.v.keys()
-    for k in ref_adam.m:
-        assert same_bits(fused_adam.m[k], ref_adam.m[k]), f"m[{k}]"
-        assert same_bits(fused_adam.v[k], ref_adam.v[k]), f"v[{k}]"
+    # The flat moments hold w1 row by row, then b1, w2 and b2.
+    assert tuple(ref_adam.m) == tuple(ref_adam.v) == PARAM_NAMES
+    i = 0
+    for k in PARAM_NAMES:
+        n = ref_adam.m[k].size
+        assert same_bits(fused_adam.m[i:i + n], ref_adam.m[k].ravel()), f"m[{k}]"
+        assert same_bits(fused_adam.v[i:i + n], ref_adam.v[k].ravel()), f"v[{k}]"
+        i += n
+    assert i == fused_adam.m.size == fused_adam.v.size
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -139,7 +185,7 @@ def test_step_matches_reference(kind, n_h, seed):
     X, y, m0, m1 = batch(seed, n_x)
     fused = make_model(kind, n_x, n_h, seed)
     ref = fused.copy()
-    fused_adam, ref_adam = fresh_adam(fused), fresh_adam(ref)
+    fused_adam, ref_adam = fresh_adam(fused), reference_adam(ref)
     ws = Workspace()
     for _ in range(STEPS):
         trace = forward(fused, X, ws)
@@ -176,7 +222,7 @@ def test_steps_near_row_major_reference(kind, n_h, seed):
     X, y, m0, m1 = batch(seed, n_x)
     fused = make_model(kind, n_x, n_h, seed)
     ref = fused.copy()
-    fused_adam, ref_adam = fresh_adam(fused), fresh_adam(ref)
+    fused_adam, ref_adam = fresh_adam(fused), reference_adam(ref)
     ws = Workspace()
     for _ in range(STEPS):
         trace = forward(fused, X, ws)
@@ -194,17 +240,20 @@ def test_steps_near_row_major_reference(kind, n_h, seed):
 
 
 def test_step_without_acm_or_workspace_matches():
-    # A fresh trace and no ACM take the same arithmetic as the training loop.
+    # A fresh trace and no ACM or positives take the same arithmetic as the
+    # training loop, on both output paths.
     X, y, m0, m1 = batch(3, 3)
-    kind = ALL_KINDS[3]
-    a = make_model(kind, 3, 2, 3)
-    b = a.copy()
-    adam_a, adam_b = fresh_adam(a), fresh_adam(b)
-    backward_and_step(a, adam_a, forward(a, X), y, kind, 0.01, 0.05)
-    trace = forward(b, X, Workspace())
-    backward_and_step(b, adam_b, trace, y, kind, 0.01, 0.05, m0, m1,
-                      approx_cm(trace.z, y))
-    assert_same_state(a, b, adam_a, adam_b)
+    for kind in ALL_KINDS:
+        a = make_model(kind, 3, 2, 3)
+        b = a.copy()
+        adam_a, adam_b = fresh_adam(a), fresh_adam(b)
+        backward_and_step(a, adam_a, forward(a, X), y, kind, 0.01, 0.05)
+        trace = forward(b, X, Workspace())
+        backward_and_step(b, adam_b, trace, y, kind, 0.01, 0.05, m0, m1,
+                          approx_cm(trace.z, y), np.flatnonzero(y))
+        for name in PARAM_NAMES:
+            assert same_bits(getattr(a, name), getattr(b, name)), (kind, name)
+        assert same_bits(adam_a.m, adam_b.m) and same_bits(adam_a.v, adam_b.v)
 
 
 def test_workspace_reuses_arrays():
@@ -216,3 +265,67 @@ def test_workspace_reuses_arrays():
     assert np.shares_memory(first.z, second.z)
     assert np.shares_memory(first.hidden_act, second.hidden_act)
     assert not np.shares_memory(forward(model, X).z, second.z)
+
+
+# Over [-700, 700] both paths' outputs and slopes stay normal numbers.
+TAIL_X = np.concatenate([np.linspace(-700.0, 700.0, 20001),
+                         np.random.default_rng(11).uniform(-40.0, 40.0, 20000)])
+
+
+def test_logistic_path_near_general_path():
+    ws_l, ws_g = Workspace(), Workspace()
+    frozen = logistic_forward(TAIL_X, ws_l)
+    general = output_forward(TAIL_X, 1.0, 0.5, ws_g)
+    np.testing.assert_allclose(frozen.z, general.z, rtol=1e-15, atol=0)
+    assert frozen.y_hat is frozen.z
+    dy_dx, dz_dy, _, _ = output_backward(general, 1.0, 0.5, ws_g)
+    np.testing.assert_allclose(logistic_backward(frozen, ws_l), dy_dx,
+                               rtol=1e-14, atol=0)
+
+
+def test_general_path_has_unit_z_slope_at_b_one():
+    # Why the logistic path drops dz/dy: at b = 1 and tau = 0.5 the general
+    # path's dz/dy is exactly 1.0.
+    x = np.linspace(-800.0, 800.0, 16001)
+    ws = Workspace()
+    _, dz_dy, _, _ = output_backward(output_forward(x, 1.0, 0.5, ws), 1.0, 0.5, ws)
+    assert np.all(dz_dy == 1.0)
+
+
+def test_logistic_path_tails_are_finite_and_warning_free():
+    x = np.array([-800.0, -700.0, -40.0, 0.0, 40.0, 700.0, 800.0])
+    ws = Workspace()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        terms = logistic_forward(x, ws)
+        dy_dx = logistic_backward(terms, ws)
+    assert np.all(np.isfinite(terms.e)) and np.all(np.isfinite(dy_dx))
+    assert np.all(dy_dx >= 0)
+    assert terms.z[0] == 1e-7 and terms.z[-1] == 1.0 - 1e-7
+
+
+def test_frozen_model_takes_logistic_path():
+    X, _, _, _ = batch(5, 3)
+    trace = forward(make_model(ALL_KINDS[0], 3, 2, 5), X)
+    assert isinstance(trace.out, LogisticTerms)
+    trace = forward(make_model(ALL_KINDS[2], 3, 2, 5), X)
+    assert not isinstance(trace.out, LogisticTerms)
+
+
+def test_non_finite_gradient_and_parameter_name_their_block():
+    X, y, m0, m1 = batch(6, 3)
+    for kind in ALL_KINDS:
+        model = make_model(kind, 3, 2, 6)
+        trace = forward(model, X)
+        trace.hidden_act[0, 1] = np.inf        # reaches only w2's gradient
+        with pytest.raises(NonFiniteGradientError,
+                           match="non-finite gradient in w2$"):
+            backward_and_step(model, fresh_adam(model), trace, y, kind,
+                              0.01, 0.05, m0, m1)
+        model = make_model(kind, 3, 2, 6)
+        trace = forward(model, X)
+        model.b1[1] = np.nan                   # the step keeps it
+        with pytest.raises(NonFiniteGradientError,
+                           match="non-finite parameter b1 after update$"):
+            backward_and_step(model, fresh_adam(model), trace, y, kind,
+                              0.01, 0.05, m0, m1)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from astra.activation import astra_forward, astra_threshold, z_transform
+from astra.activation import astra_forward, astra_threshold, clamp_unit, z_transform
 from astra.losses import (
     ALL_KINDS,
     LossKind,
@@ -11,8 +11,69 @@ from astra.losses import (
     bce_loss,
     gmn_grad,
     gmn_loss,
+    loss_and_grad,
+    positives,
 )
-from astra.metrics import CountCM, g_mean
+from astra.metrics import CountCM, approx_cm, g_mean
+
+
+def reference_bce(z, y):
+    """(mean BCE, gradient) per row, -y*log z - (1-y)*log(1-z), in the
+    order of operations the per-class losses replaced."""
+    t = np.asarray(y, dtype=float)
+    zc = clamp_unit(np.asarray(z, dtype=float))
+    value = float(np.mean(-t * np.log(zc) - np.log1p(-zc) * (1.0 - t)))
+    return value, (-t / zc + (1.0 - t) / (1.0 - zc)) / len(zc)
+
+
+def reference_gmn(y_hat, y, m0, m1):
+    """(loss, gradient) per row, -(G_apx/2) * (y/TP_apx - (1-y)/TN_apx)."""
+    t = np.asarray(y, dtype=float)
+    cm = approx_cm(np.asarray(y_hat, dtype=float), t)
+    g_apx = np.sqrt(cm.tn_apx * cm.tp_apx / (m0 * m1))
+    tp = max(cm.tp_apx, 1e-12)
+    tn = max(cm.tn_apx, 1e-12)
+    return 1.0 - g_apx, (t / tp - (1.0 - t) / tn) * (-0.5 * g_apx)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestPerClassMatchesPerRow:
+    def test_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        from hypothesis import strategies as st
+
+        # Outputs anywhere in [0, 1], ends, subnormals and the clamp band
+        # included; targets of both classes.
+        cases = st.integers(2, 80).flatmap(lambda n: st.tuples(
+            st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n),
+            st.lists(st.integers(0, 1), min_size=n, max_size=n).filter(
+                lambda y: 0 in y and 1 in y)))
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(cases)
+        def check(case):
+            z, y = case
+            m1 = sum(y)
+            m0 = len(y) - m1
+            for variant, reference in (("bce", reference_bce(z, y)),
+                                       ("gmn", reference_gmn(z, y, m0, m1))):
+                value, grad = loss_and_grad(LossKind(variant, False), z, y, m0, m1)
+                assert same_bits(value, reference[0]), variant
+                assert same_bits(grad, reference[1]), variant
+
+        check()
+
+    def test_positives(self):
+        assert positives([0, 1, 1, 0, 1]).tolist() == [1, 2, 4]
+        assert positives(np.array([0.0, 0.0])).tolist() == []
+        with pytest.raises(ValueError):
+            positives([0, 1, 0.5])
+        with pytest.raises(ValueError):
+            bce_loss([0.5, 0.5], [0, 2])
 
 
 class TestLossKind:

@@ -14,6 +14,7 @@ from astra.activation import (  # noqa: E402
     AstraParams,
     B_MIN,
     EPS,
+    _astra_terms,
     astra_forward,
     astra_threshold,
     beta_from_slope,
@@ -46,6 +47,19 @@ def labelled_outputs(values):
 @given(slopes)
 def test_threshold_is_output_at_zero(b):
     assert astra_threshold(b) == pytest.approx(astra_forward(0.0, b), rel=1e-15)
+
+
+# The ASTra backward takes r = s/(1 + s) from the forward's s = b*exp(b*x),
+# not exp(log(b) + b*x - u).  The exp form rounds its argument to the ulp of
+# b*x, and so errs by more than 1e-14 relative beyond |b*x| = 64; on this
+# range it errs by up to about 7.5e-15.
+@CHECK
+@given(slopes, st.floats(-64.0, 64.0))
+def test_r_from_s_is_exp_form(b, bx):
+    _, s, u, _ = _astra_terms(np.array([bx / b]), b, Workspace())
+    bx = b * (bx / b)
+    want = np.exp(np.log(b) + bx - u[0])
+    assert s[0] / (1.0 + s[0]) == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 @CHECK

@@ -1,11 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
+from astra.activation import B_MAX, astra_threshold
 from astra.data import Dataset
 from astra.losses import LossKind
 from astra.trainer import (
     EPOCH_CSV_HEADER,
     TrainConfig,
+    build_model,
     eta_b_update,
     train,
     write_epoch_csv,
@@ -36,6 +40,18 @@ class TestEtaBUpdate:
             TrainConfig(k_mult=0.9)
         with pytest.raises(ValueError):
             TrainConfig(tau_init=0.01)
+
+    def test_tau_init_range_is_the_slopes(self):
+        # Open at both ends: b = 1 has no beta, and slope_from_tau stops
+        # short of B_MAX.
+        lo, hi = astra_threshold(B_MAX), 0.5
+        for tau in (lo, hi, math.nextafter(lo, 0.0), math.nextafter(hi, 1.0)):
+            with pytest.raises(ValueError, match="tau_init must be in"):
+                TrainConfig(tau_init=tau)
+        for tau in (math.nextafter(lo, 1.0), math.nextafter(hi, 0.0)):
+            assert TrainConfig(tau_init=tau).tau_init == tau
+            assert build_model(TrainConfig(tau_init=tau,
+                                           loss=LossKind("gmn", True)), 3).astra.trainable
 
 
 class TestTrain:
