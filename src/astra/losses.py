@@ -42,19 +42,20 @@ ALL_KINDS = (
 )
 
 
-def _check(z, y):
+def _check(z, y) -> np.ndarray:
+    """positives(y), once `z` and `y` are checked to pair up."""
     if len(z) != len(y):
         raise ValueError(f"length mismatch: {len(z)} vs {len(y)}")
     if len(z) == 0:
         raise ValueError("empty input")
+    return positives(y)
 
 
 def positives(y) -> np.ndarray:
     """Indices of the positives of 0/1 targets `y`.
 
     Both losses are per-class: the gradient of a row depends on its class
-    and its own output only, so they take the targets as these indices.  A
-    training loop gathers them once per run.
+    and its own output only, so they work from these indices.
     """
     t = np.asarray(y)
     pos = np.flatnonzero(t == 1)
@@ -63,9 +64,9 @@ def positives(y) -> np.ndarray:
     return pos
 
 
-def _bce(z, pos, ws: Workspace, grad: bool):
-    """(mean BCE, d(mean BCE)/dz or None) for the positives `pos`, with
-    arrays in `ws`."""
+def _bce(z, y, ws: Workspace, grad: bool):
+    """(mean BCE, d(mean BCE)/dz or None), with arrays in `ws`."""
+    pos = _check(z, y)
     zc = clamp_unit(np.asarray(z, dtype=float), out=ws.get("loss.zc", np.shape(z)))
     zp = zc[pos]
     # -log(1 - z) on a negative, -log(z) on a positive; the mean of their
@@ -85,21 +86,18 @@ def _bce(z, pos, ws: Workspace, grad: bool):
 
 def bce_loss(z, y) -> float:
     """Mean binary cross-entropy -y*log z - (1-y)*log(1-z)."""
-    _check(z, y)
-    return _bce(z, positives(y), Workspace(), grad=False)[0]
+    return _bce(z, y, Workspace(), grad=False)[0]
 
 
 def bce_grad(z, y) -> np.ndarray:
     """Per-example d(mean BCE)/dz."""
-    _check(z, y)
-    return _bce(z, positives(y), Workspace(), grad=True)[1]
+    return _bce(z, y, Workspace(), grad=True)[1]
 
 
-def _gmn(y_hat, y, pos, m0: int, m1: int, acm: ApproxCM | None,
-         ws: Workspace):
-    """(loss, d loss/dy_hat) of the approximated-G-Mean loss for the
-    positives `pos` of `y`, with arrays in `ws`; `acm`, if given, is
-    approx_cm(y_hat, y)."""
+def _gmn(y_hat, y, m0: int, m1: int, acm: ApproxCM | None, ws: Workspace):
+    """(loss, d loss/dy_hat) of the approximated-G-Mean loss, with arrays in
+    `ws`; `acm`, if given, is approx_cm(y_hat, y)."""
+    pos = _check(y_hat, y)
     if m0 < 1 or m1 < 1:
         raise ValueError("GMN needs at least one example of each class")
     # No clamp here: the loss has no logs, and unclamped inputs make the
@@ -123,8 +121,7 @@ def gmn_loss(y_hat, y, m0: int, m1: int) -> float:
     Set-level (not averaged); the product form aggressively penalizes false
     negatives.
     """
-    _check(y_hat, y)
-    return _gmn(y_hat, y, positives(y), m0, m1, None, Workspace())[0]
+    return _gmn(y_hat, y, m0, m1, None, Workspace())[0]
 
 
 def gmn_grad(y_hat, y, m0: int, m1: int) -> np.ndarray:
@@ -133,22 +130,18 @@ def gmn_grad(y_hat, y, m0: int, m1: int) -> np.ndarray:
     Negative on positive-class examples, positive on negative-class ones;
     examples couple only through the set-level sums TP_apx and TN_apx.
     """
-    _check(y_hat, y)
-    return _gmn(y_hat, y, positives(y), m0, m1, None, Workspace())[1]
+    return _gmn(y_hat, y, m0, m1, None, Workspace())[1]
 
 
 def loss_and_grad(kind: LossKind, z, y, m0: int, m1: int,
-                  acm: ApproxCM | None = None, ws: Workspace | None = None,
-                  pos: np.ndarray | None = None):
+                  acm: ApproxCM | None = None, ws: Workspace | None = None):
     """Loss value and gradient with respect to the (z-transformed) outputs.
 
     `acm`, if given, is approx_cm(z, y), which the GMN loss then does not
-    rebuild, and `pos`, if given, is positives(y).  A training loop passes
-    the same `ws` every epoch; the gradient lives there.
+    rebuild.  A training loop passes the same `ws` every epoch; the gradient
+    lives there.
     """
-    _check(z, y)
     ws = Workspace() if ws is None else ws
-    pos = positives(y) if pos is None else pos
     if kind.variant == "bce":
-        return _bce(z, pos, ws, grad=True)
-    return _gmn(z, y, pos, m0, m1, acm, ws)
+        return _bce(z, y, ws, grad=True)
+    return _gmn(z, y, m0, m1, acm, ws)

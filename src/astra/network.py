@@ -28,7 +28,7 @@ from .activation import (  # noqa: F401
     z_transform,
     z_transform_backward,
 )
-from .losses import LossKind, loss_and_grad, positives
+from .losses import LossKind, loss_and_grad
 from .metrics import ApproxCM
 from .workspace import Workspace
 
@@ -210,27 +210,25 @@ def _adam_step(model: Mlp, st: AdamState, grad: np.ndarray, eta: float,
 def backward_and_step(model: Mlp, adam: AdamState, trace: ForwardTrace, y,
                       kind: LossKind, eta: float, eta_b: float,
                       m0: int | None = None, m1: int | None = None,
-                      acm: ApproxCM | None = None,
-                      pos: np.ndarray | None = None):
+                      acm: ApproxCM | None = None):
     """One full-batch training step.
 
     Backpropagates the chosen loss through the z-transform and the output
     activation (through the logistic alone for a frozen slope), applies an
     Adam step to the weights (updating `adam` in place) and (when the slope
     is trainable) a plain gradient step to beta, then re-derives b and tau.
-    `acm`, if given, is approx_cm(trace.z, y), reused by the GMN loss, and
-    `pos`, if given, is losses.positives(y).
+    `acm`, if given, is approx_cm(trace.z, y), reused by the GMN loss.
     Returns (pre-step loss value, grad wrt beta).
     """
     t = np.asarray(y, dtype=float)
-    if pos is None:
-        pos = positives(t)
-    m0 = len(t) - len(pos) if m0 is None else m0
-    m1 = len(pos) if m1 is None else m1
+    if m0 is None:
+        m0 = int(np.sum(t == 0))
+    if m1 is None:
+        m1 = int(np.sum(t == 1))
     ap = model.astra
 
     ws = trace.ws
-    loss_value, dj_dz = loss_and_grad(kind, trace.z, t, m0, m1, acm, ws, pos)
+    loss_value, dj_dz = loss_and_grad(kind, trace.z, t, m0, m1, acm, ws)
     dj_dx = ws.get("dj_dx", dj_dz.shape)
     if ap.trainable:
         dy_dx, dz_dy, dy_db, dz_dtau = output_backward(trace.out, ap.b, ap.tau,

@@ -15,7 +15,7 @@ import numpy as np
 
 from .activation import AstraParams
 from .data import Dataset
-from .losses import LossKind, positives
+from .losses import LossKind
 from .metrics import approx_cm, e_ratio, rates
 from .network import (
     AdamState,
@@ -126,7 +126,6 @@ def train(cfg: TrainConfig, train_set: Dataset, val_set: Dataset):
     adam = AdamState.for_shapes(model.params())
     m0, m1 = train_set.m0, train_set.m1
     t_train = np.asarray(train_set.y, dtype=float)
-    pos_train = positives(t_train)
     X_val_pos = val_set.X[val_set.y == 1]    # a contiguous copy
     # One workspace per batch: after the first epoch nothing is allocated.
     ws_train, ws_val = Workspace(), Workspace()
@@ -145,7 +144,7 @@ def train(cfg: TrainConfig, train_set: Dataset, val_set: Dataset):
         try:
             loss_value, _ = backward_and_step(
                 model, adam, trace, t_train, cfg.loss, cfg.eta, eta_b, m0, m1,
-                acm, pos_train)
+                acm)
         except NonFiniteGradientError as exc:
             log.warning("epoch %d: %s; stopping with last good snapshot",
                         epoch, exc)
