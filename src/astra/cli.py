@@ -14,21 +14,18 @@ from dataclasses import fields
 from pathlib import Path
 from typing import get_args, get_type_hints
 
-import numpy as np
-
 from . import experiment
 from .data import (
     DataFormatError,
     Dataset,
-    fold_split,
     orient_labels,
     parse_csv,
     parse_sparse,
-    standardize,
-    stratified_folds,
     undersample_minority,
     write_sparse,
 )
+# Unused here (experiment.split splits); bench/spans.py traces these names.
+from .data import fold_split, standardize, stratified_folds  # noqa: F401
 from .losses import ALL_KINDS, LossKind
 from .metrics import counting_cm, g_mean, mcc
 from .network import predict_labels, save_checkpoint
@@ -142,10 +139,8 @@ def cmd_train(cfg: dict) -> int:
     tcfg = _train_config(cfg)
     k = cfg.get("folds", 5)
     ds = _load_dataset(cfg["dataset"])
-
-    plan = stratified_folds(ds, k, seed=[tcfg.seed, 0, 202])
-    train_ds, val_ds, test_ds = fold_split(ds, plan, test_fold=0, val_fold=1)
-    train_ds, (val_ds, test_ds), _, _ = standardize(train_ds, [val_ds, test_ds])
+    experiment.check_protocol(ds, k, None, 1, 1)
+    train_ds, val_ds, test_ds = experiment.split(ds, k, tcfg.seed, 0, 0)
 
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "manifest.json", _manifest("train", cfg, tcfg, True))

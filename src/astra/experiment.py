@@ -159,6 +159,8 @@ def check_protocol(ds: Dataset, k: int, keep_positives: int | None,
     """Reject a protocol that cannot give a report: every fold serves once as
     the validation fold, which needs a positive, and the paired tests of two
     or more methods need MIN_PAIRS runs each."""
+    if k < 3:    # a rotation takes a test, a validation and a train fold
+        raise ValueError(f"need at least 3 folds, got {k}")
     m1 = ds.m1 if keep_positives is None else min(ds.m1, keep_positives)
     if m1 < k:
         raise ValueError(f"{k} folds need at least {k} positives, got {m1}")
@@ -166,6 +168,16 @@ def check_protocol(ds: Dataset, k: int, keep_positives: int | None,
         raise ValueError(f"need at least 1 repeat, got {repeats}")
     if n_methods > 1 and repeats * k < MIN_PAIRS:
         raise ValueError(f"paired tests need repeats * folds >= {MIN_PAIRS}")
+
+
+def split(ds: Dataset, k: int, seed: int, repeat: int, fold: int):
+    """(train, val, test) of one rotation: repeat `repeat`'s stratified
+    k-fold plan of `ds`, test fold `fold`, validation fold the next one,
+    all three standardized by the train set's statistics."""
+    plan = stratified_folds(ds, k, seed=[seed, repeat, 202])
+    train_ds, val_ds, test_ds = fold_split(ds, plan, fold, (fold + 1) % k)
+    train_ds, (val_ds, test_ds), _, _ = standardize(train_ds, [val_ds, test_ds])
+    return train_ds, val_ds, test_ds
 
 
 def run_cv(ds: Dataset, cfg: TrainConfig, methods: list[LossKind],
@@ -184,16 +196,11 @@ def run_cv(ds: Dataset, cfg: TrainConfig, methods: list[LossKind],
         if keep_positives is not None:
             ds_r, _ = undersample_minority(ds, keep_positives,
                                            seed=[base_seed, repeat, 101])
-        plan = stratified_folds(ds_r, k, seed=[base_seed, repeat, 202])
         for fold in range(k):
-            test_fold = fold
-            val_fold = (fold + 1) % k
-            train_ds, val_ds, test_ds = fold_split(ds_r, plan, test_fold, val_fold)
-            train_ds, (val_ds, test_ds), _, _ = standardize(train_ds, [val_ds, test_ds])
+            sets = split(ds_r, k, base_seed, repeat, fold)   # train, val, test
             for kind in methods:
                 cfg_run = replace(cfg, loss=kind, seed=[base_seed, repeat, fold])
-                tasks.append((repeat, fold, kind, cfg_run,
-                              train_ds, val_ds, test_ds))
+                tasks.append((repeat, fold, kind, cfg_run, *sets))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_single, tasks, chunksize=1))

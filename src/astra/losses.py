@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .activation import clamp_unit
-from .metrics import ApproxCM, approx_cm
+from .metrics import ApproxCM, ClassSplit, approx_cm, check_lengths, class_split
 from .workspace import Workspace
 
 
@@ -42,106 +42,89 @@ ALL_KINDS = (
 )
 
 
-def _check(z, y) -> np.ndarray:
-    """positives(y), once `z` and `y` are checked to pair up."""
-    if len(z) != len(y):
-        raise ValueError(f"length mismatch: {len(z)} vs {len(y)}")
-    if len(z) == 0:
-        raise ValueError("empty input")
-    return positives(y)
-
-
-def positives(y) -> np.ndarray:
-    """Indices of the positives of 0/1 targets `y`.
-
-    Both losses are per-class: the gradient of a row depends on its class
-    and its own output only, so they work from these indices.
-    """
-    t = np.asarray(y)
-    pos = np.flatnonzero(t == 1)
-    if np.count_nonzero(t == 0) + len(pos) != t.size:
-        raise ValueError("targets must be 0 or 1")
-    return pos
-
-
-def _bce(z, y, ws: Workspace, grad: bool):
-    """(mean BCE, d(mean BCE)/dz or None), with arrays in `ws`."""
-    pos = _check(z, y)
-    zc = clamp_unit(np.asarray(z, dtype=float), out=ws.get("loss.zc", np.shape(z)))
-    zp = zc[pos]
+def _bce(z: np.ndarray, split: ClassSplit, ws: Workspace):
+    """(mean BCE, d(mean BCE)/dz), with arrays in `ws`; `z` is clamped."""
+    pos = split.pos
+    zp = z[pos]
     # -log(1 - z) on a negative, -log(z) on a positive; the mean of their
     # negation rounds to the negated mean.
-    a = np.negative(zc, out=ws.get("loss.a", zc.shape))
+    a = np.negative(z, out=ws.get("loss.a", z.shape))
     np.log1p(a, out=a)
     a[pos] = np.log(zp)
     value = -float(np.mean(a))
-    if not grad:
-        return value, None
-    g = np.subtract(1.0, zc, out=ws.get("loss.grad", zc.shape))
+    g = np.subtract(1.0, z, out=ws.get("loss.grad", z.shape))
     np.divide(1.0, g, out=g)                      # 1/(1 - z)
     g[pos] = -1.0 / zp                            # -1/z
-    g /= len(zc)
+    g /= len(z)
     return value, g
 
 
 def bce_loss(z, y) -> float:
-    """Mean binary cross-entropy -y*log z - (1-y)*log(1-z)."""
-    return _bce(z, y, Workspace(), grad=False)[0]
+    """Mean binary cross-entropy -y*log z - (1-y)*log(1-z), of `z` clamped
+    into [EPS, 1 - EPS]."""
+    zc = clamp_unit(np.asarray(z, dtype=float))
+    return loss_and_grad(LossKind("bce", False), zc, y)[0]
 
 
 def bce_grad(z, y) -> np.ndarray:
-    """Per-example d(mean BCE)/dz."""
-    return _bce(z, y, Workspace(), grad=True)[1]
+    """Per-example d(mean BCE)/dz, of `z` clamped into [EPS, 1 - EPS]."""
+    zc = clamp_unit(np.asarray(z, dtype=float))
+    return loss_and_grad(LossKind("bce", False), zc, y)[1]
 
 
-def _gmn(y_hat, y, m0: int, m1: int, acm: ApproxCM | None, ws: Workspace):
-    """(loss, d loss/dy_hat) of the approximated-G-Mean loss, with arrays in
-    `ws`; `acm`, if given, is approx_cm(y_hat, y)."""
-    pos = _check(y_hat, y)
-    if m0 < 1 or m1 < 1:
+def _gmn(z: np.ndarray, split: ClassSplit, acm: ApproxCM | None, ws: Workspace):
+    """(loss, d loss/dz) of the approximated-G-Mean loss, with arrays in
+    `ws`; `acm`, if given, is approx_cm(z, split)."""
+    if split.m0 < 1 or split.m1 < 1:
         raise ValueError("GMN needs at least one example of each class")
     # No clamp here: the loss has no logs, and unclamped inputs make the
     # reduction to the counting G-Mean exact on binary predictions.
-    cm = approx_cm(y_hat, y, ws) if acm is None else acm
-    g_apx = np.sqrt(cm.tn_apx * cm.tp_apx / (m0 * m1))
+    cm = approx_cm(z, split) if acm is None else acm
+    g_apx = np.sqrt(cm.tn_apx * cm.tp_apx / (split.m0 * split.m1))
     # Network outputs are clamped to (0, 1) upstream, so the approximated
     # cells stay positive there; the floor only guards raw binary input.
     tp = max(cm.tp_apx, 1e-12)
     tn = max(cm.tn_apx, 1e-12)
     c = -0.5 * g_apx
-    g = ws.get("loss.grad", np.shape(y_hat))
+    g = ws.get("loss.grad", z.shape)
     g.fill((0.0 - 1.0 / tn) * c)                  # (y/TP - (1-y)/TN) * c
-    g[pos] = (1.0 / tp) * c
+    g[split.pos] = (1.0 / tp) * c
     return 1.0 - g_apx, g
 
 
-def gmn_loss(y_hat, y, m0: int, m1: int) -> float:
+def gmn_loss(y_hat, y) -> float:
     """1 - sqrt(TN_apx * TP_apx / (m0 * m1)), the approximated-G-Mean loss.
 
     Set-level (not averaged); the product form aggressively penalizes false
     negatives.
     """
-    return _gmn(y_hat, y, m0, m1, None, Workspace())[0]
+    return loss_and_grad(LossKind("gmn", False), y_hat, y)[0]
 
 
-def gmn_grad(y_hat, y, m0: int, m1: int) -> np.ndarray:
+def gmn_grad(y_hat, y) -> np.ndarray:
     """dJ_GMN/dy_hat_i = -(G_apx/2) * (y_i/TP_apx - (1-y_i)/TN_apx).
 
     Negative on positive-class examples, positive on negative-class ones;
     examples couple only through the set-level sums TP_apx and TN_apx.
     """
-    return _gmn(y_hat, y, m0, m1, None, Workspace())[1]
+    return loss_and_grad(LossKind("gmn", False), y_hat, y)[1]
 
 
-def loss_and_grad(kind: LossKind, z, y, m0: int, m1: int,
-                  acm: ApproxCM | None = None, ws: Workspace | None = None):
-    """Loss value and gradient with respect to the (z-transformed) outputs.
+def loss_and_grad(kind: LossKind, z, y, acm: ApproxCM | None = None,
+                  ws: Workspace | None = None):
+    """Loss value and gradient with respect to the (z-transformed) outputs
+    `z`, for 0/1 targets `y` or their ClassSplit.
 
-    `acm`, if given, is approx_cm(z, y), which the GMN loss then does not
-    rebuild.  A training loop passes the same `ws` every epoch; the gradient
-    lives there.
+    `z` is taken as given: BCE needs it clamped into [EPS, 1 - EPS], as
+    network.forward returns it (bce_loss and bce_grad clamp).  `acm`, if
+    given, is approx_cm(z, y), which the GMN loss then does not rebuild.  A
+    training loop passes the same `ws` every epoch; the gradient lives
+    there.
     """
+    split = class_split(y)
+    check_lengths(z, split)
+    z = np.asarray(z, dtype=float)
     ws = Workspace() if ws is None else ws
     if kind.variant == "bce":
-        return _bce(z, y, ws, grad=True)
-    return _gmn(z, y, m0, m1, acm, ws)
+        return _bce(z, split, ws)
+    return _gmn(z, split, acm, ws)

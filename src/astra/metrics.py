@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .workspace import Workspace
-
 E_RATIO_EPS = 1e-12
 
 
@@ -32,7 +30,7 @@ class CountCM:
 class ApproxCM:
     """Real-valued approximated confusion matrix.
 
-    Row sums are exact: tn_apx + fp_apx = m_0, fn_apx + tp_apx = m_1.
+    Row sums: tn_apx + fp_apx = m_0, fn_apx + tp_apx = m_1, up to rounding.
     """
 
     tn_apx: float
@@ -57,7 +55,7 @@ class Rates:
     fnr: float
 
 
-def _check_lengths(a, b) -> None:
+def check_lengths(a, b) -> None:
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
     if len(a) == 0:
@@ -66,7 +64,7 @@ def _check_lengths(a, b) -> None:
 
 def counting_cm(pred_labels, y) -> CountCM:
     """Exact TP/TN/FP/FN counts from binary predictions and targets."""
-    _check_lengths(pred_labels, y)
+    check_lengths(pred_labels, y)
     p = np.asarray(pred_labels)
     t = np.asarray(y)
     tp = int(np.sum((p == 1) & (t == 1)))
@@ -76,23 +74,51 @@ def counting_cm(pred_labels, y) -> CountCM:
     return CountCM(tn=tn, fp=fp, fn=fn, tp=tp)
 
 
-def approx_cm(y_hat, y, ws: Workspace | None = None) -> ApproxCM:
-    """Approximated confusion matrix from probabilistic outputs.
+@dataclass(frozen=True)
+class ClassSplit:
+    """The classes of 0/1 targets, found once: the positives' indices and
+    the class sizes.  Whatever takes targets `y` also takes their split and
+    then reads only it; a training run builds one per train set."""
 
-    A training loop passes the same `ws` every epoch for the work arrays.
+    pos: np.ndarray
+    m0: int
+    m1: int
+
+    def __len__(self) -> int:
+        return self.m0 + self.m1
+
+
+def class_split(y) -> ClassSplit:
+    """The split of 0/1 targets `y`, or `y` itself if it is one."""
+    if isinstance(y, ClassSplit):
+        return y
+    t = np.asarray(y)
+    pos = np.flatnonzero(t == 1)
+    if np.count_nonzero(t == 0) + len(pos) != t.size:
+        raise ValueError("targets must be 0 or 1")
+    pos.flags.writeable = False
+    return ClassSplit(pos=pos, m0=t.size - len(pos), m1=len(pos))
+
+
+def positive_cells(z_pos: np.ndarray) -> tuple[float, float]:
+    """(FN_apx, TP_apx) from the outputs of the positives alone."""
+    return float(np.sum(1.0 - z_pos)), float(np.sum(z_pos))
+
+
+def approx_cm(y_hat, y) -> ApproxCM:
+    """Approximated confusion matrix from probabilistic outputs and 0/1
+    targets `y` or their ClassSplit.
+
+    Per class: FN_apx and TP_apx sum over the positives, FP_apx = sum(y_hat)
+    - TP_apx and TN_apx = m0 - FP_apx, exact on binary outputs; otherwise
+    FP_apx errs by about eps * sum(y_hat) (README, "Epoch kernel").
     """
-    _check_lengths(y_hat, y)
+    split = class_split(y)
+    check_lengths(y_hat, split)
     yh = np.asarray(y_hat, dtype=float)
-    t = np.asarray(y, dtype=float)
-    ws = Workspace() if ws is None else ws
-    not_yh = np.subtract(1.0, yh, out=ws.get("acm.not_yh", yh.shape))
-    not_t = np.subtract(1.0, t, out=ws.get("acm.not_t", t.shape))
-    prod = ws.get("acm.prod", yh.shape)
-    tp = float(np.sum(np.multiply(yh, t, out=prod)))
-    fn = float(np.sum(np.multiply(not_yh, t, out=prod)))
-    fp = float(np.sum(np.multiply(yh, not_t, out=prod)))
-    tn = float(np.sum(np.multiply(not_yh, not_t, out=prod)))
-    return ApproxCM(tn_apx=tn, fp_apx=fp, fn_apx=fn, tp_apx=tp)
+    fn, tp = positive_cells(yh[split.pos])
+    fp = float(np.sum(yh)) - tp
+    return ApproxCM(tn_apx=split.m0 - fp, fp_apx=fp, fn_apx=fn, tp_apx=tp)
 
 
 def mcc(cm: CountCM | ApproxCM) -> float:

@@ -209,9 +209,8 @@ def _adam_step(model: Mlp, st: AdamState, grad: np.ndarray, eta: float,
 
 def backward_and_step(model: Mlp, adam: AdamState, trace: ForwardTrace, y,
                       kind: LossKind, eta: float, eta_b: float,
-                      m0: int | None = None, m1: int | None = None,
                       acm: ApproxCM | None = None):
-    """One full-batch training step.
+    """One full-batch training step, for 0/1 targets `y` or their ClassSplit.
 
     Backpropagates the chosen loss through the z-transform and the output
     activation (through the logistic alone for a frozen slope), applies an
@@ -220,15 +219,9 @@ def backward_and_step(model: Mlp, adam: AdamState, trace: ForwardTrace, y,
     `acm`, if given, is approx_cm(trace.z, y), reused by the GMN loss.
     Returns (pre-step loss value, grad wrt beta).
     """
-    t = np.asarray(y, dtype=float)
-    if m0 is None:
-        m0 = int(np.sum(t == 0))
-    if m1 is None:
-        m1 = int(np.sum(t == 1))
     ap = model.astra
-
     ws = trace.ws
-    loss_value, dj_dz = loss_and_grad(kind, trace.z, t, m0, m1, acm, ws)
+    loss_value, dj_dz = loss_and_grad(kind, trace.z, y, acm, ws)
     dj_dx = ws.get("dj_dx", dj_dz.shape)
     if ap.trainable:
         dy_dx, dz_dy, dy_db, dz_dtau = output_backward(trace.out, ap.b, ap.tau,

@@ -16,7 +16,7 @@ import numpy as np
 from .activation import AstraParams
 from .data import Dataset
 from .losses import LossKind
-from .metrics import approx_cm, e_ratio, rates
+from .metrics import approx_cm, class_split, e_ratio, positive_cells, rates
 from .network import (
     AdamState,
     Mlp,
@@ -93,9 +93,7 @@ def _val_fnr_apx(model: Mlp, X_pos: np.ndarray, ws: Workspace) -> float:
     Only these rows pass through the network, so a non-finite preactivation
     on a validation negative raises nothing; it could not move FNR_apx.
     """
-    z = forward(model, X_pos, ws).z
-    tp = float(np.sum(z))
-    fn = float(np.sum(np.subtract(1.0, z, out=ws.get("val.fn", z.shape))))
+    fn, tp = positive_cells(forward(model, X_pos, ws).z)
     return fn / (fn + tp)
 
 
@@ -117,15 +115,14 @@ def train(cfg: TrainConfig, train_set: Dataset, val_set: Dataset):
     snapshot is replaced only on strictly lower validation FNR_apx (earliest
     epoch kept among ties).  Deterministic for a fixed seed.
     """
-    if train_set.m1 < 1 or train_set.m0 < 1:
+    split = class_split(train_set.y)    # the classes, found once per run
+    if split.m1 < 1 or split.m0 < 1:
         raise ValueError("train set must contain both classes")
     if val_set.m1 < 1:
         raise ValueError("validation set must contain positives")
 
     model = build_model(cfg, train_set.n_x)
     adam = AdamState.for_shapes(model.params())
-    m0, m1 = train_set.m0, train_set.m1
-    t_train = np.asarray(train_set.y, dtype=float)
     X_val_pos = val_set.X[val_set.y == 1]    # a contiguous copy
     # One workspace per batch: after the first epoch nothing is allocated.
     ws_train, ws_val = Workspace(), Workspace()
@@ -137,14 +134,13 @@ def train(cfg: TrainConfig, train_set: Dataset, val_set: Dataset):
 
     for epoch in range(1, cfg.epochs + 1):
         trace = forward(model, train_set.X, ws_train)
-        acm = approx_cm(trace.z, t_train, ws_train)
+        acm = approx_cm(trace.z, split)
         r = rates(acm)
         er = e_ratio(acm)
         eta_b = eta_b_update(eta_b, er, cfg)
         try:
             loss_value, _ = backward_and_step(
-                model, adam, trace, t_train, cfg.loss, cfg.eta, eta_b, m0, m1,
-                acm)
+                model, adam, trace, split, cfg.loss, cfg.eta, eta_b, acm)
         except NonFiniteGradientError as exc:
             log.warning("epoch %d: %s; stopping with last good snapshot",
                         epoch, exc)

@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -236,6 +237,21 @@ class TestErrorPaths:
                        "--keep-positives", "3", "--seed", "0"])
         assert rc == 4
         assert "invalid configuration" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "cv"])
+    def test_rejects_fewer_than_three_folds(self, tmp_path, sparse_dataset,
+                                            capsys, command):
+        # Two folds leave no train fold beside the test and validation folds.
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main([command, "--dataset", str(sparse_dataset), "--out",
+                           str(out), "--epochs", "1", "--folds", "2",
+                           *(["--repeats", "3"] if command == "cv" else [])])
+        assert rc == 4
+        assert "invalid configuration: need at least 3 folds, got 2" in \
+            capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("repeats, folds", [("1", "4"), ("0", "5")])

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from astra.data import Dataset
+from astra.data import Dataset, fold_split, standardize, stratified_folds
 from astra.experiment import (
     CvReport,
     RunResult,
@@ -14,6 +14,7 @@ from astra.experiment import (
     render_table,
     report_to_dict,
     run_cv,
+    split,
     wilcoxon_signed_rank,
     write_run_csv,
 )
@@ -235,6 +236,19 @@ class TestRunCv:
             if r.test_cm.tp + r.test_cm.fn > 0 and r.test_cm.tn + r.test_cm.fp > 0:
                 assert r.g_mean == pytest.approx(gm(r.test_cm), abs=1e-12)
             assert r.mcc == pytest.approx(mc(r.test_cm), abs=1e-12)
+
+    def test_split_is_one_rotation_of_the_repeat_plan(self):
+        # Repeat r's plan is seeded [seed, r, 202]; fold f tests fold f and
+        # validates on the next one, wrapping round at the last.
+        rng = np.random.default_rng(22)
+        ds = Dataset(X=rng.normal(size=(90, 3)), y=np.array([0] * 80 + [1] * 10))
+        plan = stratified_folds(ds, 5, seed=[4, 1, 202])
+        for fold in range(5):
+            tr, va, te = fold_split(ds, plan, fold, (fold + 1) % 5)
+            tr, (va, te), _, _ = standardize(tr, [va, te])
+            for got, want in zip(split(ds, 5, 4, 1, fold), (tr, va, te)):
+                assert got.X.tobytes() == want.X.tobytes()
+                assert np.array_equal(got.y, want.y)
 
     def test_undersampling_before_folding(self):
         rng = np.random.default_rng(21)

@@ -34,7 +34,7 @@ from astra.activation import (
     z_transform_backward,
 )
 from astra.losses import ALL_KINDS, loss_and_grad
-from astra.metrics import approx_cm
+from astra.metrics import approx_cm, class_split
 from astra.network import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -66,7 +66,7 @@ def batch(seed, n_x, n=400, m1=12):
     X = np.vstack([rng.normal(0.0, 1.0, (n - m1, n_x)),
                    rng.normal(1.5, 0.8, (m1, n_x))])
     y = np.array([0.0] * (n - m1) + [1.0] * m1)
-    return X, y, n - m1, m1
+    return X, y
 
 
 def make_model(kind, n_x, n_h, seed):
@@ -121,12 +121,11 @@ def reference_forward(model, X, hold=np.asfortranarray):
     return hidden_pre, hidden_act, out_pre, y_hat, z
 
 
-def reference_step(model, st, X, y, kind, eta, eta_b, m0, m1,
-                   hold=np.asfortranarray):
+def reference_step(model, st, X, y, kind, eta, eta_b, hold=np.asfortranarray):
     """One training step as the unfused code took it; returns the loss."""
     ap = model.astra
     hidden_pre, hidden_act, out_pre, y_hat, z = reference_forward(model, X, hold)
-    loss_value, dj_dz = loss_and_grad(kind, z, y, m0, m1)
+    loss_value, dj_dz = loss_and_grad(kind, z, y)
     if ap.trainable:
         dz_dy, dz_dtau = z_transform_backward(y_hat, ap.tau)
         dy_dx, dy_db = astra_backward(out_pre, ap.b)
@@ -187,17 +186,18 @@ def assert_same_state(fused, ref, fused_adam, ref_adam):
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.name)
 def test_step_matches_reference(kind, n_h, seed):
     n_x = n_inputs(n_h)
-    X, y, m0, m1 = batch(seed, n_x)
+    X, y = batch(seed, n_x)
+    split = class_split(y)
     fused = make_model(kind, n_x, n_h, seed)
     ref = fused.copy()
     fused_adam, ref_adam = fresh_adam(fused), reference_adam(ref)
     ws = Workspace()
     for _ in range(STEPS):
         trace = forward(fused, X, ws)
-        acm = approx_cm(trace.z, y, ws)
-        got = backward_and_step(fused, fused_adam, trace, y, kind, 0.01, 0.05,
-                                m0, m1, acm)
-        want = reference_step(ref, ref_adam, X, y, kind, 0.01, 0.05, m0, m1)
+        acm = approx_cm(trace.z, split)
+        got = backward_and_step(fused, fused_adam, trace, split, kind, 0.01,
+                                0.05, acm)
+        want = reference_step(ref, ref_adam, X, y, kind, 0.01, 0.05)
         assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
         assert_same_state(fused, ref, fused_adam, ref_adam)
 
@@ -206,7 +206,7 @@ def test_step_matches_reference(kind, n_h, seed):
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.name)
 def test_forward_matches_reference(kind, n_h):
     n_x = n_inputs(n_h)
-    X, _, _, _ = batch(7, n_x)
+    X, _ = batch(7, n_x)
     model = make_model(kind, n_x, n_h, 7)
     trace = forward(model, X)
     hidden_pre, hidden_act, out_pre, y_hat, z = reference_forward(model, X)
@@ -224,7 +224,7 @@ def test_forward_matches_reference(kind, n_h):
 def test_steps_near_row_major_reference(kind, n_h, seed):
     # The size of the rounding change from the row-major hidden layer.
     n_x = n_inputs(n_h)
-    X, y, m0, m1 = batch(seed, n_x)
+    X, y = batch(seed, n_x)
     fused = make_model(kind, n_x, n_h, seed)
     ref = fused.copy()
     fused_adam, ref_adam = fresh_adam(fused), reference_adam(ref)
@@ -232,8 +232,8 @@ def test_steps_near_row_major_reference(kind, n_h, seed):
     for _ in range(STEPS):
         trace = forward(fused, X, ws)
         backward_and_step(fused, fused_adam, trace, y, kind, 0.01, 0.05,
-                          m0, m1, approx_cm(trace.z, y, ws))
-        reference_step(ref, ref_adam, X, y, kind, 0.01, 0.05, m0, m1,
+                          approx_cm(trace.z, y))
+        reference_step(ref, ref_adam, X, y, kind, 0.01, 0.05,
                        hold=np.ascontiguousarray)
     for name in ("w1", "b1", "w2", "b2"):
         np.testing.assert_allclose(getattr(fused, name), getattr(ref, name),
@@ -245,24 +245,26 @@ def test_steps_near_row_major_reference(kind, n_h, seed):
 
 
 def test_step_without_acm_or_workspace_matches():
-    # A fresh trace and no class counts or ACM take the same arithmetic as
-    # the training loop, on both output paths.
-    X, y, m0, m1 = batch(3, 3)
+    # A fresh trace, the targets and no ACM take the same arithmetic as the
+    # training loop, which passes a class split and its ACM, on both output
+    # paths.
+    X, y = batch(3, 3)
+    split = class_split(y)
     for kind in ALL_KINDS:
         a = make_model(kind, 3, 2, 3)
         b = a.copy()
         adam_a, adam_b = fresh_adam(a), fresh_adam(b)
         backward_and_step(a, adam_a, forward(a, X), y, kind, 0.01, 0.05)
         trace = forward(b, X, Workspace())
-        backward_and_step(b, adam_b, trace, y, kind, 0.01, 0.05, m0, m1,
-                          approx_cm(trace.z, y))
+        backward_and_step(b, adam_b, trace, split, kind, 0.01, 0.05,
+                          approx_cm(trace.z, split))
         assert_same_model(a, b)
         assert adam_a.t == adam_b.t == 1
         assert same_bits(adam_a.m, adam_b.m) and same_bits(adam_a.v, adam_b.v)
 
 
 def test_workspace_reuses_arrays():
-    X, _, _, _ = batch(4, 3)
+    X, _ = batch(4, 3)
     model = make_model(ALL_KINDS[3], 3, 2, 4)
     ws = Workspace()
     first = forward(model, X, ws)
@@ -310,7 +312,7 @@ def test_logistic_path_tails_are_finite_and_warning_free():
 
 
 def test_frozen_model_takes_logistic_path():
-    X, _, _, _ = batch(5, 3)
+    X, _ = batch(5, 3)
     trace = forward(make_model(ALL_KINDS[0], 3, 2, 5), X)
     assert isinstance(trace.out, LogisticTerms)
     trace = forward(make_model(ALL_KINDS[2], 3, 2, 5), X)
@@ -318,7 +320,7 @@ def test_frozen_model_takes_logistic_path():
 
 
 def test_non_finite_gradient_and_parameter_name_their_block():
-    X, y, m0, m1 = batch(6, 3)
+    X, y = batch(6, 3)
     for kind in ALL_KINDS:
         model = make_model(kind, 3, 2, 6)
         trace = forward(model, X)
@@ -326,11 +328,11 @@ def test_non_finite_gradient_and_parameter_name_their_block():
         with pytest.raises(NonFiniteGradientError,
                            match="non-finite gradient in w2$"):
             backward_and_step(model, fresh_adam(model), trace, y, kind,
-                              0.01, 0.05, m0, m1)
+                              0.01, 0.05)
         model = make_model(kind, 3, 2, 6)
         trace = forward(model, X)
         model.b1[1] = np.nan                   # the step keeps it
         with pytest.raises(NonFiniteGradientError,
                            match="non-finite parameter b1 after update$"):
             backward_and_step(model, fresh_adam(model), trace, y, kind,
-                              0.01, 0.05, m0, m1)
+                              0.01, 0.05)

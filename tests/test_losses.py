@@ -12,9 +12,8 @@ from astra.losses import (
     gmn_grad,
     gmn_loss,
     loss_and_grad,
-    positives,
 )
-from astra.metrics import CountCM, approx_cm, g_mean
+from astra.metrics import CountCM, approx_cm, class_split, g_mean
 
 
 def reference_bce(z, y):
@@ -26,9 +25,11 @@ def reference_bce(z, y):
     return value, (-t / zc + (1.0 - t) / (1.0 - zc)) / len(zc)
 
 
-def reference_gmn(y_hat, y, m0, m1):
+def reference_gmn(y_hat, y):
     """(loss, gradient) per row, -(G_apx/2) * (y/TP_apx - (1-y)/TN_apx)."""
     t = np.asarray(y, dtype=float)
+    m1 = int(np.sum(t))
+    m0 = len(t) - m1
     cm = approx_cm(np.asarray(y_hat, dtype=float), t)
     g_apx = np.sqrt(cm.tn_apx * cm.tp_apx / (m0 * m1))
     tp = max(cm.tp_apx, 1e-12)
@@ -57,21 +58,26 @@ class TestPerClassMatchesPerRow:
         @hypothesis.given(cases)
         def check(case):
             z, y = case
-            m1 = sum(y)
-            m0 = len(y) - m1
-            for variant, reference in (("bce", reference_bce(z, y)),
-                                       ("gmn", reference_gmn(z, y, m0, m1))):
-                value, grad = loss_and_grad(LossKind(variant, False), z, y, m0, m1)
+            # loss_and_grad takes z as given, clamped for BCE as the network
+            # returns it; bce_loss and bce_grad clamp.
+            zc = clamp_unit(np.asarray(z, dtype=float))
+            bce, gmn = reference_bce(z, y), reference_gmn(z, y)
+            for variant, z_in, reference in (("bce", zc, bce), ("gmn", z, gmn)):
+                value, grad = loss_and_grad(LossKind(variant, False), z_in, y)
                 assert same_bits(value, reference[0]), variant
                 assert same_bits(grad, reference[1]), variant
+            assert same_bits(bce_loss(z, y), bce[0])
+            assert same_bits(bce_grad(z, y), bce[1])
 
         check()
 
     def test_positives(self):
-        assert positives([0, 1, 1, 0, 1]).tolist() == [1, 2, 4]
-        assert positives(np.array([0.0, 0.0])).tolist() == []
+        split = class_split([0, 1, 1, 0, 1])
+        assert (split.pos.tolist(), split.m0, split.m1) == ([1, 2, 4], 2, 3)
+        assert class_split(np.array([0.0, 0.0])).pos.tolist() == []
+        assert class_split(split) is split
         with pytest.raises(ValueError):
-            positives([0, 1, 0.5])
+            class_split([0, 1, 0.5])
         with pytest.raises(ValueError):
             bce_loss([0.5, 0.5], [0, 2])
 
@@ -128,21 +134,21 @@ class TestBce:
 
 class TestGmn:
     def test_perfect_binary(self):
-        assert gmn_loss([1 - 1e-7] * 2 + [1e-7] * 3, [1, 1, 0, 0, 0], 3, 2) == \
+        assert gmn_loss([1 - 1e-7] * 2 + [1e-7] * 3, [1, 1, 0, 0, 0]) == \
             pytest.approx(0.0, abs=1e-6)
 
     def test_all_half(self):
-        assert gmn_loss([0.5] * 4, [1, 1, 0, 0], 2, 2) == pytest.approx(0.5, abs=1e-12)
+        assert gmn_loss([0.5] * 4, [1, 1, 0, 0]) == pytest.approx(0.5, abs=1e-12)
 
     def test_direct_value(self):
-        assert gmn_loss([0.9, 0.2], [1, 0], 1, 1) == \
+        assert gmn_loss([0.9, 0.2], [1, 0]) == \
             pytest.approx(1 - math.sqrt(0.8 * 0.9), abs=1e-12)
 
     def test_grad_signs(self):
         rng = np.random.default_rng(5)
         y_hat = rng.uniform(0.1, 0.9, 10)
         y = np.array([1, 0, 1, 0, 0, 0, 1, 0, 0, 1])
-        g = gmn_grad(y_hat, y, m0=6, m1=4)
+        g = gmn_grad(y_hat, y)
         assert np.all(g[y == 1] < 0)
         assert np.all(g[y == 0] > 0)
 
@@ -151,14 +157,13 @@ class TestGmn:
         y_hat = rng.uniform(0.1, 0.9, 10)
         y = rng.integers(0, 2, 10)
         y[:2] = [1, 0]
-        m0, m1 = int(np.sum(y == 0)), int(np.sum(y == 1))
-        g = gmn_grad(y_hat, y, m0, m1)
+        g = gmn_grad(y_hat, y)
         h = 1e-7
         for i in range(len(y_hat)):
             yp, ym = y_hat.copy(), y_hat.copy()
             yp[i] += h
             ym[i] -= h
-            fd = (gmn_loss(yp, y, m0, m1) - gmn_loss(ym, y, m0, m1)) / (2 * h)
+            fd = (gmn_loss(yp, y) - gmn_loss(ym, y)) / (2 * h)
             assert g[i] == pytest.approx(fd, rel=1e-6)
 
     def test_uniform_half_closed_form(self):
@@ -166,7 +171,7 @@ class TestGmn:
         # -/+ 0.5/m_class (verified against the closed form by hand).
         n = 8
         y = np.array([1] * 4 + [0] * 4)
-        g = gmn_grad([0.5] * n, y, 4, 4)
+        g = gmn_grad([0.5] * n, y)
         assert g[:4] == pytest.approx([-0.5 / 4] * 4, rel=1e-12)
         assert g[4:] == pytest.approx([0.5 / 4] * 4, rel=1e-12)
 
@@ -174,7 +179,7 @@ class TestGmn:
         # Equal outputs in the same class get identical gradients.
         y_hat = np.array([0.7, 0.7, 0.3, 0.2, 0.3])
         y = np.array([1, 1, 0, 0, 0])
-        g = gmn_grad(y_hat, y, 3, 2)
+        g = gmn_grad(y_hat, y)
         assert g[0] == g[1]
         assert g[2] == g[4]
 
@@ -188,19 +193,18 @@ class TestGmn:
             # keep TP and TN nonzero so the output clamp to [1e-7, 1 - 1e-7]
             # stays a negligible perturbation under the square root
             preds[0], preds[1] = 0, 1
-            m0, m1 = int(np.sum(y == 0)), int(np.sum(y == 1))
             cm = CountCM(
                 tn=int(np.sum((preds == 0) & (y == 0))),
                 fp=int(np.sum((preds == 1) & (y == 0))),
                 fn=int(np.sum((preds == 0) & (y == 1))),
                 tp=int(np.sum((preds == 1) & (y == 1))),
             )
-            loss = gmn_loss(preds.astype(float), y, m0, m1)
+            loss = gmn_loss(preds.astype(float), y)
             assert loss == pytest.approx(1 - g_mean(cm), abs=1e-6)
 
     def test_degenerate_class_error(self):
         with pytest.raises(ValueError):
-            gmn_loss([0.5, 0.5], [1, 1], 0, 2)
+            gmn_loss([0.5, 0.5], [1, 1])
 
 
 class TestThresholdConsistentOrdering:

@@ -3,16 +3,43 @@ import math
 import numpy as np
 import pytest
 
+from astra.activation import EPS
 from astra.metrics import (
     ApproxCM,
     CountCM,
     approx_cm,
+    class_split,
     counting_cm,
     e_ratio,
     g_mean,
     mcc,
     rates,
 )
+
+ULP = np.finfo(float).eps
+
+
+def reference_approx_cm(y_hat, y) -> ApproxCM:
+    """The four-product ACM the per-class form replaced: each cell sums, over
+    all rows, the outputs or their complements times the targets or theirs."""
+    yh = np.asarray(y_hat, dtype=float)
+    t = np.asarray(y, dtype=float)
+    return ApproxCM(tn_apx=float(np.sum((1.0 - yh) * (1.0 - t))),
+                    fp_apx=float(np.sum(yh * (1.0 - t))),
+                    fn_apx=float(np.sum((1.0 - yh) * t)),
+                    tp_apx=float(np.sum(yh * t)))
+
+
+def assert_near_reference(y_hat, y):
+    """The stated tolerance of the per-class ACM: TP_apx and FN_apx within
+    8 eps * m1, FP_apx within 8 eps * sum(y_hat) and TN_apx = m0 - FP_apx
+    within 8 eps * (sum(y_hat) + m0) of the four-product reference."""
+    got, want = approx_cm(y_hat, y), reference_approx_cm(y_hat, y)
+    m1 = int(np.sum(y))
+    total = float(np.sum(y_hat))
+    for cell, scale in (("tp_apx", m1), ("fn_apx", m1), ("fp_apx", total),
+                        ("tn_apx", total + len(y) - m1)):
+        assert abs(getattr(got, cell) - getattr(want, cell)) <= 8 * ULP * scale, cell
 
 
 class TestCountingCm:
@@ -69,6 +96,66 @@ class TestApproxCm:
         acm = approx_cm(y_hat, y)
         assert acm.m0 == pytest.approx(np.sum(y == 0), rel=1e-9)
         assert acm.m1 == pytest.approx(np.sum(y == 1), rel=1e-9)
+
+
+class TestPerClassAcm:
+    def test_near_reference(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        from hypothesis import strategies as st
+
+        # Outputs in the network's clamp band, both classes; up to 300 rows
+        # covers numpy's unrolled and pairwise summation paths.
+        cases = st.integers(2, 300).flatmap(lambda n: st.tuples(
+            st.lists(st.floats(EPS, 1.0 - EPS), min_size=n, max_size=n),
+            st.lists(st.integers(0, 1), min_size=n, max_size=n).filter(
+                lambda y: 0 in y and 1 in y)))
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(cases)
+        def check(case):
+            assert_near_reference(*case)
+
+        check()
+
+    @pytest.mark.parametrize("shape", ["uniform", "floor", "saturated"])
+    def test_near_reference_at_skin_size(self, shape):
+        # 12,020 rows with 20 positives, as a skin-shaped train fold.
+        rng = np.random.default_rng(8)
+        y = np.zeros(12020, dtype=int)
+        y[rng.choice(12020, 20, replace=False)] = 1
+        z = rng.uniform(EPS, 1.0 - EPS, 12020)
+        if shape == "floor":        # negatives at the clamp floor
+            z[y == 0] = EPS
+        elif shape == "saturated":  # outputs at both ends of the band
+            z = np.where(rng.random(12020) < 0.5, EPS, 1.0 - EPS)
+        assert_near_reference(z, y)
+
+    def test_binary_equals_reference(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        from hypothesis import strategies as st
+
+        cases = st.integers(1, 300).flatmap(lambda n: st.tuples(
+            st.lists(st.integers(0, 1), min_size=n, max_size=n),
+            st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(cases)
+        def check(case):
+            labels, y = case
+            got = approx_cm(np.asarray(labels, dtype=float), y)
+            assert got == reference_approx_cm(labels, y)
+
+        check()
+
+    def test_split_and_targets_agree(self):
+        rng = np.random.default_rng(9)
+        z = rng.uniform(0.0, 1.0, 50)
+        y = rng.integers(0, 2, 50)
+        assert approx_cm(z, class_split(y)) == approx_cm(z, y)
+        with pytest.raises(ValueError):
+            approx_cm(z[:49], class_split(y))
+        with pytest.raises(ValueError):
+            approx_cm([0.5, 0.5], [0, 2])
 
 
 class TestMcc:

@@ -26,9 +26,9 @@ def fresh_adam(model):
     return AdamState.for_shapes(model.params())
 
 
-def end_to_end_loss(model, X, y, kind, m0, m1):
+def end_to_end_loss(model, X, y, kind):
     trace = forward(model, X)
-    value, _ = loss_and_grad(kind, trace.z, y, m0, m1)
+    value, _ = loss_and_grad(kind, trace.z, y)
     return value
 
 
@@ -37,7 +37,7 @@ def toy_batch():
     rng = np.random.default_rng(1)
     X = rng.normal(size=(6, 3))
     y = np.array([1, 0, 0, 1, 0, 0], dtype=float)
-    return X, y, 4, 2
+    return X, y
 
 
 class TestInit:
@@ -110,7 +110,7 @@ class TestForward:
 class TestBackward:
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.name)
     def test_full_gradient_finite_differences(self, kind, toy_batch):
-        X, y, m0, m1 = toy_batch
+        X, y = toy_batch
         if kind.use_astra:
             ap = AstraParams.from_tau_init(0.25)
         else:
@@ -121,7 +121,7 @@ class TestBackward:
         # Analytic gradients recovered from the effect of a single Adam step
         # would be entangled with the optimizer; recompute them directly.
         from astra.activation import astra_backward, threshold_grad_b, z_transform_backward
-        _, dj_dz = loss_and_grad(kind, trace.z, y, m0, m1)
+        _, dj_dz = loss_and_grad(kind, trace.z, y)
         dz_dy, dz_dtau = z_transform_backward(trace.y_hat, ap.tau)
         dy_dx, dy_db = astra_backward(trace.out_pre, ap.b)
         dj_dx = dj_dz * dz_dy * dy_dx
@@ -141,17 +141,17 @@ class TestBackward:
                 i = it.multi_index
                 old = arr[i]
                 arr[i] = old + h
-                lp = end_to_end_loss(model, X, y, kind, m0, m1)
+                lp = end_to_end_loss(model, X, y, kind)
                 arr[i] = old - h
-                lm = end_to_end_loss(model, X, y, kind, m0, m1)
+                lm = end_to_end_loss(model, X, y, kind)
                 arr[i] = old
                 fd = (lp - lm) / (2 * h)
                 assert grads[name][i] == pytest.approx(fd, rel=1e-5, abs=1e-10)
         old = model.b2
         model.b2 = old + h
-        lp = end_to_end_loss(model, X, y, kind, m0, m1)
+        lp = end_to_end_loss(model, X, y, kind)
         model.b2 = old - h
-        lm = end_to_end_loss(model, X, y, kind, m0, m1)
+        lm = end_to_end_loss(model, X, y, kind)
         model.b2 = old
         assert grads["b2"][0] == pytest.approx((lp - lm) / (2 * h), rel=1e-5)
 
@@ -166,45 +166,44 @@ class TestBackward:
 
             old = ap.beta
             set_beta(old + h)
-            lp = end_to_end_loss(model, X, y, kind, m0, m1)
+            lp = end_to_end_loss(model, X, y, kind)
             set_beta(old - h)
-            lm = end_to_end_loss(model, X, y, kind, m0, m1)
+            lm = end_to_end_loss(model, X, y, kind)
             set_beta(old)
             assert grad_beta == pytest.approx((lp - lm) / (2 * h), rel=1e-5)
 
     def test_zero_rates_leave_parameters(self, toy_batch):
-        X, y, m0, m1 = toy_batch
+        X, y = toy_batch
         model = init_mlp(3, 2, seed=7,
                          astra=AstraParams.from_tau_init(0.25))
         before = to_checkpoint(model)
         trace = forward(model, X)
         backward_and_step(model, fresh_adam(model), trace, y,
-                          LossKind("gmn", True), 0.0, 0.0, m0, m1)
+                          LossKind("gmn", True), 0.0, 0.0)
         after = to_checkpoint(model)
         assert before["w1"] == after["w1"]
         assert before["b2"] == after["b2"]
         assert before["astra"]["beta"] == after["astra"]["beta"]
 
     def test_frozen_slope_reports_zero_beta_grad(self, toy_batch):
-        X, y, m0, m1 = toy_batch
+        X, y = toy_batch
         model = init_mlp(3, 2, seed=7)
         trace = forward(model, X)
         beta_before = model.astra.beta
         _, grad_beta = backward_and_step(model, fresh_adam(model), trace, y,
-                                         LossKind("bce", False), 0.001, 0.01,
-                                         m0, m1)
+                                         LossKind("bce", False), 0.001, 0.01)
         assert grad_beta == 0.0
         assert model.astra.beta == beta_before
         assert model.astra.b == 1.0
 
     def test_step_is_reproducible(self, toy_batch):
-        X, y, m0, m1 = toy_batch
+        X, y = toy_batch
 
         def one_step():
             model = init_mlp(3, 2, seed=7)
             trace = forward(model, X)
             backward_and_step(model, fresh_adam(model), trace, y,
-                              LossKind("bce", False), 0.001, 0.01, m0, m1)
+                              LossKind("bce", False), 0.001, 0.01)
             return to_checkpoint(model)
 
         assert one_step() == one_step()
@@ -238,14 +237,14 @@ class TestPredictLabels:
 
 class TestCheckpoint:
     def test_roundtrip_bit_exact(self, tmp_path, toy_batch):
-        X, y, m0, m1 = toy_batch
+        X, y = toy_batch
         model = init_mlp(3, 2, seed=11,
                          astra=AstraParams.from_tau_init(0.25))
         adam = fresh_adam(model)
         for _ in range(3):
             trace = forward(model, X)
             backward_and_step(model, adam, trace, y, LossKind("gmn", True),
-                              0.001, 0.01, m0, m1)
+                              0.001, 0.01)
         import json
         path = tmp_path / "model.json"
         with open(path, "w") as fh:

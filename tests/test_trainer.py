@@ -5,7 +5,8 @@ import pytest
 
 from astra.activation import B_MAX, astra_threshold
 from astra.data import Dataset
-from astra.losses import LossKind
+from astra.losses import ALL_KINDS, LossKind
+from astra.metrics import ClassSplit
 from astra.trainer import (
     EPOCH_CSV_HEADER,
     TrainConfig,
@@ -125,6 +126,22 @@ class TestTrain:
         cfg = TrainConfig(epochs=37, loss=LossKind("bce", False), seed=5)
         _, records = train(cfg, tr, val)
         assert [r.epoch for r in records] == list(range(1, 38))
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.name)
+    def test_class_split_built_once_per_run(self, toy_sets, monkeypatch, kind):
+        # The ACM and the loss of every epoch read the split train() builds.
+        built = []
+        init = ClassSplit.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ClassSplit, "__init__", counting_init)
+        _, records = train(TrainConfig(epochs=6, loss=kind, seed=2), *toy_sets)
+        assert len(records) == 6
+        assert len(built) == 1
+        assert (built[0].m0, built[0].m1) == (38, 2)
 
     def test_empty_class_rejected(self):
         bad = Dataset(X=np.zeros((4, 1)), y=np.array([0, 0, 0, 0]))
