@@ -18,10 +18,10 @@ from .losses import ALL_KINDS, LossKind, bce_loss, gmn_loss
 from .metrics import ApproxCM, CountCM, approx_cm, counting_cm, e_ratio, g_mean, mcc, rates
 from .network import Mlp, forward, init_mlp, predict_labels
 from .trainer import Snapshot, TrainConfig, train
-from .experiment import CvReport, RunResult, compare, determine_winners, run_cv
+from .experiment import RunResult, compare, determine_winners, run_cv
 
 __all__ = [
-    "ALL_KINDS", "ApproxCM", "AstraParams", "CountCM", "CvReport", "Dataset",
+    "ALL_KINDS", "ApproxCM", "AstraParams", "CountCM", "Dataset",
     "FoldPlan", "LossKind", "Mlp", "RunResult", "Snapshot", "TrainConfig",
     "approx_cm", "astra_backward", "astra_forward", "astra_threshold",
     "bce_loss", "compare", "counting_cm", "determine_winners", "e_ratio",

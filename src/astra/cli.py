@@ -137,7 +137,7 @@ def _manifest(command: str, cfg: dict, tcfg: TrainConfig, loss: bool) -> dict:
 def cmd_train(cfg: dict) -> int:
     out = Path(cfg["out"])
     tcfg = _train_config(cfg)
-    k = cfg.get("folds", 5)
+    k = cfg.get("folds", experiment.FOLDS)
     ds = _load_dataset(cfg["dataset"])
     experiment.check_protocol(ds, k, None, 1, 1)
     train_ds, val_ds, test_ds = experiment.split(ds, k, tcfg.seed, 0, 0)
@@ -172,25 +172,20 @@ def cmd_cv(cfg: dict) -> int:
     else:   # all four, or the two with the ASTra setting given
         methods = [kind for kind in ALL_KINDS if "astra" not in cfg
                    or kind.use_astra == tcfg.loss.use_astra]
-    k = cfg.get("folds", 5)
-    repeats = cfg.get("repeats", 10)
+    k = cfg.get("folds", experiment.FOLDS)
+    repeats = cfg.get("repeats", experiment.REPEATS)
     keep_positives = cfg.get("keep_positives")
     ds = _load_dataset(cfg["dataset"])
     experiment.check_protocol(ds, k, keep_positives, repeats, len(methods))
 
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "manifest.json", _manifest("cv", cfg, tcfg, "loss" in cfg))
-    results = experiment.run_cv(
-        ds, tcfg, methods,
-        repeats=repeats,
-        k=k,
-        base_seed=tcfg.seed,
-        keep_positives=keep_positives,
-        jobs=cfg.get("jobs", 1),
-    )
+    results = experiment.run_cv(ds, tcfg, methods, repeats=repeats, k=k,
+                                base_seed=tcfg.seed, keep_positives=keep_positives,
+                                jobs=cfg.get("jobs", 1))
     experiment.write_run_csv(results, out / "runs.csv")
     report = experiment.determine_winners(results)
-    _write_json(out / "report.json", experiment.report_to_dict(report))
+    _write_json(out / "report.json", report)
     (out / "table.txt").write_text(experiment.render_table(report))
     failures = [r for r in results if r.error]
     if failures:
@@ -221,10 +216,11 @@ def cmd_report(cfg: dict) -> int:
     out = Path(cfg["out"])
     results = experiment.read_run_csv(cfg["runs"])
     report = experiment.determine_winners(results)
+    table = experiment.render_table(report)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "report.json", experiment.report_to_dict(report))
-    (out / "table.txt").write_text(experiment.render_table(report))
-    print(experiment.render_table(report))
+    _write_json(out / "report.json", report)
+    (out / "table.txt").write_text(table)
+    print(table)
     return 0
 
 

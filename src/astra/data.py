@@ -217,11 +217,15 @@ def parse_csv(source) -> RawData:
             continue
         parts = line.split(",")
         try:
-            rows.append([float(p) for p in parts])
+            row = [float(p) for p in parts]
         except ValueError:
             if lineno == 1:
                 continue
             raise DataFormatError(f"line {lineno}: bad value in {line!r}")
+        if rows and len(row) != len(rows[0]):
+            raise DataFormatError(f"line {lineno}: expected {len(rows[0])} "
+                                  f"values, got {len(row)}")
+        rows.append(row)
     if not rows:
         raise DataFormatError("empty file")
     arr = np.array(rows)

@@ -18,7 +18,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, fold_split, standardize, stratified_folds, undersample_minority
+from .data import (DataFormatError, Dataset, fold_split, standardize,
+                   stratified_folds, undersample_minority)
 from .losses import LossKind
 from .metrics import CountCM, counting_cm, g_mean, mcc
 from .network import predict_labels
@@ -29,6 +30,9 @@ log = logging.getLogger(__name__)
 P_THRESHOLD = 0.05
 MIN_PAIRS = 5        # fewest paired observations compare() accepts
 EXACT_MAX = 62       # most differences whose 2^n sign assignments fit int64
+FOLDS = 5            # the paper's protocol: 10 repeats of 5-fold CV
+REPEATS = 10
+METRICS = {"g_mean": "G-Mean", "mcc": "MCC"}   # RunResult score -> table label
 
 
 @dataclass(frozen=True)
@@ -44,38 +48,15 @@ class RunResult:
     error: str | None = None
 
 
-@dataclass(frozen=True)
-class MethodStats:
-    mean_g_mean: float
-    sd_g_mean: float
-    mean_mcc: float
-    sd_mcc: float
-
-
-@dataclass(frozen=True)
-class CvReport:
-    methods: tuple[str, ...]
-    stats: dict                 # method -> MethodStats
-    p_values: dict              # metric -> {(a, b) -> p}
-    winners: dict               # metric -> {method -> "winner" | "tie" | ""}
-
-
 # ---------------------------------------------------------------------------
 # Wilcoxon signed-rank test
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    i = 0
-    sorted_vals = values[order]
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    """1-based ranks of `values`, ties sharing the mean of their ranks: a
+    group of c equal values ending at sorted position e ranks e - (c-1)/2."""
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
 
 
 def wilcoxon_signed_rank(diffs, exact_limit: int = 50) -> float:
@@ -116,8 +97,7 @@ def wilcoxon_signed_rank(diffs, exact_limit: int = 50) -> float:
     var -= np.sum(tie_counts ** 3 - tie_counts) / 48.0
     if var <= 0:
         return 1.0
-    delta = w_pos - mean
-    z = (abs(delta) - 0.5) / math.sqrt(var)
+    z = (abs(w_pos - mean) - 0.5) / math.sqrt(var)
     return min(1.0, 2.0 * 0.5 * math.erfc(max(z, 0.0) / math.sqrt(2.0)))
 
 
@@ -181,7 +161,7 @@ def split(ds: Dataset, k: int, seed: int, repeat: int, fold: int):
 
 
 def run_cv(ds: Dataset, cfg: TrainConfig, methods: list[LossKind],
-           repeats: int = 10, k: int = 5, base_seed: int = 0,
+           repeats: int = REPEATS, k: int = FOLDS, base_seed: int = 0,
            keep_positives: int | None = None, jobs: int = 1) -> list[RunResult]:
     """repeats x k cross-validation of every method on one dataset.
 
@@ -210,68 +190,57 @@ def run_cv(ds: Dataset, cfg: TrainConfig, methods: list[LossKind],
     return results
 
 
-def aggregate(results: list[RunResult]) -> dict:
-    """Per-method mean and sample standard deviation of G-Mean and MCC."""
+def _scores(results: list[RunResult]) -> dict:
+    """method -> metric -> the method's scores ordered by (repeat, fold), so
+    that two methods' vectors pair run for run; methods sorted."""
     if not results:
         raise ValueError("no results to aggregate")
-    stats = {}
-    for method in sorted({r.method for r in results}):
-        gs = np.array([r.g_mean for r in results if r.method == method])
-        ms = np.array([r.mcc for r in results if r.method == method])
-        stats[method] = MethodStats(
-            mean_g_mean=float(gs.mean()),
-            sd_g_mean=float(gs.std(ddof=1)) if len(gs) > 1 else 0.0,
-            mean_mcc=float(ms.mean()),
-            sd_mcc=float(ms.std(ddof=1)) if len(ms) > 1 else 0.0,
-        )
-    return stats
+    runs: dict = {}
+    for r in sorted(results, key=lambda r: (r.method, r.repeat, r.fold)):
+        runs.setdefault(r.method, []).append(r)
+    return {method: {metric: np.array([getattr(r, metric) for r in rs])
+                     for metric in METRICS}
+            for method, rs in runs.items()}
 
 
-def _metric_vectors(results: list[RunResult], metric: str) -> dict:
-    vecs = {}
-    for method in sorted({r.method for r in results}):
-        rows = sorted((r for r in results if r.method == method),
-                      key=lambda r: (r.repeat, r.fold))
-        vecs[method] = np.array([getattr(r, metric) for r in rows])
-    return vecs
+def _stats(scores: dict) -> dict:
+    return {method: {metric: {"mean": float(v.mean()),
+                              "sd": float(v.std(ddof=1)) if len(v) > 1 else 0.0}
+                     for metric, v in by_metric.items()}
+            for method, by_metric in scores.items()}
 
 
-def determine_winners(results: list[RunResult]) -> CvReport:
-    """Aggregate, compute pairwise p-values, and flag winners/ties per metric.
+def aggregate(results: list[RunResult]) -> dict:
+    """method -> metric -> {"mean", "sd"}: the mean and sample standard
+    deviation of each method's scores."""
+    return _stats(_scores(results))
+
+
+def determine_winners(results: list[RunResult]) -> dict:
+    """The report, as report.json holds it: `methods` (sorted), `stats` (as
+    `aggregate`), `p_values` (metric -> "a|b" -> paired Wilcoxon p of each
+    pair a < b) and `winners` (metric -> method -> "winner" | "tie" | "").
 
     A method is a sole winner when its mean is highest and every pairwise
     comparison against it has p <= 0.05; methods not separable from the best
     are co-flagged as ties.
     """
-    stats = aggregate(results)
-    methods = tuple(sorted(stats))
+    scores = _scores(results)
+    stats = _stats(scores)
+    methods = list(scores)
     p_values: dict = {}
     winners: dict = {}
-    for metric, mean_attr in (("g_mean", "mean_g_mean"), ("mcc", "mean_mcc")):
-        vecs = _metric_vectors(results, metric)
-        pvals = {}
-        for a, b in itertools.combinations(methods, 2):
-            pvals[(a, b)] = compare(vecs[a], vecs[b])
+    for metric in METRICS:
+        pvals = {f"{a}|{b}": compare(scores[a][metric], scores[b][metric])
+                 for a, b in itertools.combinations(methods, 2)}
         p_values[metric] = pvals
-        best = max(methods, key=lambda m: getattr(stats[m], mean_attr))
-        tied = {best}
-        for m in methods:
-            if m == best:
-                continue
-            p = pvals[(best, m)] if (best, m) in pvals else pvals[(m, best)]
-            if p > P_THRESHOLD:
-                tied.add(m)
-        flags = {}
-        for m in methods:
-            if m == best and len(tied) == 1:
-                flags[m] = "winner"
-            elif m in tied:
-                flags[m] = "tie"
-            else:
-                flags[m] = ""
-        winners[metric] = flags
-    return CvReport(methods=methods, stats=stats, p_values=p_values,
-                    winners=winners)
+        best = max(methods, key=lambda m: stats[m][metric]["mean"])
+        tied = {m for m in methods
+                if m == best or pvals["|".join(sorted((best, m)))] > P_THRESHOLD}
+        winners[metric] = {m: ("winner" if len(tied) == 1 else "tie")
+                           if m in tied else "" for m in methods}
+    return {"methods": methods, "stats": stats, "p_values": p_values,
+            "winners": winners}
 
 
 # ---------------------------------------------------------------------------
@@ -295,55 +264,46 @@ def write_run_csv(results: list[RunResult], path) -> None:
 
 
 def read_run_csv(path) -> list[RunResult]:
+    """The results `write_run_csv` wrote.  A wrong header, a line without
+    one value per column or a value that does not cast raises
+    DataFormatError naming the path and line."""
+    width = len(RUN_CSV_HEADER.split(","))
     results = []
     with open(path) as fh:
         header = fh.readline().strip()
         if header != RUN_CSV_HEADER:
-            raise ValueError(f"unexpected run CSV header: {header!r}")
-        for line in fh:
+            raise DataFormatError(f"{path} line 1: unexpected header {header!r}")
+        for lineno, line in enumerate(fh, start=2):
             parts = line.strip().split(",")
-            if not parts or parts == [""]:
+            if parts == [""]:
                 continue
-            results.append(RunResult(
-                method=parts[0], repeat=int(parts[1]), fold=int(parts[2]),
-                test_cm=CountCM(tn=int(parts[3]), fp=int(parts[4]),
-                                fn=int(parts[5]), tp=int(parts[6])),
-                g_mean=float(parts[7]), mcc=float(parts[8]),
-                best_epoch=int(parts[9]), final_b=float(parts[10])))
+            if len(parts) != width:
+                raise DataFormatError(f"{path} line {lineno}: expected "
+                                      f"{width} values, got {len(parts)}")
+            try:
+                results.append(RunResult(
+                    method=parts[0], repeat=int(parts[1]), fold=int(parts[2]),
+                    test_cm=CountCM(*map(int, parts[3:7])),    # tn,fp,fn,tp
+                    g_mean=float(parts[7]), mcc=float(parts[8]),
+                    best_epoch=int(parts[9]), final_b=float(parts[10])))
+            except ValueError as exc:
+                raise DataFormatError(f"{path} line {lineno}: {exc}") from None
     return results
 
 
-def report_to_dict(report: CvReport) -> dict:
-    return {
-        "methods": list(report.methods),
-        "stats": {
-            m: {"g_mean": {"mean": s.mean_g_mean, "sd": s.sd_g_mean},
-                "mcc": {"mean": s.mean_mcc, "sd": s.sd_mcc}}
-            for m, s in report.stats.items()
-        },
-        "p_values": {
-            metric: {f"{a}|{b}": p for (a, b), p in pvals.items()}
-            for metric, pvals in report.p_values.items()
-        },
-        "winners": report.winners,
-    }
-
-
-def render_table(report: CvReport) -> str:
+def render_table(report: dict) -> str:
     """Aligned plain-text table: mean (sd) per cell, * winner, = tie."""
     marker = {"winner": "*", "tie": "=", "": " "}
-    width = max(18, max(len(m) for m in report.methods) + 4)
-    lines = ["".ljust(8) + "".join(m.ljust(width) for m in report.methods)]
-    for metric, label in (("g_mean", "G-Mean"), ("mcc", "MCC")):
+    methods = report["methods"]
+    width = max(18, max(len(m) for m in methods) + 4)
+    lines = ["".ljust(8) + "".join(m.ljust(width) for m in methods)]
+    for metric, label in METRICS.items():
         cells = []
-        for m in report.methods:
-            s = report.stats[m]
-            mean, sd = ((s.mean_g_mean, s.sd_g_mean) if metric == "g_mean"
-                        else (s.mean_mcc, s.sd_mcc))
-            cells.append(f"{mean:.3f} ({sd:.3f}){marker[report.winners[metric][m]]}"
-                         .ljust(width))
+        for m in methods:
+            s = report["stats"][m][metric]
+            flag = marker[report["winners"][metric][m]]
+            cells.append(f"{s['mean']:.3f} ({s['sd']:.3f}){flag}".ljust(width))
         lines.append(label.ljust(8) + "".join(cells))
-    lines.append("")
-    lines.append("* winner (outperforms every competitor at p <= 0.05)")
-    lines.append("= tie (not separable from the best at p <= 0.05)")
+    lines += ["", "* winner (outperforms every competitor at p <= 0.05)",
+              "= tie (not separable from the best at p <= 0.05)"]
     return "\n".join(lines) + "\n"

@@ -252,8 +252,8 @@ def test_criterion_7_full_reproduction(tmp_path):
     results = run_cv(ds, cfg, list(ALL_KINDS), repeats=10, k=5, base_seed=0,
                      jobs=int(os.environ.get("SKIN588_JOBS", "1")))
     report = determine_winners(results)
-    mean_ba = report.stats["bce-astra"].mean_g_mean
-    inseparable = all(p > 0.05 for p in report.p_values["g_mean"].values())
+    mean_ba = report["stats"]["bce-astra"]["g_mean"]["mean"]
+    inseparable = all(p > 0.05 for p in report["p_values"]["g_mean"].values())
     ok = abs(mean_ba - 0.981) <= 0.10 and inseparable
     check(7, f"BCE-ASTra mean G-Mean {mean_ba:.3f}, four-way tie {inseparable}", ok)
 

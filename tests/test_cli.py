@@ -205,6 +205,27 @@ class TestReportCommand:
         assert (rep_out / "report.json").read_bytes() == \
             (cv_out / "report.json").read_bytes()
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda text: text[:text.rindex(",")], "line 11: expected 11 values, got 10"),
+        (lambda text: text + "bce,0,1\n", "line 12: expected 11 values, got 3"),
+        (lambda text: text.replace("bce,1,4,", "bce,1,x,"), "line 11: invalid literal"),
+        (lambda text: "method" + text[text.index("\n"):], "line 1: unexpected header"),
+    ], ids=["truncated-last-line", "short-line", "bad-cell", "wrong-header"])
+    def test_malformed_runs_csv(self, tmp_path, sparse_dataset, capsys, edit,
+                                message):
+        cv_out = tmp_path / "cv"
+        cli.main(["cv", "--dataset", str(sparse_dataset), "--out", str(cv_out),
+                  "--loss", "bce", "--epochs", "2", "--repeats", "2",
+                  "--folds", "5"])
+        runs = cv_out / "runs.csv"
+        runs.write_text(edit(runs.read_text()))
+        rep_out = tmp_path / "rep"
+        rc = cli.main(["report", "--runs", str(runs), "--out", str(rep_out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"parse error: {runs} ") and message in err
+        assert not rep_out.exists()
+
 
 class TestErrorPaths:
     def test_missing_dataset(self, tmp_path, capsys):
@@ -219,6 +240,15 @@ class TestErrorPaths:
         rc = cli.main(["train", "--dataset", str(bad),
                        "--out", str(tmp_path / "o"), "--epochs", "1"])
         assert rc == 2
+
+    def test_ragged_csv_dataset(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("1,0.5,2\n0,1.5\n")
+        rc = cli.main(["train", "--dataset", str(bad),
+                       "--out", str(tmp_path / "o"), "--epochs", "1"])
+        assert rc == 2
+        assert "line 2: expected 3 values, got 2" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_invalid_config_value(self, tmp_path, sparse_dataset, capsys):
         config = tmp_path / "cfg.json"

@@ -273,6 +273,15 @@ class TestParseCsv:
         raw = parse_csv(io.StringIO("label,f1\n1,2.0\n"))
         assert raw.labels.tolist() == [1]
 
+    @pytest.mark.parametrize("text, message", [
+        ("1,0.5,2\n0,1.5\n", "line 2: expected 3 values, got 2"),
+        ("label,f1\n1,2.0\n\n0,1.0,3.0\n", "line 4: expected 2 values, got 3"),
+    ])
+    def test_ragged_row_rejected(self, text, message):
+        # Rows are counted from the first data row, after a skipped header.
+        with pytest.raises(DataFormatError, match=message):
+            parse_csv(io.StringIO(text))
+
 
 class TestOrientLabels:
     def test_minority_to_one(self):

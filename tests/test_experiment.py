@@ -5,14 +5,13 @@ import pytest
 
 from astra.data import Dataset, fold_split, standardize, stratified_folds
 from astra.experiment import (
-    CvReport,
     RunResult,
+    _midranks,
     aggregate,
     compare,
     determine_winners,
     read_run_csv,
     render_table,
-    report_to_dict,
     run_cv,
     split,
     wilcoxon_signed_rank,
@@ -23,6 +22,22 @@ from astra.metrics import CountCM
 from astra.trainer import TrainConfig
 
 
+def reference_midranks(values):
+    """The rank loop: walk the sorted values, giving each run of equal ones
+    the mean of its 1-based positions."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values))
+    i = 0
+    sv = values[order]
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and sv[j + 1] == sv[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
 def enumeration_p_value(diffs):
     """Independent oracle: exhaustive sign enumeration for small n."""
     d = np.asarray(diffs, dtype=float)
@@ -30,17 +45,7 @@ def enumeration_p_value(diffs):
     n = len(d)
     if n == 0:
         return 1.0
-    absd = np.abs(d)
-    order = np.argsort(absd, kind="stable")
-    ranks = np.empty(n)
-    i = 0
-    sv = absd[order]
-    while i < n:
-        j = i
-        while j + 1 < n and sv[j + 1] == sv[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks = reference_midranks(np.abs(d))
     w_obs = ranks[d > 0].sum()
     le = ge = 0
     for signs in itertools.product([0, 1], repeat=n):
@@ -115,6 +120,31 @@ class TestWilcoxon:
         assert wilcoxon_signed_rank(d, exact_limit=100) == \
             wilcoxon_signed_rank(d, exact_limit=62)
 
+    def test_tie_heavy_normal_path_matches_scipy(self):
+        stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(14)
+        # 80 differences over 6 magnitudes: every rank is shared.
+        d = rng.choice([0.25, 0.5, 1.0, 2.0, 3.0, 4.0], 80) * np.where(
+            rng.random(80) < 0.35, -1.0, 1.0)
+        assert wilcoxon_signed_rank(d) == pytest.approx(
+            stats.wilcoxon(d, method="approx", correction=True).pvalue,
+            rel=1e-12, abs=0)
+
+    def test_midranks_match_the_loop_on_ties(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        # A handful of magnitudes forces ties at every length.
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(st.lists(st.sampled_from([0.1, 0.5, 1.0, 3.0, 7.5]),
+                                   min_size=1, max_size=80))
+        def check(values):
+            values = np.array(values)
+            assert _midranks(values).tobytes() == \
+                reference_midranks(values).tobytes()
+
+        check()
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             compare([1, 2, 3, 4, 5], [1, 2, 3])
@@ -129,12 +159,12 @@ class TestAggregate:
 
     def test_mean_and_sample_sd(self):
         stats = aggregate(self._results([1.0, 1.0, 0.0, 0.0]))
-        assert stats["bce"].mean_g_mean == pytest.approx(0.5)
-        assert stats["bce"].sd_g_mean == pytest.approx(0.5773502691896257)
+        assert stats["bce"]["g_mean"]["mean"] == pytest.approx(0.5)
+        assert stats["bce"]["g_mean"]["sd"] == pytest.approx(0.5773502691896257)
 
     def test_equal_values_zero_sd(self):
         stats = aggregate(self._results([0.7, 0.7, 0.7]))
-        assert stats["bce"].sd_g_mean == pytest.approx(0.0, abs=1e-12)
+        assert stats["bce"]["g_mean"]["sd"] == pytest.approx(0.0, abs=1e-12)
 
     def test_empty_error(self):
         with pytest.raises(ValueError):
@@ -159,8 +189,8 @@ class TestDetermineWinners:
         results = self._paired_results({
             "good": base + 0.4, "bad": base, "worse": base - 0.1})
         report = determine_winners(results)
-        assert report.winners["g_mean"]["good"] == "winner"
-        assert report.winners["g_mean"]["bad"] == ""
+        assert report["winners"]["g_mean"]["good"] == "winner"
+        assert report["winners"]["g_mean"]["bad"] == ""
 
     def test_all_inseparable(self):
         rng = np.random.default_rng(11)
@@ -173,7 +203,7 @@ class TestDetermineWinners:
         f = 0.001 * np.tile([1.0, 1.0, -1.0, -1.0], n // 4)
         noise = {"a": base + e, "b": base - e, "c": base + f, "d": base - f}
         report = determine_winners(self._paired_results(noise))
-        flags = set(report.winners["g_mean"].values())
+        flags = set(report["winners"]["g_mean"].values())
         assert flags == {"tie"}
 
     def test_two_way_tie_above_laggards(self):
@@ -187,7 +217,7 @@ class TestDetermineWinners:
             "d": base - 0.05,
         })
         report = determine_winners(results)
-        flags = report.winners["g_mean"]
+        flags = report["winners"]["g_mean"]
         assert flags["a"] == "tie" and flags["b"] == "tie"
         assert flags["c"] == "" and flags["d"] == ""
 
@@ -197,7 +227,7 @@ class TestDetermineWinners:
         per = {m: rng.uniform(0, 1, n) for m in ("w", "x", "y", "z")}
         r1 = determine_winners(self._paired_results(per))
         r2 = determine_winners(self._paired_results(dict(reversed(per.items()))))
-        assert r1.winners == r2.winners
+        assert r1["winners"] == r2["winners"]
 
 
 @pytest.fixture(scope="module")
@@ -310,5 +340,4 @@ class TestRunCsv:
         report = determine_winners(results)
         table = render_table(report)
         assert "G-Mean" in table and "MCC" in table
-        payload = report_to_dict(report)
-        assert set(payload["stats"]) == set(report.methods)
+        assert set(report["stats"]) == set(report["methods"])
