@@ -12,12 +12,12 @@ import json
 import sys
 from dataclasses import fields
 from pathlib import Path
-from typing import get_args, get_type_hints
 
 from . import experiment
 from .data import (
     DataFormatError,
     Dataset,
+    field_types,
     orient_labels,
     parse_csv,
     parse_sparse,
@@ -32,8 +32,8 @@ from .network import predict_labels, save_checkpoint
 from .trainer import TrainConfig, train, write_epoch_csv
 
 # Exit codes besides 0 (success): 2 parse error, 3 i/o error, 4 invalid
-# configuration, and this one: `cv` finished and wrote its outputs, but at
-# least one run failed.
+# configuration, and this one: `cv` or `report` finished and wrote its
+# outputs, but at least one run failed.
 EXIT_RUNS_FAILED = 5
 
 # Allowed values of the string options, from a flag or a config file.
@@ -103,9 +103,8 @@ def _resolve(args: argparse.Namespace) -> dict:
 def _option_types() -> dict:
     """The type of each option that is cast: every TrainConfig field but the
     loss (`int | None` as int), and INT_OPTIONS."""
-    hints = get_type_hints(TrainConfig)
-    types = {f.name: (get_args(hints[f.name]) or [hints[f.name]])[0]
-             for f in fields(TrainConfig) if f.name != "loss"}
+    types = field_types(TrainConfig)
+    del types["loss"]
     return types | dict.fromkeys(INT_OPTIONS, int)
 
 
@@ -184,14 +183,24 @@ def cmd_cv(cfg: dict) -> int:
                                 base_seed=tcfg.seed, keep_positives=keep_positives,
                                 jobs=cfg.get("jobs", 1))
     experiment.write_run_csv(results, out / "runs.csv")
+    return _report(results, out, out / "runs.csv")
+
+
+def _report(results, out: Path, runs_csv, show: bool = False) -> int:
+    """Write the report of `results` under `out`, made once the report is
+    built, and print its table if `show`; EXIT_RUNS_FAILED if a run failed."""
     report = experiment.determine_winners(results)
+    table = experiment.render_table(report)
+    out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "report.json", report)
-    (out / "table.txt").write_text(experiment.render_table(report))
-    failures = [r for r in results if r.error]
-    if failures:
-        print(f"{len(failures)} run(s) failed; see report", file=sys.stderr)
-        return EXIT_RUNS_FAILED
-    return 0
+    (out / "table.txt").write_text(table)
+    if show:
+        print(table)
+    failed = sum(r.error is not None for r in results)
+    if failed:
+        print(f"{failed} run(s) failed; see the error column of {runs_csv}",
+              file=sys.stderr)
+    return EXIT_RUNS_FAILED if failed else 0
 
 
 def cmd_undersample(cfg: dict) -> int:
@@ -213,15 +222,8 @@ def cmd_undersample(cfg: dict) -> int:
 
 
 def cmd_report(cfg: dict) -> int:
-    out = Path(cfg["out"])
     results = experiment.read_run_csv(cfg["runs"])
-    report = experiment.determine_winners(results)
-    table = experiment.render_table(report)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "report.json", report)
-    (out / "table.txt").write_text(table)
-    print(table)
-    return 0
+    return _report(results, Path(cfg["out"]), cfg["runs"], show=True)
 
 
 def build_parser() -> argparse.ArgumentParser:

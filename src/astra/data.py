@@ -4,14 +4,16 @@ planning and minority undersampling.
 Input formats: a sparse text format (``<label> <index>:<value> ...`` with
 1-based ascending indices), read in blocks of lines, and a plain CSV
 (``label,f1,...,fn``).  Datasets are dense in memory; the largest set
-targeted here is ~20k x 22.
+targeted here is ~20k x 22.  Records (runs, epochs) are CSV, a dataclass's fields.
 """
 
 from __future__ import annotations
 
+import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from itertools import chain, islice
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -247,6 +249,55 @@ def write_sparse(path, X: np.ndarray, labels: np.ndarray) -> None:
             feats = " ".join(f"{j + 1}:{float(v)!r}" for j, v in enumerate(row)
                              if v != 0.0 or _negative_zero(v))
             fh.write(f"{lab_s} {feats}".rstrip() + "\n")
+
+
+def field_types(cls) -> dict:
+    """Field name -> type of the dataclass `cls`, `T | None` given as T."""
+    hints = get_type_hints(cls)
+    return {f.name: (get_args(hints[f.name]) or [hints[f.name]])[0]
+            for f in fields(cls)}
+
+
+def write_records(records, cls, path) -> None:
+    """CSV of `records` of the dataclass `cls`, under a header of its fields."""
+    names = [f.name for f in fields(cls)]
+    with open(path, "w", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(names)
+        out.writerows([getattr(r, name) for name in names] for r in records)
+
+
+def _cast(kind, cell: str):
+    if kind is bool and cell not in ("True", "False"):
+        raise ValueError(f"not a bool: {cell!r}")
+    return cell == "True" if kind is bool else kind(cell)
+
+
+def read_records(cls, path) -> list:
+    """The records `write_records` wrote, blank lines skipped, each cell cast
+    by its field's type (None if empty and the field has a default).  Any
+    fault, or no record, raises DataFormatError naming the path and line."""
+    types = field_types(cls)
+    optional = {f.name for f in fields(cls) if f.default is not MISSING}
+    records = []
+    with open(path, newline="") as fh:
+        rows = csv.reader(fh)
+        if next(rows, None) != list(types):
+            raise DataFormatError(f"{path} line 1: unexpected header")
+        for row in filter(None, rows):
+            where = f"{path} line {rows.line_num}"
+            if len(row) != len(types):
+                raise DataFormatError(f"{where}: expected {len(types)} values, "
+                                      f"got {len(row)}")
+            try:
+                records.append(cls(**{
+                    name: None if not cell and name in optional else _cast(kind, cell)
+                    for (name, kind), cell in zip(types.items(), row)}))
+            except ValueError as exc:
+                raise DataFormatError(f"{where}: {exc}") from None
+        if not records:
+            raise DataFormatError(f"{path} line {rows.line_num}: no records")
+    return records
 
 
 def orient_labels(raw: RawData) -> Dataset:

@@ -18,10 +18,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import (DataFormatError, Dataset, fold_split, standardize,
-                   stratified_folds, undersample_minority)
+from .data import (Dataset, fold_split, read_records, standardize,
+                   stratified_folds, undersample_minority, write_records)
 from .losses import LossKind
-from .metrics import CountCM, counting_cm, g_mean, mcc
+from .metrics import counting_cm, g_mean, mcc
 from .network import predict_labels
 from .trainer import TrainConfig, train
 
@@ -37,15 +37,27 @@ METRICS = {"g_mean": "G-Mean", "mcc": "MCC"}   # RunResult score -> table label
 
 @dataclass(frozen=True)
 class RunResult:
+    """One CV run; its fields are the columns of runs.csv.  A failed run
+    carries `error` and no scores."""
+    method: str
     repeat: int
     fold: int
-    method: str
-    test_cm: CountCM
-    g_mean: float
-    mcc: float
-    best_epoch: int
-    final_b: float
+    tn: int | None = None
+    fp: int | None = None
+    fn: int | None = None
+    tp: int | None = None
+    g_mean: float | None = None
+    mcc: float | None = None
+    best_epoch: int | None = None
+    final_b: float | None = None
+    diverged: bool | None = None    # stopped early; the last good model scored
+    final_tau: float | None = None
+    val_fnr_apx: float | None = None
     error: str | None = None
+
+    def __post_init__(self):
+        if self.error is None and None in (self.g_mean, self.mcc):
+            raise ValueError("a run without an error needs g_mean and mcc")
 
 
 # ---------------------------------------------------------------------------
@@ -122,16 +134,16 @@ def _run_single(args):
     try:
         snapshot, _ = train(cfg, train_ds, val_ds)
         labels = predict_labels(snapshot.model, test_ds.X)
-        cm = counting_cm(labels, test_ds.y)
-        return RunResult(repeat=repeat, fold=fold, method=method, test_cm=cm,
-                         g_mean=g_mean(cm), mcc=mcc(cm), best_epoch=snapshot.epoch,
-                         final_b=snapshot.model.astra.b)
+        cm, astra = counting_cm(labels, test_ds.y), snapshot.model.astra
+        return RunResult(method, repeat, fold, **vars(cm), g_mean=g_mean(cm),
+                         mcc=mcc(cm), best_epoch=snapshot.epoch, final_b=astra.b,
+                         diverged=snapshot.diverged, final_tau=astra.tau,
+                         val_fnr_apx=snapshot.val_fnr_apx)
     except Exception as exc:  # failed runs are recorded, never dropped
         log.warning("run (%s, repeat %d, fold %d) failed: %s",
                     method, repeat, fold, exc)
-        return RunResult(repeat=repeat, fold=fold, method=method,
-                         test_cm=CountCM(0, 0, 0, 0), g_mean=0.0, mcc=0.0,
-                         best_epoch=0, final_b=1.0, error=str(exc))
+        return RunResult(method, repeat, fold,
+                         error=f"{type(exc).__name__}: {exc}")
 
 
 def check_protocol(ds: Dataset, k: int, keep_positives: int | None,
@@ -191,29 +203,38 @@ def run_cv(ds: Dataset, cfg: TrainConfig, methods: list[LossKind],
 
 
 def _scores(results: list[RunResult]) -> dict:
-    """method -> metric -> the method's scores ordered by (repeat, fold), so
-    that two methods' vectors pair run for run; methods sorted."""
+    """method (sorted) -> metric -> scores over the (repeat, fold) keys where
+    no method failed, in key order, so that vectors pair run for run.  A key
+    that a method has twice or lacks while another has it: ValueError."""
     if not results:
         raise ValueError("no results to aggregate")
     runs: dict = {}
-    for r in sorted(results, key=lambda r: (r.method, r.repeat, r.fold)):
-        runs.setdefault(r.method, []).append(r)
-    return {method: {metric: np.array([getattr(r, metric) for r in rs])
+    for r in results:
+        by_key, key = runs.setdefault(r.method, {}), (r.repeat, r.fold)
+        if key in by_key:
+            raise ValueError(f"{r.method} has two runs of (repeat, fold) {key}")
+        by_key[key] = r
+    keys = set().union(*runs.values())
+    for method, by_key in runs.items():
+        if len(by_key) != len(keys):
+            raise ValueError(f"{method} lacks (repeat, fold) {min(keys - set(by_key))}")
+    kept = sorted(k for k in keys if all(rs[k].error is None for rs in runs.values()))
+    return {method: {metric: np.array([getattr(runs[method][k], metric) for k in kept])
                      for metric in METRICS}
-            for method, rs in runs.items()}
+            for method in sorted(runs)}
 
 
-def _stats(scores: dict) -> dict:
-    return {method: {metric: {"mean": float(v.mean()),
-                              "sd": float(v.std(ddof=1)) if len(v) > 1 else 0.0}
-                     for metric, v in by_metric.items()}
-            for method, by_metric in scores.items()}
+def _mean_sd(v: np.ndarray) -> dict:
+    if not len(v):    # a failed run on every key
+        return {"mean": None, "sd": None}
+    return {"mean": float(v.mean()), "sd": float(v.std(ddof=1)) if len(v) > 1 else 0.0}
 
 
 def aggregate(results: list[RunResult]) -> dict:
     """method -> metric -> {"mean", "sd"}: the mean and sample standard
     deviation of each method's scores."""
-    return _stats(_scores(results))
+    return {method: {metric: _mean_sd(v) for metric, v in by_metric.items()}
+            for method, by_metric in _scores(results).items()}
 
 
 def determine_winners(results: list[RunResult]) -> dict:
@@ -223,20 +244,21 @@ def determine_winners(results: list[RunResult]) -> dict:
 
     A method is a sole winner when its mean is highest and every pairwise
     comparison against it has p <= 0.05; methods not separable from the best
-    are co-flagged as ties.
+    are co-flagged as ties.  With fewer than MIN_PAIRS (repeat, fold) keys
+    free of failed runs every p is None and no method is flagged.
     """
-    scores = _scores(results)
-    stats = _stats(scores)
+    scores, stats = _scores(results), aggregate(results)
     methods = list(scores)
+    testable = len(scores[methods[0]]["g_mean"]) >= MIN_PAIRS
     p_values: dict = {}
     winners: dict = {}
     for metric in METRICS:
-        pvals = {f"{a}|{b}": compare(scores[a][metric], scores[b][metric])
-                 for a, b in itertools.combinations(methods, 2)}
-        p_values[metric] = pvals
-        best = max(methods, key=lambda m: stats[m][metric]["mean"])
-        tied = {m for m in methods
-                if m == best or pvals["|".join(sorted((best, m)))] > P_THRESHOLD}
+        p_values[metric] = pvals = {
+            f"{a}|{b}": compare(scores[a][metric], scores[b][metric]) if testable
+            else None for a, b in itertools.combinations(methods, 2)}
+        best = max(methods, key=lambda m: stats[m][metric]["mean"]) if testable else None
+        tied = {m for m in methods if testable and (
+            m == best or pvals["|".join(sorted((best, m)))] > P_THRESHOLD)}
         winners[metric] = {m: ("winner" if len(tied) == 1 else "tie")
                            if m in tied else "" for m in methods}
     return {"methods": methods, "stats": stats, "p_values": p_values,
@@ -247,48 +269,12 @@ def determine_winners(results: list[RunResult]) -> dict:
 # Serialization
 
 
-RUN_CSV_HEADER = "method,repeat,fold,tn,fp,fn,tp,g_mean,mcc,best_epoch,final_b"
-
-
 def write_run_csv(results: list[RunResult], path) -> None:
-    with open(path, "w") as fh:
-        fh.write(RUN_CSV_HEADER + "\n")
-        for r in results:
-            cm = r.test_cm
-            fh.write(",".join([
-                r.method, str(r.repeat), str(r.fold),
-                str(cm.tn), str(cm.fp), str(cm.fn), str(cm.tp),
-                repr(r.g_mean), repr(r.mcc), str(r.best_epoch),
-                repr(r.final_b),
-            ]) + "\n")
+    write_records(results, RunResult, path)
 
 
 def read_run_csv(path) -> list[RunResult]:
-    """The results `write_run_csv` wrote.  A wrong header, a line without
-    one value per column or a value that does not cast raises
-    DataFormatError naming the path and line."""
-    width = len(RUN_CSV_HEADER.split(","))
-    results = []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != RUN_CSV_HEADER:
-            raise DataFormatError(f"{path} line 1: unexpected header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.strip().split(",")
-            if parts == [""]:
-                continue
-            if len(parts) != width:
-                raise DataFormatError(f"{path} line {lineno}: expected "
-                                      f"{width} values, got {len(parts)}")
-            try:
-                results.append(RunResult(
-                    method=parts[0], repeat=int(parts[1]), fold=int(parts[2]),
-                    test_cm=CountCM(*map(int, parts[3:7])),    # tn,fp,fn,tp
-                    g_mean=float(parts[7]), mcc=float(parts[8]),
-                    best_epoch=int(parts[9]), final_b=float(parts[10])))
-            except ValueError as exc:
-                raise DataFormatError(f"{path} line {lineno}: {exc}") from None
-    return results
+    return read_records(RunResult, path)
 
 
 def render_table(report: dict) -> str:
@@ -301,8 +287,8 @@ def render_table(report: dict) -> str:
         cells = []
         for m in methods:
             s = report["stats"][m][metric]
-            flag = marker[report["winners"][metric][m]]
-            cells.append(f"{s['mean']:.3f} ({s['sd']:.3f}){flag}".ljust(width))
+            cell = "n/a" if s["mean"] is None else f"{s['mean']:.3f} ({s['sd']:.3f})"
+            cells.append((cell + marker[report["winners"][metric][m]]).ljust(width))
         lines.append(label.ljust(8) + "".join(cells))
     lines += ["", "* winner (outperforms every competitor at p <= 0.05)",
               "= tie (not separable from the best at p <= 0.05)"]

@@ -9,12 +9,12 @@ keeps the parameters of the epoch with the lowest validation FNR_apx.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .activation import AstraParams
-from .data import Dataset
+from .data import Dataset, write_records
 from .losses import LossKind
 from .metrics import approx_cm, class_split, e_ratio, positive_cells, rates
 from .network import (
@@ -63,9 +63,6 @@ class EpochRecord:
     b: float
     tau: float
     eta_b: float
-
-
-EPOCH_CSV_HEADER = ",".join(f.name for f in fields(EpochRecord))
 
 
 @dataclass
@@ -163,8 +160,4 @@ def train(cfg: TrainConfig, train_set: Dataset, val_set: Dataset):
 
 
 def write_epoch_csv(records: list[EpochRecord], path) -> None:
-    """Stream the epoch log as CSV with round-trip-exact float formatting."""
-    with open(path, "w") as fh:
-        fh.write(EPOCH_CSV_HEADER + "\n")
-        for r in records:    # vars(r) holds the fields in header order
-            fh.write(",".join(map(repr, vars(r).values())) + "\n")
+    write_records(records, EpochRecord, path)

@@ -206,11 +206,14 @@ class TestReportCommand:
             (cv_out / "report.json").read_bytes()
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda text: text[:text.rindex(",")], "line 11: expected 11 values, got 10"),
-        (lambda text: text + "bce,0,1\n", "line 12: expected 11 values, got 3"),
+        (lambda text: text[:text.rindex(",")], "line 11: expected 15 values, got 14"),
+        (lambda text: text + "bce,0,1\n", "line 12: expected 15 values, got 3"),
         (lambda text: text.replace("bce,1,4,", "bce,1,x,"), "line 11: invalid literal"),
         (lambda text: "method" + text[text.index("\n"):], "line 1: unexpected header"),
-    ], ids=["truncated-last-line", "short-line", "bad-cell", "wrong-header"])
+        (lambda text: text[:text.index("\n") + 1] + "\n", "no records"),
+        (lambda text: text.replace("bce,1,4,", "bce,,4,"), "line 11: invalid literal"),
+    ], ids=["truncated-last-line", "short-line", "bad-cell", "wrong-header",
+            "header-only", "empty-key"])
     def test_malformed_runs_csv(self, tmp_path, sparse_dataset, capsys, edit,
                                 message):
         cv_out = tmp_path / "cv"
@@ -225,6 +228,57 @@ class TestReportCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"parse error: {runs} ") and message in err
         assert not rep_out.exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: [ln.replace("gmn-astra,0,", "gmn-astra,9,") for ln in lines],
+         "bce lacks (repeat, fold) (9, 0)"),
+        (lambda lines: lines + lines[-1:],
+         "gmn-astra has two runs of (repeat, fold) (1, 4)"),
+    ], ids=["relabelled", "duplicated"])
+    def test_unpaired_runs_csv(self, tmp_path, sparse_dataset, capsys, edit,
+                               message):
+        cv_out = tmp_path / "cv"
+        assert cli.main(["cv", "--dataset", str(sparse_dataset), "--out",
+                         str(cv_out), "--epochs", "2", "--repeats", "2",
+                         "--folds", "5"]) == 0
+        runs = cv_out / "runs.csv"
+        runs.write_text("\n".join(edit(runs.read_text().splitlines())) + "\n")
+        rep_out = tmp_path / "rep"
+        rc = cli.main(["report", "--runs", str(runs), "--out", str(rep_out)])
+        assert rc == 4
+        assert message in capsys.readouterr().err
+        assert not rep_out.exists()
+
+    def test_failed_run_excluded_and_reported(self, tmp_path, sparse_dataset,
+                                              monkeypatch, capsys):
+        # bce fails on (0, 0): that key leaves both methods' vectors, and
+        # the 4 pairs left are too few to test.
+        real_train = experiment.train
+
+        def train_failing(cfg, train_ds, val_ds):
+            if cfg.seed == [0, 0, 0] and cfg.loss.name == "bce":
+                raise RuntimeError("injected failure")
+            return real_train(cfg, train_ds, val_ds)
+
+        monkeypatch.setattr(experiment, "train", train_failing)
+        cv_out, rep_out = tmp_path / "cv", tmp_path / "rep"
+        assert cli.main(["cv", "--dataset", str(sparse_dataset), "--out",
+                         str(cv_out), "--astra", "off", "--epochs", "3",
+                         "--repeats", "1", "--folds", "5"]) == 5
+        runs = cv_out / "runs.csv"
+        assert capsys.readouterr().err == \
+            f"1 run(s) failed; see the error column of {runs}\n"
+        report = json.loads((cv_out / "report.json").read_text())
+        assert report["p_values"] == {"g_mean": {"bce|gmn": None},
+                                      "mcc": {"bce|gmn": None}}
+        assert set(report["winners"]["g_mean"].values()) == {""}
+
+        assert cli.main(["report", "--runs", str(runs), "--out",
+                         str(rep_out)]) == 5
+        assert f"1 run(s) failed; see the error column of {runs}" in \
+            capsys.readouterr().err
+        assert (rep_out / "report.json").read_bytes() == \
+            (cv_out / "report.json").read_bytes()
 
 
 class TestErrorPaths:

@@ -1,5 +1,6 @@
 import io
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -9,13 +10,16 @@ from astra.data import (
     DataFormatError,
     Dataset,
     RawData,
+    field_types,
     fold_split,
     orient_labels,
     parse_csv,
     parse_sparse,
+    read_records,
     standardize,
     stratified_folds,
     undersample_minority,
+    write_records,
     write_sparse,
 )
 
@@ -281,6 +285,53 @@ class TestParseCsv:
         # Rows are counted from the first data row, after a skipped header.
         with pytest.raises(DataFormatError, match=message):
             parse_csv(io.StringIO(text))
+
+
+@dataclass(frozen=True)
+class Row:
+    name: str
+    count: int
+    flag: bool | None = None
+    value: float | None = None
+    note: str | None = None
+
+
+class TestRecordCsv:
+    ROWS = [Row("a", 1, True, 0.1, 'x, "y"\nz'), Row("b", -2, False, -0.0),
+            Row("c", 0, None, 1e-310), Row("d", 3, value=float("inf"))]
+
+    def test_field_types(self):
+        assert field_types(Row) == {"name": str, "count": int, "flag": bool,
+                                    "value": float, "note": str}
+
+    def test_roundtrip(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        write_records(self.ROWS, Row, path)
+        back = read_records(Row, path)
+        assert back == self.ROWS
+        assert str(back[1].value) == "-0.0"
+        assert path.read_text().splitlines()[:4] == [
+            "name,count,flag,value,note", 'a,1,True,0.1,"x, ""y""', 'z"',
+            "b,-2,False,-0.0,"]
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        path.write_text("name,count,flag,value,note\n\na,1,,,\n\n")
+        assert read_records(Row, path) == [Row("a", 1)]
+
+    @pytest.mark.parametrize("text, message", [
+        ("name,count\na,1\n", "line 1: unexpected header"),
+        ("", "line 1: unexpected header"),
+        ("name,count,flag,value,note\n", "line 1: no records"),
+        ("name,count,flag,value,note\na,1,yes,,\n", "line 2: not a bool: 'yes'"),
+        ("name,count,flag,value,note\na,,,,\n", "line 2: invalid literal"),
+        ("name,count,flag,value,note\n\na,1,,x,\n", "line 3: could not convert"),
+    ])
+    def test_rejected(self, tmp_path, text, message):
+        path = tmp_path / "rows.csv"
+        path.write_text(text)
+        with pytest.raises(DataFormatError, match=f"{path} {message}"):
+            read_records(Row, path)
 
 
 class TestOrientLabels:

@@ -1,10 +1,14 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from astra.data import Dataset, fold_split, standardize, stratified_folds
+from astra import experiment
+from astra.data import (DataFormatError, Dataset, fold_split, standardize,
+                        stratified_folds)
 from astra.experiment import (
+    MIN_PAIRS,
     RunResult,
     _midranks,
     aggregate,
@@ -153,7 +157,7 @@ class TestWilcoxon:
 class TestAggregate:
     def _results(self, values, method="bce"):
         return [RunResult(repeat=0, fold=i, method=method,
-                          test_cm=CountCM(1, 0, 0, 1), g_mean=v, mcc=v,
+                          tn=1, fp=0, fn=0, tp=1, g_mean=v, mcc=v,
                           best_epoch=0, final_b=1.0)
                 for i, v in enumerate(values)]
 
@@ -178,7 +182,7 @@ class TestDetermineWinners:
             for i, v in enumerate(values):
                 results.append(RunResult(
                     repeat=i // 5, fold=i % 5, method=method,
-                    test_cm=CountCM(1, 0, 0, 1), g_mean=v, mcc=v,
+                    tn=1, fp=0, fn=0, tp=1, g_mean=v, mcc=v,
                     best_epoch=0, final_b=1.0))
         return results
 
@@ -229,6 +233,26 @@ class TestDetermineWinners:
         r2 = determine_winners(self._paired_results(dict(reversed(per.items()))))
         assert r1["winners"] == r2["winners"]
 
+    def test_too_few_clean_pairs_gives_null_p(self):
+        per = {"a": [0.9] * 6, "b": [0.1] * 6}
+        results = self._paired_results(per)
+        failed = {(0, f) for f in range(6 - MIN_PAIRS + 1)}
+        results = [replace(r, g_mean=None, mcc=None, error="x")
+                   if r.method == "a" and (r.repeat, r.fold) in failed else r
+                   for r in results]
+        report = determine_winners(results)
+        assert report["p_values"] == {"g_mean": {"a|b": None},
+                                      "mcc": {"a|b": None}}
+        assert report["winners"] == {m: {"a": "", "b": ""}
+                                     for m in ("g_mean", "mcc")}
+        assert report["stats"]["a"]["g_mean"] == {"mean": 0.9, "sd": 0.0}
+
+    def test_every_key_failed(self):
+        results = [RunResult(m, 0, f, error="x") for m in "ab" for f in range(5)]
+        report = determine_winners(results)
+        assert report["stats"]["a"]["mcc"] == {"mean": None, "sd": None}
+        assert "n/a" in render_table(report)
+
 
 @pytest.fixture(scope="module")
 def small_cv_results():
@@ -263,9 +287,10 @@ class TestRunCv:
         from astra.metrics import g_mean as gm, mcc as mc
         _, _, _, results = small_cv_results
         for r in results:
-            if r.test_cm.tp + r.test_cm.fn > 0 and r.test_cm.tn + r.test_cm.fp > 0:
-                assert r.g_mean == pytest.approx(gm(r.test_cm), abs=1e-12)
-            assert r.mcc == pytest.approx(mc(r.test_cm), abs=1e-12)
+            cm = CountCM(r.tn, r.fp, r.fn, r.tp)
+            if cm.tp + cm.fn > 0 and cm.tn + cm.fp > 0:
+                assert r.g_mean == pytest.approx(gm(cm), abs=1e-12)
+            assert r.mcc == pytest.approx(mc(cm), abs=1e-12)
 
     def test_split_is_one_rotation_of_the_repeat_plan(self):
         # Repeat r's plan is seeded [seed, r, 202]; fold f tests fold f and
@@ -289,7 +314,7 @@ class TestRunCv:
                          base_seed=0, keep_positives=5)
         # 5 retained positives over 5 folds: one test positive per fold
         for r in results:
-            assert r.test_cm.tp + r.test_cm.fn == 1
+            assert r.tp + r.fn == 1
 
     @pytest.mark.parametrize("m1, keep", [(3, None), (20, 3), (20, 4)])
     def test_rejects_folds_without_positives(self, m1, keep):
@@ -325,15 +350,88 @@ class TestRunCv:
         parallel = run_cv(ds, cfg, methods, repeats=2, k=5, base_seed=3, jobs=2)
         assert parallel == results
 
+    def test_run_health_recorded(self, small_cv_results):
+        _, _, _, results = small_cv_results
+        for r in results:
+            assert r.error is None and r.diverged is False
+            assert 0.0 <= r.val_fnr_apx <= 1.0
+            if r.method == "bce":    # frozen slope: b = 1, tau = 1/2
+                assert (r.final_b, r.final_tau) == (1.0, 0.5)
+            else:
+                assert 0.0 < r.final_tau < 0.5
+
+    def test_diverged_run_is_scored(self, small_cv_results, monkeypatch):
+        ds, cfg, methods, results = small_cv_results
+        real_train = experiment.train
+
+        def train_diverging(cfg, train_ds, val_ds):
+            snapshot, records = real_train(cfg, train_ds, val_ds)
+            snapshot.diverged = True
+            return snapshot, records
+
+        monkeypatch.setattr(experiment, "train", train_diverging)
+        again = run_cv(ds, cfg, methods, repeats=2, k=5, base_seed=3)
+        assert again == [replace(r, diverged=True) for r in results]
+        assert determine_winners(again) == determine_winners(results)
+
+
+class TestFailedRuns:
+    ERROR = 'injected, "quoted"\nsecond line'
+
+    def test_failed_key_dropped_from_every_method(self, small_cv_results,
+                                                  monkeypatch, tmp_path):
+        ds, cfg, methods, results = small_cv_results
+        real_train = experiment.train
+
+        def train_failing_once(cfg, train_ds, val_ds):
+            if cfg.seed == [3, 1, 2] and cfg.loss.name == "gmn-astra":
+                raise RuntimeError(self.ERROR)
+            return real_train(cfg, train_ds, val_ds)
+
+        monkeypatch.setattr(experiment, "train", train_failing_once)
+        failed = run_cv(ds, cfg, methods, repeats=2, k=5, base_seed=3)
+        bad = [r for r in failed if r.error is not None]
+        assert bad == [RunResult("gmn-astra", 1, 2,
+                                 error="RuntimeError: " + self.ERROR)]
+        assert [r for r in failed if r.error is None] == \
+            [r for r in results if (r.method, r.repeat, r.fold) != ("gmn-astra", 1, 2)]
+        kept = [r for r in results if (r.repeat, r.fold) != (1, 2)]
+        assert aggregate(failed) == aggregate(kept)
+        assert determine_winners(failed) == determine_winners(kept)
+
+        path = tmp_path / "runs.csv"
+        write_run_csv(failed, path)
+        assert read_run_csv(path) == failed
+        line = path.read_text().split("\ngmn-astra,1,2,")[1]
+        assert line.startswith("," * 11 + '"RuntimeError: ')   # 11 empty cells
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda rs: rs + rs[:1],
+         r"bce has two runs of \(repeat, fold\) \(0, 0\)"),
+        (lambda rs: [replace(r, repeat=9) if r.method == "gmn-astra"
+                     and r.repeat == 0 else r for r in rs],
+         r"bce lacks \(repeat, fold\) \(9, 0\)"),
+        (lambda rs: rs[1:], r"bce lacks \(repeat, fold\) \(0, 0\)"),
+    ], ids=["duplicate", "relabelled", "missing"])
+    def test_methods_paired_by_key(self, small_cv_results, edit, match):
+        _, _, _, results = small_cv_results
+        with pytest.raises(ValueError, match=match):
+            determine_winners(edit(results))
+
 
 class TestRunCsv:
     def test_roundtrip(self, tmp_path, small_cv_results):
         _, _, _, results = small_cv_results
         path = tmp_path / "runs.csv"
         write_run_csv(results, path)
-        back = read_run_csv(path)
-        stripped = [RunResult(**{**vars(r), "error": None}) for r in results]
-        assert back == stripped
+        assert read_run_csv(path) == results
+
+    def test_scoreless_run_without_error_rejected(self, tmp_path):
+        path = tmp_path / "runs.csv"
+        write_run_csv([RunResult("bce", 0, 0, error="x")], path)
+        path.write_text(path.read_text().replace(",x\n", ",\n"))
+        with pytest.raises(DataFormatError, match="line 2: a run without an error"):
+            read_run_csv(path)
 
     def test_report_render(self, small_cv_results):
         _, _, _, results = small_cv_results

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from astra.activation import B_MAX, astra_threshold
-from astra.data import Dataset
+from astra.data import Dataset, read_records
 from astra.losses import ALL_KINDS, LossKind
 from astra.metrics import ClassSplit
 from astra.trainer import (
-    EPOCH_CSV_HEADER,
+    EpochRecord,
     TrainConfig,
     build_model,
     eta_b_update,
@@ -159,8 +159,10 @@ class TestEpochCsv:
         path = tmp_path / "epochs.csv"
         write_epoch_csv(records, path)
         lines = path.read_text().splitlines()
-        assert lines[0] == EPOCH_CSV_HEADER
+        assert lines[0] == ("epoch,train_loss,train_e_ratio,train_fnr_apx,"
+                            "train_fpr_apx,val_fnr_apx,b,tau,eta_b")
         assert len(lines) == 21
+        assert read_records(EpochRecord, path) == records
         # round-trip-exact floats
         fields = lines[3].split(",")
         assert float(fields[1]) == records[2].train_loss
