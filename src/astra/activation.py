@@ -98,7 +98,7 @@ def _z_grads(y, one_my, den, tau: float, ws: Workspace):
 def _preactivation(x, b: float) -> np.ndarray:
     _check_slope(b)
     xa = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(xa)):
+    if not np.isfinite(xa).all():
         raise ValueError("preactivation must be finite")
     return np.atleast_1d(xa)
 

@@ -9,9 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import sys
 from dataclasses import fields
 from pathlib import Path
+
+import numpy as np
 
 from . import experiment
 from .data import (
@@ -54,6 +58,17 @@ def _load_dataset(path: str) -> Dataset:
     return orient_labels(raw)
 
 
+def environment() -> dict:
+    """The Python, numpy and BLAS a run used, the machine and its CPU count."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas.get('name', 'unknown')} {blas.get('version', '')}".strip()
+    except (TypeError, KeyError):
+        blas = "unknown"
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": blas, "machine": platform.machine(), "cpus": os.cpu_count()}
+
+
 def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -76,7 +91,9 @@ def _resolve(args: argparse.Namespace) -> dict:
                 raise DataFormatError(f"config {args.config}: {exc}") from None
         if not isinstance(cfg, dict):
             raise DataFormatError(f"config {args.config}: not a JSON object")
-        cfg.pop("command", None)    # a manifest names the command that wrote it
+        # A manifest names the command that wrote it and its environment.
+        cfg.pop("command", None)
+        cfg.pop("environment", None)
     unknown = set(cfg) - set(flags) - {f.name for f in fields(TrainConfig)}
     if unknown:
         raise ValueError(f"unknown config key(s): {', '.join(sorted(unknown))}")
@@ -125,7 +142,8 @@ def _loss_kind(cfg: dict) -> LossKind:
 def _manifest(command: str, cfg: dict, tcfg: TrainConfig, loss: bool) -> dict:
     """The options given plus every TrainConfig field at its resolved value,
     the loss (if `loss`) under the option names loss/astra."""
-    manifest = {"command": command, **cfg, **vars(tcfg)}
+    manifest = {"command": command, "environment": environment(), **cfg,
+                **vars(tcfg)}
     del manifest["loss"]
     if loss:
         manifest.update(loss=tcfg.loss.variant,
@@ -210,7 +228,8 @@ def cmd_undersample(cfg: dict) -> int:
     seed = cfg.get("seed", 0)
     reduced, kept_idx = undersample_minority(ds, keep, seed=[seed, 0, 101])
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "manifest.json", {"command": "undersample", **cfg})
+    _write_json(out / "manifest.json", {"command": "undersample",
+                                        "environment": environment(), **cfg})
     write_sparse(out / "undersampled.txt", reduced.X, reduced.y)
     _write_json(out / "kept_positives.json", {
         "kept_positive_rows": [int(i) for i in kept_idx],

@@ -2,8 +2,8 @@
 planning and minority undersampling.
 
 Input formats: a sparse text format (``<label> <index>:<value> ...`` with
-1-based ascending indices), read in blocks of lines, and a plain CSV
-(``label,f1,...,fn``).  Datasets are dense in memory; the largest set
+1-based ascending indices) and a plain CSV (``label,f1,...,fn``), both read
+in blocks of lines.  Datasets are dense in memory; the largest set
 targeted here is ~20k x 22.  Records (runs, epochs) are CSV, a dataclass's fields.
 """
 
@@ -17,8 +17,8 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 
-# Lines the sparse reader converts at a time: one block's tokens and arrays
-# are all it holds besides the blocks already converted.
+# Lines the readers convert at a time: one block's tokens and arrays are all
+# they hold besides the blocks already converted.
 BLOCK_LINES = 256
 
 
@@ -95,20 +95,36 @@ def parse_sparse(source) -> RawData:
     peak memory is about twice the result (the converted blocks, then X)
     plus one block's text and tokens.  A stream passed in is not closed.
     """
+    return _parse(source, _sparse_block)
+
+
+def parse_csv(source) -> RawData:
+    """Parse a plain CSV ``label,f1,...,fn`` from a path or open text stream.
+
+    Each non-blank line holds as many comma-separated values as the first,
+    each read as ``float()`` reads it; a non-numeric line 1 (a header) is
+    skipped.  Lines, errors and memory are as in parse_sparse.
+    """
+    return _parse(source, _csv_block)
+
+
+def _parse(source, convert) -> RawData:
     if hasattr(source, "read"):
-        return _parse_blocks(source)
+        return _parse_blocks(source, convert)
     with open(source) as fh:
-        return _parse_blocks(fh)
+        return _parse_blocks(fh, convert)
 
 
-def _parse_blocks(fh) -> RawData:
-    labels, blocks, lineno = [], [], 1
+def _parse_blocks(fh, convert) -> RawData:
+    """The labels and rows of every block of lines, by `convert(lines,
+    lineno, width)`: ``lines[0]`` is line `lineno`, and `width` is the
+    feature count of the first row before the block, None before any."""
+    labels, blocks, lineno, width = [], [], 1, None
     for lines in _line_blocks(fh):
-        try:
-            block_labels, block = _convert_block(lines)
-        except (ValueError, OverflowError):
-            block_labels, block = _scan_block(lines, lineno)
+        block_labels, block = convert(lines, lineno, width)
         lineno += len(lines)
+        if width is None and len(block):
+            width = block.shape[1]
         labels.append(block_labels)
         blocks.append(block)
     n = sum(map(len, labels))
@@ -134,6 +150,15 @@ def _line_blocks(fh):
         yield lines
     if tail:
         yield [tail]
+
+
+def _sparse_block(lines, lineno: int, width):
+    """The labels and the dense rows of a block of sparse lines, of any
+    width: by _convert_block, or by _scan_block where that raises."""
+    try:
+        return _convert_block(lines)
+    except (ValueError, OverflowError):
+        return _scan_block(lines, lineno)
 
 
 def _convert_block(lines):
@@ -205,33 +230,30 @@ def _scan_block(lines, lineno: int):
     return np.array(labels, dtype=float), block
 
 
-def parse_csv(source) -> RawData:
-    """Plain CSV reader ``label,f1,...,fn``; a non-numeric header row is skipped."""
-    if hasattr(source, "read"):
-        lines = source.read().splitlines()
-    else:
-        with open(source) as fh:
-            lines = fh.read().splitlines()
+def _csv_block(lines, lineno: int, width):
+    """The labels and rows of a block of CSV lines, ``lines[0]`` being line
+    ``lineno``: each row a label and `width` features (as many as the
+    first row if None), a non-numeric line 1 skipped.  A malformed line
+    raises its DataFormatError."""
     rows = []
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
+    for lineno, line in enumerate(lines, start=lineno):
+        line = line.strip()    # it drops \x1c-\x1f, which float() rejects
         if not line:
             continue
-        parts = line.split(",")
         try:
-            row = [float(p) for p in parts]
+            row = list(map(float, line.split(",")))
         except ValueError:
             if lineno == 1:
                 continue
             raise DataFormatError(f"line {lineno}: bad value in {line!r}")
-        if rows and len(row) != len(rows[0]):
-            raise DataFormatError(f"line {lineno}: expected {len(rows[0])} "
+        if width is None:
+            width = len(row) - 1
+        if len(row) != width + 1:
+            raise DataFormatError(f"line {lineno}: expected {width + 1} "
                                   f"values, got {len(row)}")
         rows.append(row)
-    if not rows:
-        raise DataFormatError("empty file")
-    arr = np.array(rows)
-    return RawData(X=arr[:, 1:], labels=arr[:, 0])
+    block = np.array(rows) if rows else np.empty((0, 1))
+    return block[:, 0], block[:, 1:]
 
 
 def _negative_zero(v: float) -> bool:
@@ -322,13 +344,17 @@ def standardize(train: Dataset, others: list[Dataset] | None = None):
     """Center/scale every feature by train-fold statistics.
 
     Zero-variance features are centered only.  Returns the scaled train set,
-    the scaled other sets, and the (mean, std) used.
+    the scaled other sets, and the (mean, std) used.  The scaled X are
+    feature-major (Fortran-ordered), the layout network.forward is fast in.
     """
     mean = train.X.mean(axis=0)
     std = train.X.std(axis=0)
     std = np.where(std > 0, std, 1.0)
-    scaled = [Dataset(X=(ds.X - mean) / std, y=ds.y.copy())
-              for ds in [train] + list(others or [])]
+    scaled = []
+    for ds in [train] + list(others or []):
+        X = np.subtract(ds.X, mean, order="F")
+        X /= std                                  # (ds.X - mean) / std
+        scaled.append(Dataset(X=X, y=ds.y.copy()))
     return scaled[0], scaled[1:], mean, std
 
 

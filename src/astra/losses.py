@@ -51,7 +51,7 @@ def _bce(z: np.ndarray, split: ClassSplit, ws: Workspace):
     a = np.negative(z, out=ws.get("loss.a", z.shape))
     np.log1p(a, out=a)
     a[pos] = np.log(zp)
-    value = -float(np.mean(a))
+    value = -float(a.sum() / len(a))              # np.mean(a), bit for bit
     g = np.subtract(1.0, z, out=ws.get("loss.grad", z.shape))
     np.divide(1.0, g, out=g)                      # 1/(1 - z)
     g[pos] = -1.0 / zp                            # -1/z

@@ -102,7 +102,7 @@ def class_split(y) -> ClassSplit:
 
 def positive_cells(z_pos: np.ndarray) -> tuple[float, float]:
     """(FN_apx, TP_apx) from the outputs of the positives alone."""
-    return float(np.sum(1.0 - z_pos)), float(np.sum(z_pos))
+    return float((1.0 - z_pos).sum()), float(z_pos.sum())
 
 
 def approx_cm(y_hat, y) -> ApproxCM:
@@ -117,7 +117,7 @@ def approx_cm(y_hat, y) -> ApproxCM:
     check_lengths(y_hat, split)
     yh = np.asarray(y_hat, dtype=float)
     fn, tp = positive_cells(yh[split.pos])
-    fp = float(np.sum(yh)) - tp
+    fp = float(yh.sum()) - tp
     return ApproxCM(tn_apx=split.m0 - fp, fp_apx=fp, fn_apx=fn, tp_apx=tp)
 
 

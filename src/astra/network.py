@@ -68,7 +68,8 @@ class AdamState:
 class ForwardTrace:
     """What forward computed and backward_and_step reads.
 
-    `hidden_pre`, `leak` and `hidden_act` are column-major (n, n_h) arrays;
+    `inputs` is the X forward was given.  `hidden_pre`, `leak` and
+    `hidden_act` are column-major (n, n_h) arrays;
     `leak` is the Leaky ReLU slope of each unit, exactly 1.0 or LEAKY_SLOPE.
     All arrays live in `ws`, so the next forward with the same workspace
     overwrites them.
@@ -143,19 +144,24 @@ def forward(model: Mlp, X: np.ndarray, ws: Workspace | None = None) -> ForwardTr
     """Full-batch forward pass through hidden layer, activation and z-transform.
 
     A training loop passes the same `ws` every epoch; without one the trace
-    gets fresh arrays.
+    gets fresh arrays.  X is fastest feature-major (Fortran-ordered), as
+    data.standardize writes it.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.n_x:
         raise ValueError(f"expected shape (*, {model.n_x}), got {X.shape}")
     ws = Workspace() if ws is None else ws
     # Column-major hidden arrays: each per-unit pass runs over a contiguous
-    # column of n rows, not over n rows of only n_h elements.
+    # column of n rows, not over n rows of only n_h elements.  With X
+    # feature-major too, w1 @ X.T reads and writes C arrays.
     units = (model.n_h, len(X))
-    hidden_pre = np.matmul(X, model.w1.T, out=ws.get("hidden_pre", units).T)
+    hidden_pre = np.matmul(model.w1, X.T, out=ws.get("hidden_pre", units)).T
     hidden_pre += model.b1
     # Branch-free Leaky ReLU: the same bits as np.where(h > 0, h, slope*h).
-    leak = np.sign(hidden_pre, out=ws.get("leak", units).T)
+    # The slope is (h > 0) raised to LEAKY_SLOPE, so exactly 1.0 or
+    # LEAKY_SLOPE, both zeros included.  A NaN h also gets LEAKY_SLOPE, but
+    # its NaN output then fails the output's finiteness check.
+    leak = np.greater(hidden_pre, 0.0, out=ws.get("leak", units).T)
     np.maximum(leak, LEAKY_SLOPE, out=leak)
     hidden_act = np.multiply(hidden_pre, leak, out=ws.get("hidden_act", units).T)
     out_pre = np.matmul(hidden_act, model.w2, out=ws.get("out_pre", units[1:]))
@@ -233,7 +239,7 @@ def backward_and_step(model: Mlp, adam: AdamState, trace: ForwardTrace, y,
         dz_dtau *= threshold_grad_b(ap.b)
         dj_db += dz_dtau
         dj_db *= dj_dz
-        grad_beta = float(np.sum(dj_db)) * slope_grad_beta(ap.beta)
+        grad_beta = float(dj_db.sum()) * slope_grad_beta(ap.beta)
     else:   # dz/dy = 1
         np.multiply(dj_dz, logistic_backward(trace.out, ws), out=dj_dx)
         grad_beta = 0.0
@@ -242,11 +248,11 @@ def backward_and_step(model: Mlp, adam: AdamState, trace: ForwardTrace, y,
     grad = ws.get("grad", adam.m.shape)
     g = _blocks(model, grad)
     np.matmul(trace.hidden_act.T, dj_dx, out=g["w2"])
-    g["b2"][0] = np.sum(dj_dx)
+    g["b2"][0] = dj_dx.sum()
     dhidden = ws.get("dhidden", trace.leak.T.shape).T     # column-major
     np.multiply(dj_dx[:, None], model.w2, out=dhidden)    # np.outer(dj_dx, w2)
     dhidden *= trace.leak
-    np.matmul(dhidden.T, trace.inputs, out=g["w1"])
+    np.matmul(trace.inputs.T, dhidden, out=g["w1"].T)    # (dhidden.T @ X).T
     dhidden.sum(axis=0, out=g["b1"])
 
     if not np.isfinite(grad).all():

@@ -120,7 +120,10 @@ def train(cfg: TrainConfig, train_set: Dataset, val_set: Dataset):
 
     model = build_model(cfg, train_set.n_x)
     adam = AdamState.for_shapes(model.params())
-    X_val_pos = val_set.X[val_set.y == 1]    # a contiguous copy
+    # Feature-major, the layout network.forward is fast in: no copy of the
+    # X that experiment.split returns, and one of the validation positives.
+    X_train = np.asfortranarray(train_set.X)
+    X_val_pos = np.asfortranarray(val_set.X[val_set.y == 1])
     # One workspace per batch: after the first epoch nothing is allocated.
     ws_train, ws_val = Workspace(), Workspace()
     eta_b = cfg.eta_b_min
@@ -130,7 +133,7 @@ def train(cfg: TrainConfig, train_set: Dataset, val_set: Dataset):
     records: list[EpochRecord] = []
 
     for epoch in range(1, cfg.epochs + 1):
-        trace = forward(model, train_set.X, ws_train)
+        trace = forward(model, X_train, ws_train)
         acm = approx_cm(trace.z, split)
         r = rates(acm)
         er = e_ratio(acm)

@@ -55,6 +55,26 @@ class TestTrainCommand:
                 assert manifest[f.name] == getattr(resolved, f.name), f.name
         assert (manifest["loss"], manifest["astra"]) == ("bce", "off")
 
+    def test_manifest_records_environment(self, tmp_path, sparse_dataset):
+        env = cli.environment()
+        assert set(env) == {"python", "numpy", "blas", "machine", "cpus"}
+        assert env["numpy"] == np.__version__ and env["cpus"] >= 1
+        runs = {"train": ["--epochs", "2"], "cv": ["--epochs", "2", "--repeats",
+                                                  "1", "--loss", "bce"],
+                "undersample": ["--keep-positives", "5"]}
+        for command, flags in runs.items():
+            out = tmp_path / command
+            assert cli.main([command, "--dataset", str(sparse_dataset),
+                             "--out", str(out), *flags]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["environment"] == env, command
+            # A manifest is a config file: its environment is ignored.
+            again = tmp_path / f"{command}-again"
+            assert cli.main([command, "--config", str(out / "manifest.json"),
+                             "--out", str(again)]) == 0
+            rerun = json.loads((again / "manifest.json").read_text())
+            assert {**rerun, "out": None} == {**manifest, "out": None}
+
     def test_rerun_from_manifest_byte_identical(self, tmp_path, sparse_dataset):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"eta": 0.01, "tau_init": 0.3, "n_h": 3}))

@@ -305,6 +305,17 @@ class TestRunCv:
                 assert got.X.tobytes() == want.X.tobytes()
                 assert np.array_equal(got.y, want.y)
 
+    def test_split_is_feature_major(self):
+        # The trainer's forward takes np.asfortranarray(train.X), which is
+        # then train.X itself.
+        rng = np.random.default_rng(23)
+        ds = Dataset(X=rng.normal(size=(90, 3)), y=np.array([0] * 80 + [1] * 10))
+        assert not ds.X.flags.f_contiguous
+        for fold in range(5):
+            sets = split(ds, 5, 4, 1, fold)
+            assert all(s.X.flags.f_contiguous for s in sets)
+            assert np.asfortranarray(sets[0].X) is sets[0].X
+
     def test_undersampling_before_folding(self):
         rng = np.random.default_rng(21)
         ds = Dataset(X=rng.normal(size=(120, 2)),

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import platform
 import sys
 from pathlib import Path
 
@@ -36,13 +35,11 @@ TRAIN_FILES = ("checkpoint.json", "epochs.csv", "summary.json")
 
 
 def environment() -> dict:
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        blas = f"{blas.get('name', 'unknown')} {blas.get('version', '')}".strip()
-    except (TypeError, KeyError):
-        blas = "unknown"
-    return {"python": platform.python_version(), "numpy": np.__version__,
-            "blas": blas, "machine": platform.machine()}
+    """The manifest's environment without the CPU count: every run here is
+    in one process, and the hashes held at 1 and 2 BLAS threads."""
+    env = cli.environment()
+    del env["cpus"]
+    return env
 
 
 def _write_dataset(path: Path, X: np.ndarray, labels: np.ndarray) -> None:

@@ -62,11 +62,12 @@ def same_bits(a, b) -> bool:
 
 
 def batch(seed, n_x, n=400, m1=12):
+    """X feature-major, as the trainer passes it, and 0/1 targets."""
     rng = np.random.default_rng([seed, n_x, 5])
     X = np.vstack([rng.normal(0.0, 1.0, (n - m1, n_x)),
                    rng.normal(1.5, 0.8, (m1, n_x))])
     y = np.array([0.0] * (n - m1) + [1.0] * m1)
-    return X, y
+    return np.asfortranarray(X), y
 
 
 def make_model(kind, n_x, n_h, seed):

@@ -121,3 +121,40 @@ def test_val_fnr_apx_from_positives_is_full_set_fnr(seed, n_x, n_h, n, tau):
     want = rates(approx_cm(forward(model, X).z, y)).fnr
     assert _val_fnr_apx(model, X[y == 1], Workspace()) == pytest.approx(
         want, rel=1e-12, abs=0.0)
+
+
+# Features and biases among signed zeros, subnormals and +-1e300, weights
+# small enough that no product or sum overflows.  The BLAS sum starts at
+# +0.0, so a sum of -0.0 terms and a bias of -0.0 give +0.0: the hidden
+# preactivation is never -0.0, and the slope rule np.greater(h, 0.0) treats
+# both zeros alike.
+special = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308,
+                           1e300, -1e300, 1.0, -1.0, 0.5])
+weights = st.sampled_from([0.0, -0.0, 5e-324, 1.0, -1.0, 0.5])
+
+
+def arrays_of(data, values, shape):
+    size = int(np.prod(shape))
+    return np.array(data.draw(st.lists(values, min_size=size,
+                                       max_size=size))).reshape(shape)
+
+
+@CHECK
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 30), st.data())
+def test_leaky_relu_is_the_where_form(n_x, n_h, n, data):
+    model = init_mlp(n_x, n_h, 0)
+    model.w1 = arrays_of(data, weights, (n_h, n_x))
+    model.b1 = arrays_of(data, special, (n_h,))
+    trace = forward(model, np.asfortranarray(arrays_of(data, special, (n, n_x))))
+    h = trace.hidden_pre
+    assert trace.leak.tobytes() == np.where(h > 0, 1.0, 0.3).tobytes()
+    assert trace.hidden_act.tobytes() == np.where(h > 0, h, 0.3 * h).tobytes()
+
+
+@CHECK
+@given(st.integers(1, 4), st.integers(1, 30), st.data())
+def test_nan_feature_raises(n_x, n, data):
+    X = np.random.default_rng(n).normal(size=(n, n_x))
+    X[data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n_x - 1))] = np.nan
+    with pytest.raises(ValueError, match="preactivation must be finite"):
+        forward(init_mlp(n_x, 3, n), np.asfortranarray(X))

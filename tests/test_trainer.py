@@ -1,12 +1,15 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
+from astra import trainer
 from astra.activation import B_MAX, astra_threshold
 from astra.data import Dataset, read_records
 from astra.losses import ALL_KINDS, LossKind
 from astra.metrics import ClassSplit
+from astra.network import forward, predict_labels
 from astra.trainer import (
     EpochRecord,
     TrainConfig,
@@ -149,6 +152,59 @@ class TestTrain:
         cfg = TrainConfig(epochs=1)
         with pytest.raises(ValueError):
             train(cfg, bad, val)
+
+
+def shaped(n, n_x, seed) -> Dataset:
+    """n rows of n_x features, 1% positives shifted by 1.5, C-ordered."""
+    rng = np.random.default_rng([n, n_x, seed])
+    m1 = n // 100
+    X = np.vstack([rng.normal(0.0, 1.0, (n - m1, n_x)),
+                   rng.normal(1.5, 0.8, (m1, n_x))])
+    return Dataset(X=X, y=np.array([0] * (n - m1) + [1] * m1))
+
+
+def fortran(ds: Dataset) -> Dataset:
+    return Dataset(X=np.asfortranarray(ds.X), y=ds.y)
+
+
+class TestFeatureMajor:
+    # The skin shape's and the wide shape's train sets, and the golden
+    # train command's.
+    @pytest.mark.parametrize("shape", [(12020, 3), (7200, 22), (1800, 22)],
+                             ids=lambda s: f"{s[0]}x{s[1]}")
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.name)
+    def test_layout_moves_no_bit(self, shape, kind):
+        tr, val = shaped(*shape, 0), shaped(1200, shape[1], 1)
+        assert tr.X.flags.c_contiguous and not tr.X.flags.f_contiguous
+        cfg = TrainConfig(epochs=4, eta=0.01, loss=kind, seed=5)
+        (snap_c, rec_c), (snap_f, rec_f) = (train(cfg, tr, val),
+                                            train(cfg, fortran(tr), fortran(val)))
+        assert (np.array([astuple(r) for r in rec_c]).tobytes()
+                == np.array([astuple(r) for r in rec_f]).tobytes())
+        a, b = snap_c.model, snap_f.model
+        for name in ("w1", "b1", "w2", "b2"):
+            assert np.asarray(getattr(a, name)).tobytes() == \
+                np.asarray(getattr(b, name)).tobytes(), name
+        assert astuple(a.astra) == astuple(b.astra)
+        c, f = forward(a, tr.X), forward(a, np.asfortranarray(tr.X))
+        for name in ("hidden_pre", "leak", "hidden_act", "out_pre", "z"):
+            assert getattr(c, name).tobytes() == getattr(f, name).tobytes(), name
+        assert np.array_equal(predict_labels(a, tr.X),
+                              predict_labels(a, np.asfortranarray(tr.X)))
+
+    def test_train_forward_gets_the_train_set_x(self, toy_sets, monkeypatch):
+        # A feature-major train set reaches forward as itself, not a copy:
+        # the benchmark's tracer tells the train forward by identity.
+        tr, val = toy_sets
+        seen = []
+
+        def recording(model, X, ws=None):
+            seen.append(X)
+            return forward(model, X, ws)
+
+        monkeypatch.setattr(trainer, "forward", recording)
+        train(TrainConfig(epochs=3, seed=1), tr, val)
+        assert sum(X is tr.X for X in seen) == 3
 
 
 class TestEpochCsv:
