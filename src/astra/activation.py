@@ -31,6 +31,11 @@ EPS = 1e-7
 _LOG_SWITCH = 35.0
 
 
+class NonFiniteError(ValueError):
+    """A preactivation, loss, gradient or parameter went non-finite: in
+    training, the run has diverged."""
+
+
 def _check_slope(b: float) -> None:
     if not np.isfinite(b) or b < B_MIN:
         raise ValueError(f"slope must be a finite value >= 1, got {b}")
@@ -99,7 +104,7 @@ def _preactivation(x, b: float) -> np.ndarray:
     _check_slope(b)
     xa = np.asarray(x, dtype=float)
     if not np.isfinite(xa).all():
-        raise ValueError("preactivation must be finite")
+        raise NonFiniteError("preactivation must be finite")
     return np.atleast_1d(xa)
 
 

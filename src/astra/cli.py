@@ -3,6 +3,7 @@
 Configuration comes from an optional JSON config file plus flag overrides
 (flags win).  Every command writes a manifest, itself a valid config file,
 with the fully resolved configuration so outputs can be reproduced bit-exactly.
+Each option is declared once, in the option table above build_parser.
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ from .data import (
 # Unused here (experiment.split splits); bench/spans.py traces these names.
 from .data import fold_split, standardize, stratified_folds  # noqa: F401
 from .losses import ALL_KINDS, LossKind
-from .metrics import counting_cm, g_mean, mcc
-from .network import predict_labels, save_checkpoint
+from .network import save_checkpoint
 from .trainer import TrainConfig, train, write_epoch_csv
 
 # Exit codes besides 0 (success): 2 parse error, 3 i/o error, 4 invalid
@@ -40,21 +40,17 @@ from .trainer import TrainConfig, train, write_epoch_csv
 # outputs, but at least one run failed.
 EXIT_RUNS_FAILED = 5
 
-# Allowed values of the string options, from a flag or a config file.
-CHOICES = {"loss": ("bce", "gmn"), "astra": ("on", "off")}
-
-# The integer options that are not TrainConfig fields.
-INT_OPTIONS = ("folds", "repeats", "keep_positives", "jobs")
-
-# The path options: strings, never cast (a number is no path).
-PATH_OPTIONS = ("out", "dataset", "runs")
-
 
 def _load_dataset(path: str) -> Dataset:
     p = Path(path)
     if not p.exists():
         raise DataFormatError(f"dataset not found: {path}")
     raw = parse_csv(p) if p.suffix == ".csv" else parse_sparse(p)
+    # The parsers read nan and inf; no run can learn from them.
+    bad = np.flatnonzero(~np.isfinite(raw.X).all(axis=1))
+    if len(bad):
+        raise DataFormatError(f"{path}: data row {bad[0] + 1} holds a "
+                              "non-finite feature value")
     return orient_labels(raw)
 
 
@@ -78,8 +74,9 @@ def _write_json(path: Path, payload: dict) -> None:
 def _resolve(args: argparse.Namespace) -> dict:
     """Merge config file values under CLI flags (flags win).  A config file
     may set only what a flag of the command or a TrainConfig field names.
-    Each value is checked against its choices, checked to be a string (a
-    path) or cast to its type; a null one is dropped, leaving the default."""
+    Each value is checked against its CHOICES, checked to be a string (a
+    path) or cast to its type in TYPES; a null one is dropped, leaving the
+    default."""
     flags = {k: v for k, v in vars(args).items()
              if k not in ("config", "func", "command")}
     cfg = {}
@@ -98,31 +95,20 @@ def _resolve(args: argparse.Namespace) -> dict:
     if unknown:
         raise ValueError(f"unknown config key(s): {', '.join(sorted(unknown))}")
     cfg.update((k, v) for k, v in flags.items() if v is not None)
-    for key, allowed in CHOICES.items():
-        if cfg.get(key, allowed[0]) not in allowed:
-            raise ValueError(f"{key} must be one of {allowed}, got {cfg[key]!r}")
-    for key in PATH_OPTIONS:
-        if cfg.get(key) is None:
-            cfg.pop(key, None)
-        elif not isinstance(cfg[key], str):
-            raise ValueError(f"{key} must be a path string, got {cfg[key]!r}")
-    for key, kind in _option_types().items():
+    for key, kind in TYPES.items():
         value = cfg.pop(key, None)
-        if value is not None:
-            try:
-                cfg[key] = kind(value)
-            except (TypeError, ValueError):
-                raise ValueError(f"{key} must be {kind.__name__}, "
-                                 f"got {value!r}") from None
+        if value is None:
+            continue
+        if key in CHOICES and value not in CHOICES[key]:
+            raise ValueError(f"{key} must be one of {CHOICES[key]}, got {value!r}")
+        if kind is str and not isinstance(value, str):
+            raise ValueError(f"{key} must be a path string, got {value!r}")
+        try:
+            cfg[key] = kind(value)
+        except (TypeError, ValueError):
+            raise ValueError(f"{key} must be {kind.__name__}, "
+                             f"got {value!r}") from None
     return cfg
-
-
-def _option_types() -> dict:
-    """The type of each option that is cast: every TrainConfig field but the
-    loss (`int | None` as int), and INT_OPTIONS."""
-    types = field_types(TrainConfig)
-    del types["loss"]
-    return types | dict.fromkeys(INT_OPTIONS, int)
 
 
 def _train_config(cfg: dict) -> TrainConfig:
@@ -165,18 +151,11 @@ def cmd_train(cfg: dict) -> int:
     save_checkpoint(snapshot.model, out / "checkpoint.json")
     write_epoch_csv(records, out / "epochs.csv")
 
-    labels = predict_labels(snapshot.model, test_ds.X)
-    cm = counting_cm(labels, test_ds.y)
-    summary = {
-        "best_epoch": snapshot.epoch,
-        "val_fnr_apx": snapshot.val_fnr_apx,
-        "diverged": snapshot.diverged,
-        "test_cm": {"tn": cm.tn, "fp": cm.fp, "fn": cm.fn, "tp": cm.tp},
-        "test_g_mean": g_mean(cm) if test_ds.m1 and test_ds.m0 else None,
-        "test_mcc": mcc(cm),
-        "final_b": snapshot.model.astra.b,
-        "final_tau": snapshot.model.astra.tau,
-    }
+    run = vars(experiment.score(snapshot, test_ds, tcfg.loss.name, 0, 0))
+    summary = {key: run[key] for key in ("best_epoch", "val_fnr_apx",
+                                         "diverged", "final_b", "final_tau")}
+    summary.update(test_cm={key: run[key] for key in ("tn", "fp", "fn", "tp")},
+                   test_g_mean=run["g_mean"], test_mcc=run["mcc"])
     _write_json(out / "summary.json", summary)
     return 0
 
@@ -225,7 +204,7 @@ def cmd_undersample(cfg: dict) -> int:
     out = Path(cfg["out"])
     ds = _load_dataset(cfg["dataset"])
     keep = cfg["keep_positives"]
-    seed = cfg.get("seed", 0)
+    seed = cfg.get("seed", TrainConfig.seed)
     reduced, kept_idx = undersample_minority(ds, keep, seed=[seed, 0, 101])
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "manifest.json", {"command": "undersample",
@@ -245,51 +224,43 @@ def cmd_report(cfg: dict) -> int:
     return _report(results, Path(cfg["out"]), cfg["runs"], show=True)
 
 
+# The option table.  TYPES gives each option's type: the TrainConfig fields
+# (whose loss is set by a choice), the protocol integers, and the paths and
+# choices, which stay uncast strings (a number is no path).
+CHOICES = {"loss": tuple(dict.fromkeys(kind.variant for kind in ALL_KINDS)),
+           "astra": ("on", "off")}
+TYPES = (field_types(TrainConfig)
+         | dict.fromkeys(("folds", "repeats", "keep_positives", "jobs"), int)
+         | dict.fromkeys(("out", "dataset", "runs", *CHOICES), str))
+HELP = {"config": "JSON config file; flags override it",
+        "out": "output directory", "runs": "per-run results CSV"}
+# Each command's function, help text and flags besides --config, --out and
+# --seed, in the order --help lists them.
+COMMANDS = {
+    "train": (cmd_train, "train one model on one dataset",
+              ("dataset", "loss", "astra", "epochs", "folds", "n_h")),
+    "cv": (cmd_cv, "repeated stratified cross-validation",
+           ("dataset", "loss", "astra", "epochs", "repeats", "folds",
+            "keep_positives", "jobs")),
+    "undersample": (cmd_undersample, "minority-undersample a dataset",
+                    ("dataset", "keep_positives")),
+    "report": (cmd_report, "rebuild a report from a runs CSV", ("runs",)),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="astra",
         description="Imbalanced binary classification with an asymmetric "
                     "output activation and confusion-matrix losses.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int)
-
-    p_train = sub.add_parser("train", help="train one model on one dataset")
-    common(p_train)
-    p_train.add_argument("--dataset")
-    p_train.add_argument("--loss", choices=CHOICES["loss"])
-    p_train.add_argument("--astra", choices=CHOICES["astra"])
-    p_train.add_argument("--epochs", type=int)
-    p_train.add_argument("--folds", type=int)
-    p_train.add_argument("--n-h", dest="n_h", type=int)
-    p_train.set_defaults(func=cmd_train)
-
-    p_cv = sub.add_parser("cv", help="repeated stratified cross-validation")
-    common(p_cv)
-    p_cv.add_argument("--dataset")
-    p_cv.add_argument("--loss", choices=CHOICES["loss"])
-    p_cv.add_argument("--astra", choices=CHOICES["astra"])
-    p_cv.add_argument("--epochs", type=int)
-    p_cv.add_argument("--repeats", type=int)
-    p_cv.add_argument("--folds", type=int)
-    p_cv.add_argument("--keep-positives", dest="keep_positives", type=int)
-    p_cv.add_argument("--jobs", type=int)
-    p_cv.set_defaults(func=cmd_cv)
-
-    p_us = sub.add_parser("undersample", help="minority-undersample a dataset")
-    common(p_us)
-    p_us.add_argument("--dataset")
-    p_us.add_argument("--keep-positives", dest="keep_positives", type=int)
-    p_us.set_defaults(func=cmd_undersample)
-
-    p_rep = sub.add_parser("report", help="rebuild a report from a runs CSV")
-    common(p_rep)
-    p_rep.add_argument("--runs", help="per-run results CSV")
-    p_rep.set_defaults(func=cmd_report)
-
+    for name, (func, text, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--config", help=HELP["config"])
+        for key in ("out", "seed", *flags):
+            p.add_argument("--" + key.replace("_", "-"), type=TYPES[key],
+                           choices=CHOICES.get(key), help=HELP.get(key))
+        p.set_defaults(func=func)
     return parser
 
 

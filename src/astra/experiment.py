@@ -23,7 +23,7 @@ from .data import (Dataset, fold_split, read_records, standardize,
 from .losses import LossKind
 from .metrics import counting_cm, g_mean, mcc
 from .network import predict_labels
-from .trainer import TrainConfig, train
+from .trainer import Snapshot, TrainConfig, train
 
 log = logging.getLogger(__name__)
 
@@ -128,17 +128,24 @@ def compare(a, b) -> float:
 # Cross-validation
 
 
+def score(snapshot: Snapshot, test_ds: Dataset, method: str, repeat: int,
+          fold: int) -> RunResult:
+    """The RunResult of a trained run: the counting CM of the snapshot's
+    labels on `test_ds`, its G-Mean and MCC, and the snapshot's health."""
+    labels = predict_labels(snapshot.model, test_ds.X)
+    cm, astra = counting_cm(labels, test_ds.y), snapshot.model.astra
+    return RunResult(method, repeat, fold, **vars(cm), g_mean=g_mean(cm),
+                     mcc=mcc(cm), best_epoch=snapshot.epoch, final_b=astra.b,
+                     diverged=snapshot.diverged, final_tau=astra.tau,
+                     val_fnr_apx=snapshot.val_fnr_apx)
+
+
 def _run_single(args):
     (repeat, fold, kind, cfg, train_ds, val_ds, test_ds) = args
     method = kind.name
     try:
         snapshot, _ = train(cfg, train_ds, val_ds)
-        labels = predict_labels(snapshot.model, test_ds.X)
-        cm, astra = counting_cm(labels, test_ds.y), snapshot.model.astra
-        return RunResult(method, repeat, fold, **vars(cm), g_mean=g_mean(cm),
-                         mcc=mcc(cm), best_epoch=snapshot.epoch, final_b=astra.b,
-                         diverged=snapshot.diverged, final_tau=astra.tau,
-                         val_fnr_apx=snapshot.val_fnr_apx)
+        return score(snapshot, test_ds, method, repeat, fold)
     except Exception as exc:  # failed runs are recorded, never dropped
         log.warning("run (%s, repeat %d, fold %d) failed: %s",
                     method, repeat, fold, exc)

@@ -16,6 +16,7 @@ import numpy as np
 from .activation import (  # noqa: F401
     AstraParams,
     LogisticTerms,
+    NonFiniteError,
     OutputTerms,
     astra_backward,
     astra_forward,
@@ -175,10 +176,6 @@ def forward(model: Mlp, X: np.ndarray, ws: Workspace | None = None) -> ForwardTr
                         hidden_act=hidden_act, out_pre=out_pre, out=out, ws=ws)
 
 
-class NonFiniteGradientError(RuntimeError):
-    pass
-
-
 def _blocks(model: Mlp, flat: np.ndarray) -> dict:
     """Views of a flat parameter-sized vector shaped as each parameter, in
     the order of PARAM_NAMES."""
@@ -228,6 +225,8 @@ def backward_and_step(model: Mlp, adam: AdamState, trace: ForwardTrace, y,
     ap = model.astra
     ws = trace.ws
     loss_value, dj_dz = loss_and_grad(kind, trace.z, y, acm, ws)
+    if not np.isfinite(loss_value):
+        raise NonFiniteError("non-finite loss")
     dj_dx = ws.get("dj_dx", dj_dz.shape)
     if ap.trainable:
         dy_dx, dz_dy, dy_db, dz_dtau = output_backward(trace.out, ap.b, ap.tau,
@@ -257,15 +256,15 @@ def backward_and_step(model: Mlp, adam: AdamState, trace: ForwardTrace, y,
 
     if not np.isfinite(grad).all():
         k = next(k for k, a in g.items() if not np.isfinite(a).all())
-        raise NonFiniteGradientError(f"non-finite gradient in {k}")
+        raise NonFiniteError(f"non-finite gradient in {k}")
     if not np.isfinite(grad_beta):
-        raise NonFiniteGradientError("non-finite gradient in beta")
+        raise NonFiniteError("non-finite gradient in beta")
 
     _adam_step(model, adam, grad, eta, ws)
     ap.step_beta(grad_beta, eta_b)
     for k in PARAM_NAMES:     # separate arrays: one check each
         if not np.isfinite(getattr(model, k)).all():
-            raise NonFiniteGradientError(f"non-finite parameter {k} after update")
+            raise NonFiniteError(f"non-finite parameter {k} after update")
     return float(loss_value), grad_beta
 
 

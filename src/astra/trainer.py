@@ -13,14 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activation import AstraParams
+from .activation import AstraParams, NonFiniteError
 from .data import Dataset, write_records
 from .losses import LossKind
 from .metrics import approx_cm, class_split, e_ratio, positive_cells, rates
 from .network import (
     AdamState,
     Mlp,
-    NonFiniteGradientError,
     backward_and_step,
     forward,
     hidden_width,
@@ -133,25 +132,20 @@ def train(cfg: TrainConfig, train_set: Dataset, val_set: Dataset):
     records: list[EpochRecord] = []
 
     for epoch in range(1, cfg.epochs + 1):
-        trace = forward(model, X_train, ws_train)
-        acm = approx_cm(trace.z, split)
-        r = rates(acm)
-        er = e_ratio(acm)
-        eta_b = eta_b_update(eta_b, er, cfg)
         try:
+            trace = forward(model, X_train, ws_train)
+            acm = approx_cm(trace.z, split)
+            r = rates(acm)
+            er = e_ratio(acm)
+            eta_b = eta_b_update(eta_b, er, cfg)
             loss_value, _ = backward_and_step(
                 model, adam, trace, split, cfg.loss, cfg.eta, eta_b, acm)
-        except NonFiniteGradientError as exc:
+            val_fnr = _val_fnr_apx(model, X_val_pos, ws_val)
+        except NonFiniteError as exc:
             log.warning("epoch %d: %s; stopping with last good snapshot",
                         epoch, exc)
             snapshot.diverged = True
             break
-        if not np.isfinite(loss_value):
-            log.warning("epoch %d: non-finite loss; stopping with last good "
-                        "snapshot", epoch)
-            snapshot.diverged = True
-            break
-        val_fnr = _val_fnr_apx(model, X_val_pos, ws_val)
         records.append(EpochRecord(
             epoch=epoch, train_loss=loss_value, train_e_ratio=er,
             train_fnr_apx=r.fnr, train_fpr_apx=r.fpr, val_fnr_apx=val_fnr,

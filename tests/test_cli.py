@@ -1,6 +1,9 @@
 import json
+import re
+import shutil
 import warnings
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ import pytest
 from astra import cli, experiment
 from astra.activation import B_MAX, astra_threshold
 from astra.data import parse_sparse, write_sparse
+from astra.losses import ALL_KINDS
 from astra.trainer import TrainConfig
 
 
@@ -493,3 +497,178 @@ class TestConfigFile:
         assert json.loads((out / "checkpoint.json").read_text())["n_h"] == 3
         manifest = json.loads((out / "manifest.json").read_text())
         assert (manifest["n_h"], manifest["eta"]) == (3, 0.01)
+
+
+# The interface of each command, written out: its options besides --config,
+# each with a value it takes (a path option takes the one `_base` gives it)
+# and one that does not cast.
+COMMAND_OPTIONS = {
+    "train": ("out", "seed", "dataset", "loss", "astra", "epochs", "folds",
+              "n_h"),
+    "cv": ("out", "seed", "dataset", "loss", "astra", "epochs", "repeats",
+           "folds", "keep_positives", "jobs"),
+    "undersample": ("out", "seed", "dataset", "keep_positives"),
+    "report": ("out", "seed", "runs"),
+}
+PATHS = ("out", "dataset", "runs")
+GOOD = {"seed": 3, "loss": "gmn", "astra": "on", "epochs": 2, "folds": 4,
+        "n_h": 2, "repeats": 2, "keep_positives": 6, "jobs": 1}
+BAD = {**dict.fromkeys(GOOD, "x"), "loss": "mse", "astra": "yes",
+       **dict.fromkeys(PATHS, 5)}
+
+
+def _base(command, tmp_path, sparse_dataset) -> dict:
+    """Options that make `command` run quickly, paths included."""
+    if command == "report":
+        runs = tmp_path / "runs.csv"
+        experiment.write_run_csv(
+            [experiment.RunResult(m, 0, f, 1, 0, 0, 1, g_mean=1.0 - f / 10,
+                                  mcc=0.5) for m in ("bce", "gmn")
+             for f in range(5)], runs)
+        return {"out": str(tmp_path / "o"), "runs": str(runs)}
+    base = {"out": str(tmp_path / "o"), "dataset": str(sparse_dataset)}
+    return base | {"train": {"epochs": 1},
+                   "cv": {"epochs": 1, "repeats": 1, "loss": "bce"},
+                   "undersample": {"keep_positives": 4}}[command]
+
+
+def _argv(command, options: dict) -> list:
+    return [command, *(arg for key, value in options.items()
+                       for arg in ("--" + key.replace("_", "-"), str(value)))]
+
+
+class TestOptionTable:
+    @pytest.mark.parametrize("command, key", [
+        (command, key) for command, keys in COMMAND_OPTIONS.items()
+        for key in keys])
+    def test_flag_and_config_key_agree(self, tmp_path, sparse_dataset, capsys,
+                                       command, key):
+        options = _base(command, tmp_path, sparse_dataset)
+        options[key] = options.get(key) if key in PATHS else GOOD[key]
+        config = tmp_path / "cfg.json"
+        rest = {k: v for k, v in options.items() if k != key}
+        config.write_text(json.dumps({key: options[key]}))
+        by_flag = _argv(command, options)
+        by_config = _argv(command, rest) + ["--config", str(config)]
+        parser = cli.build_parser()
+        resolved = [cli._resolve(parser.parse_args(argv))
+                    for argv in (by_flag, by_config)]
+        assert resolved[0] == resolved[1]
+        assert resolved[0][key] == options[key]
+        out = Path(options["out"])
+        written = []
+        for argv in (by_flag, by_config):
+            assert cli.main(argv) == 0
+            name = "report.json" if command == "report" else "manifest.json"
+            written.append((out / name).read_bytes())
+            shutil.rmtree(out)
+        assert written[0] == written[1]
+
+        # A null value is as if the key were absent.
+        config.write_text(json.dumps({key: None}))
+        assert (cli._resolve(parser.parse_args(by_config))
+                == cli._resolve(parser.parse_args(_argv(command, rest))))
+
+        # A value that does not cast: exit 2 as a flag, 4 from the config.
+        if key not in PATHS:    # every string is a path
+            with pytest.raises(SystemExit) as exc:
+                cli.main(_argv(command, {**rest, key: BAD[key]}))
+            assert exc.value.code == 2
+        config.write_text(json.dumps({key: BAD[key]}))
+        capsys.readouterr()
+        assert cli.main(by_config) == 4
+        assert f"invalid configuration: {key} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", COMMAND_OPTIONS)
+    def test_help_lists_the_command_flags(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        flags = {"--" + key.replace("_", "-") for key in COMMAND_OPTIONS[command]}
+        assert set(re.findall(r"--[a-z-]+", text)) == flags | {"--help",
+                                                              "--config"}
+        shown = {"config": "--config CONFIG +JSON config file; flags override it",
+                 "out": "--out OUT +output directory",
+                 "loss": "--loss {bce,gmn}", "astra": "--astra {on,off}",
+                 "runs": "--runs RUNS +per-run results CSV"}
+        for key, pattern in shown.items():
+            assert bool(re.search(pattern, text)) == (
+                key in ("config", *COMMAND_OPTIONS[command])), key
+
+    def test_loss_choices_are_the_loss_variants(self):
+        assert cli.CHOICES["loss"] == ("bce", "gmn")
+        assert set(cli.CHOICES["loss"]) == {kind.variant for kind in ALL_KINDS}
+
+
+class TestDivergence:
+    """A run whose step overflows stops as diverged, its last good snapshot
+    kept and scored."""
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda kind: kind.name)
+    def test_train_keeps_last_good_snapshot(self, tmp_path, sparse_dataset,
+                                            kind):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"eta": 1e200}))
+        out = tmp_path / "run"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)   # the overflow
+            assert cli.main(["train", "--dataset", str(sparse_dataset),
+                             "--config", str(config), "--out", str(out),
+                             "--loss", kind.variant, "--astra",
+                             "on" if kind.use_astra else "off",
+                             "--epochs", "5"]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["diverged"] is True
+        assert summary["best_epoch"] == 0
+        assert summary["test_g_mean"] is not None
+        checkpoint = json.loads((out / "checkpoint.json").read_text())
+        for name in ("w1", "b1", "w2", "b2"):
+            assert np.isfinite(checkpoint[name]).all(), name
+        assert len((out / "epochs.csv").read_text().splitlines()) == 1
+
+    def test_cv_scores_diverged_runs(self, tmp_path, sparse_dataset):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"eta": 1e200}))
+        out = tmp_path / "cv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert cli.main(["cv", "--dataset", str(sparse_dataset), "--config",
+                             str(config), "--out", str(out), "--loss", "gmn",
+                             "--astra", "on", "--epochs", "3", "--repeats",
+                             "1", "--folds", "5"]) == 0
+        runs = experiment.read_run_csv(out / "runs.csv")
+        assert len(runs) == 5
+        for run in runs:
+            assert run.diverged is True and run.error is None
+            assert run.best_epoch == 0
+            assert None not in (run.g_mean, run.mcc)
+
+
+class TestNonFiniteFeatures:
+    @pytest.mark.parametrize("command, flags", [
+        ("train", ["--epochs", "1"]),
+        ("cv", ["--epochs", "1", "--repeats", "1", "--loss", "bce"]),
+        ("undersample", ["--keep-positives", "4"]),
+    ])
+    @pytest.mark.parametrize("suffix", [".txt", ".csv"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejected_at_load(self, tmp_path, sparse_dataset, capsys, command,
+                              flags, suffix, value):
+        raw = parse_sparse(sparse_dataset)
+        X = raw.X.copy()
+        X[6, 1] = value        # a negative: no validation forward reads it
+        path = tmp_path / f"bad{suffix}"
+        if suffix == ".csv":
+            rows = np.column_stack([raw.labels, X])
+            path.write_text("label,a,b,c\n\n" + "".join(
+                ",".join(map(repr, map(float, row))) + "\n" for row in rows))
+        else:
+            write_sparse(path, X, raw.labels)
+        out = tmp_path / "o"
+        assert cli.main([command, "--dataset", str(path), "--out", str(out),
+                         *flags]) == 2
+        assert (f"parse error: {path}: data row 7 holds a non-finite feature "
+                "value") in capsys.readouterr().err
+        assert not out.exists()

@@ -21,6 +21,7 @@ import pytest
 from astra.activation import (
     AstraParams,
     LogisticTerms,
+    NonFiniteError,
     astra_backward,
     astra_forward,
     clamp_unit,
@@ -42,7 +43,6 @@ from astra.network import (
     LEAKY_SLOPE,
     PARAM_NAMES,
     AdamState,
-    NonFiniteGradientError,
     backward_and_step,
     forward,
     init_mlp,
@@ -326,14 +326,14 @@ def test_non_finite_gradient_and_parameter_name_their_block():
         model = make_model(kind, 3, 2, 6)
         trace = forward(model, X)
         trace.hidden_act[0, 1] = np.inf        # reaches only w2's gradient
-        with pytest.raises(NonFiniteGradientError,
+        with pytest.raises(NonFiniteError,
                            match="non-finite gradient in w2$"):
             backward_and_step(model, fresh_adam(model), trace, y, kind,
                               0.01, 0.05)
         model = make_model(kind, 3, 2, 6)
         trace = forward(model, X)
         model.b1[1] = np.nan                   # the step keeps it
-        with pytest.raises(NonFiniteGradientError,
+        with pytest.raises(NonFiniteError,
                            match="non-finite parameter b1 after update$"):
             backward_and_step(model, fresh_adam(model), trace, y, kind,
                               0.01, 0.05)
