@@ -73,10 +73,10 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _resolve(args: argparse.Namespace) -> dict:
     """Merge config file values under CLI flags (flags win).  A config file
-    may set only what a flag of the command or a TrainConfig field names.
-    Each value is checked against its CHOICES, checked to be a string (a
-    path) or cast to its type in TYPES; a null one is dropped, leaving the
-    default."""
+    may set only what a flag of the command or, for train and cv, a
+    TrainConfig field names.  Each value is checked against its CHOICES,
+    checked to be a string (a path) or cast to its type in TYPES; a null
+    one is dropped, leaving the default."""
     flags = {k: v for k, v in vars(args).items()
              if k not in ("config", "func", "command")}
     cfg = {}
@@ -91,7 +91,8 @@ def _resolve(args: argparse.Namespace) -> dict:
         # A manifest names the command that wrote it and its environment.
         cfg.pop("command", None)
         cfg.pop("environment", None)
-    unknown = set(cfg) - set(flags) - {f.name for f in fields(TrainConfig)}
+    trains = args.command in ("train", "cv")
+    unknown = set(cfg) - set(flags) - {f.name for f in fields(TrainConfig) if trains}
     if unknown:
         raise ValueError(f"unknown config key(s): {', '.join(sorted(unknown))}")
     cfg.update((k, v) for k, v in flags.items() if v is not None)
@@ -112,17 +113,14 @@ def _resolve(args: argparse.Namespace) -> dict:
 
 
 def _train_config(cfg: dict) -> TrainConfig:
-    """The TrainConfig the options set, every other field at its default."""
+    """The TrainConfig the options set, every other field at its default;
+    its loss is the method the loss/astra options name."""
     given = {f.name: cfg[f.name] for f in fields(TrainConfig)
              if f.name != "loss" and f.name in cfg}
-    return TrainConfig(loss=_loss_kind(cfg), **given)
-
-
-def _loss_kind(cfg: dict) -> LossKind:
-    """The method the loss/astra options name, TrainConfig's by default."""
     default = TrainConfig.loss
     use_astra = cfg["astra"] == "on" if "astra" in cfg else default.use_astra
-    return LossKind(cfg.get("loss", default.variant), use_astra)
+    return TrainConfig(loss=LossKind(cfg.get("loss", default.variant), use_astra),
+                       **given)
 
 
 def _manifest(command: str, cfg: dict, tcfg: TrainConfig, loss: bool) -> dict:
@@ -177,8 +175,7 @@ def cmd_cv(cfg: dict) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "manifest.json", _manifest("cv", cfg, tcfg, "loss" in cfg))
     results = experiment.run_cv(ds, tcfg, methods, repeats=repeats, k=k,
-                                base_seed=tcfg.seed, keep_positives=keep_positives,
-                                jobs=cfg.get("jobs", 1))
+                                keep_positives=keep_positives, jobs=cfg.get("jobs", 1))
     experiment.write_run_csv(results, out / "runs.csv")
     return _report(results, out, out / "runs.csv")
 
@@ -234,16 +231,16 @@ TYPES = (field_types(TrainConfig)
          | dict.fromkeys(("out", "dataset", "runs", *CHOICES), str))
 HELP = {"config": "JSON config file; flags override it",
         "out": "output directory", "runs": "per-run results CSV"}
-# Each command's function, help text and flags besides --config, --out and
-# --seed, in the order --help lists them.
+# Each command's function, help text and flags besides --config and --out,
+# in the order --help lists them.
 COMMANDS = {
     "train": (cmd_train, "train one model on one dataset",
-              ("dataset", "loss", "astra", "epochs", "folds", "n_h")),
+              ("seed", "dataset", "loss", "astra", "epochs", "folds", "n_h")),
     "cv": (cmd_cv, "repeated stratified cross-validation",
-           ("dataset", "loss", "astra", "epochs", "repeats", "folds",
+           ("seed", "dataset", "loss", "astra", "epochs", "repeats", "folds",
             "keep_positives", "jobs")),
     "undersample": (cmd_undersample, "minority-undersample a dataset",
-                    ("dataset", "keep_positives")),
+                    ("seed", "dataset", "keep_positives")),
     "report": (cmd_report, "rebuild a report from a runs CSV", ("runs",)),
 }
 
@@ -257,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (func, text, flags) in COMMANDS.items():
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", help=HELP["config"])
-        for key in ("out", "seed", *flags):
+        for key in ("out", *flags):
             p.add_argument("--" + key.replace("_", "-"), type=TYPES[key],
                            choices=CHOICES.get(key), help=HELP.get(key))
         p.set_defaults(func=func)

@@ -5,7 +5,7 @@ determination.
 Protocol: per repeat, optionally resample the retained minority positives,
 build a stratified k-fold plan, and rotate test/validation folds through all
 k positions; three folds train, one validates, one tests.  All methods share
-the per-(repeat, fold) seeds so results are paired.
+the per-(repeat, fold) split and seed so results are paired.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -140,19 +141,6 @@ def score(snapshot: Snapshot, test_ds: Dataset, method: str, repeat: int,
                      val_fnr_apx=snapshot.val_fnr_apx)
 
 
-def _run_single(args):
-    (repeat, fold, kind, cfg, train_ds, val_ds, test_ds) = args
-    method = kind.name
-    try:
-        snapshot, _ = train(cfg, train_ds, val_ds)
-        return score(snapshot, test_ds, method, repeat, fold)
-    except Exception as exc:  # failed runs are recorded, never dropped
-        log.warning("run (%s, repeat %d, fold %d) failed: %s",
-                    method, repeat, fold, exc)
-        return RunResult(method, repeat, fold,
-                         error=f"{type(exc).__name__}: {exc}")
-
-
 def check_protocol(ds: Dataset, k: int, keep_positives: int | None,
                    repeats: int, n_methods: int) -> None:
     """Reject a protocol that cannot give a report: every fold serves once as
@@ -179,34 +167,47 @@ def split(ds: Dataset, k: int, seed: int, repeat: int, fold: int):
     return train_ds, val_ds, test_ds
 
 
+def _run_rotation(ds: Dataset, cfg: TrainConfig, methods, k, keep_positives, key):
+    """One RunResult per method for rotation `key` = (repeat, fold), built in
+    the worker from `ds` alone: the repeat's undersample, the rotation's
+    split, then each method trained from the seed [cfg.seed, repeat, fold]."""
+    repeat, fold = key
+    if keep_positives is not None:
+        ds, _ = undersample_minority(ds, keep_positives, seed=[cfg.seed, repeat, 101])
+    train_ds, val_ds, test_ds = split(ds, k, cfg.seed, repeat, fold)
+    results = []
+    for kind in methods:
+        cfg_run = replace(cfg, loss=kind, seed=[cfg.seed, repeat, fold])
+        try:
+            snapshot, _ = train(cfg_run, train_ds, val_ds)
+            results.append(score(snapshot, test_ds, kind.name, repeat, fold))
+        except Exception as exc:  # failed runs are recorded, never dropped
+            log.warning("run (%s, repeat %d, fold %d) failed: %s",
+                        kind.name, repeat, fold, exc)
+            results.append(RunResult(kind.name, repeat, fold,
+                                     error=f"{type(exc).__name__}: {exc}"))
+    return results
+
+
 def run_cv(ds: Dataset, cfg: TrainConfig, methods: list[LossKind],
-           repeats: int = REPEATS, k: int = FOLDS, base_seed: int = 0,
+           repeats: int = REPEATS, k: int = FOLDS,
            keep_positives: int | None = None, jobs: int = 1) -> list[RunResult]:
     """repeats x k cross-validation of every method on one dataset.
 
     Returns repeats*k RunResults per method, deterministically ordered by
-    (method, repeat, fold) and reproducible for a fixed base seed regardless
-    of the worker count.
+    (method, repeat, fold) and reproducible for a fixed cfg.seed regardless
+    of the worker count.  A task is one (repeat, fold) key: _run_rotation.
     """
     check_protocol(ds, k, keep_positives, repeats, len(methods))
-    tasks = []
-    for repeat in range(repeats):
-        ds_r = ds
-        if keep_positives is not None:
-            ds_r, _ = undersample_minority(ds, keep_positives,
-                                           seed=[base_seed, repeat, 101])
-        for fold in range(k):
-            sets = split(ds_r, k, base_seed, repeat, fold)   # train, val, test
-            for kind in methods:
-                cfg_run = replace(cfg, loss=kind, seed=[base_seed, repeat, fold])
-                tasks.append((repeat, fold, kind, cfg_run, *sets))
+    rotation = partial(_run_rotation, ds, cfg, methods, k, keep_positives)
+    keys = itertools.product(range(repeats), range(k))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_single, tasks, chunksize=1))
+            per_key = list(pool.map(rotation, keys, chunksize=1))
     else:
-        results = [_run_single(t) for t in tasks]
-    results.sort(key=lambda r: (r.method, r.repeat, r.fold))
-    return results
+        per_key = map(rotation, keys)
+    return sorted(itertools.chain.from_iterable(per_key),
+                  key=lambda r: (r.method, r.repeat, r.fold))
 
 
 def _scores(results: list[RunResult]) -> dict:

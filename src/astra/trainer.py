@@ -131,28 +131,30 @@ def train(cfg: TrainConfig, train_set: Dataset, val_set: Dataset):
                         val_fnr_apx=_val_fnr_apx(model, X_val_pos, ws_val))
     records: list[EpochRecord] = []
 
-    for epoch in range(1, cfg.epochs + 1):
-        try:
-            trace = forward(model, X_train, ws_train)
-            acm = approx_cm(trace.z, split)
-            r = rates(acm)
-            er = e_ratio(acm)
-            eta_b = eta_b_update(eta_b, er, cfg)
-            loss_value, _ = backward_and_step(
-                model, adam, trace, split, cfg.loss, cfg.eta, eta_b, acm)
-            val_fnr = _val_fnr_apx(model, X_val_pos, ws_val)
-        except NonFiniteError as exc:
-            log.warning("epoch %d: %s; stopping with last good snapshot",
-                        epoch, exc)
-            snapshot.diverged = True
-            break
-        records.append(EpochRecord(
-            epoch=epoch, train_loss=loss_value, train_e_ratio=er,
-            train_fnr_apx=r.fnr, train_fpr_apx=r.fpr, val_fnr_apx=val_fnr,
-            b=model.astra.b, tau=model.astra.tau, eta_b=eta_b))
-        if val_fnr < snapshot.val_fnr_apx:
-            snapshot = Snapshot(epoch=epoch, model=model.copy(),
-                                val_fnr_apx=val_fnr)
+    # NonFiniteError reports a divergence; numpy's warning would crash under -W error.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, cfg.epochs + 1):
+            try:
+                trace = forward(model, X_train, ws_train)
+                acm = approx_cm(trace.z, split)
+                r = rates(acm)
+                er = e_ratio(acm)
+                eta_b = eta_b_update(eta_b, er, cfg)
+                loss_value, _ = backward_and_step(
+                    model, adam, trace, split, cfg.loss, cfg.eta, eta_b, acm)
+                val_fnr = _val_fnr_apx(model, X_val_pos, ws_val)
+            except NonFiniteError as exc:
+                log.warning("epoch %d: %s; stopping with last good snapshot",
+                            epoch, exc)
+                snapshot.diverged = True
+                break
+            records.append(EpochRecord(
+                epoch=epoch, train_loss=loss_value, train_e_ratio=er,
+                train_fnr_apx=r.fnr, train_fpr_apx=r.fpr, val_fnr_apx=val_fnr,
+                b=model.astra.b, tau=model.astra.tau, eta_b=eta_b))
+            if val_fnr < snapshot.val_fnr_apx:
+                snapshot = Snapshot(epoch=epoch, model=model.copy(),
+                                    val_fnr_apx=val_fnr)
     return snapshot, records
 
 

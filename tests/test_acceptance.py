@@ -249,7 +249,7 @@ def test_criterion_7_full_reproduction(tmp_path):
 
     ds = _load_dataset(os.environ["SKIN588_PATH"])
     cfg = TrainConfig(epochs=10000)
-    results = run_cv(ds, cfg, list(ALL_KINDS), repeats=10, k=5, base_seed=0,
+    results = run_cv(ds, cfg, list(ALL_KINDS), repeats=10, k=5,
                      jobs=int(os.environ.get("SKIN588_JOBS", "1")))
     report = determine_winners(results)
     mean_ba = report["stats"]["bce-astra"]["g_mean"]["mean"]

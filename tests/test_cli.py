@@ -508,7 +508,7 @@ COMMAND_OPTIONS = {
     "cv": ("out", "seed", "dataset", "loss", "astra", "epochs", "repeats",
            "folds", "keep_positives", "jobs"),
     "undersample": ("out", "seed", "dataset", "keep_positives"),
-    "report": ("out", "seed", "runs"),
+    "report": ("out", "runs"),
 }
 PATHS = ("out", "dataset", "runs")
 GOOD = {"seed": 3, "loss": "gmn", "astra": "on", "epochs": 2, "folds": 4,
@@ -671,4 +671,66 @@ class TestNonFiniteFeatures:
                          *flags]) == 2
         assert (f"parse error: {path}: data row 7 holds a non-finite feature "
                 "value") in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestDivergenceUnderWarningsAsErrors:
+    """numpy's overflow warning never reaches a diverging run, so under
+    warnings-as-errors its runs still come back diverged, not failed."""
+
+    def _main(self, tmp_path, sparse_dataset, command, *flags):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"eta": 1e200}))
+        out = tmp_path / command
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main([command, "--dataset", str(sparse_dataset), "--config",
+                           str(config), "--out", str(out), "--epochs", "3", *flags])
+        return rc, out
+
+    def test_train(self, tmp_path, sparse_dataset):
+        rc, out = self._main(tmp_path, sparse_dataset, "train")
+        assert rc == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert (summary["diverged"], summary["best_epoch"]) == (True, 0)
+
+    def test_cv(self, tmp_path, sparse_dataset):
+        rc, out = self._main(tmp_path, sparse_dataset, "cv", "--repeats", "1")
+        assert rc == 0
+        runs = experiment.read_run_csv(out / "runs.csv")
+        assert len(runs) == 4 * 5
+        assert {(run.diverged, run.error) for run in runs} == {(True, None)}
+
+
+class TestCommandReadsItsOwnOptions:
+    """A command's config file and flags set only what that command reads."""
+
+    def test_undersample_rejects_training_settings(self, tmp_path,
+                                                   sparse_dataset, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"epochs": 3, "eta": 0.5}))
+        out = tmp_path / "o"
+        assert cli.main(["undersample", "--dataset", str(sparse_dataset),
+                         "--keep-positives", "4", "--config", str(config),
+                         "--out", str(out)]) == 4
+        assert ("invalid configuration: unknown config key(s): epochs, eta"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_report_takes_no_seed(self, tmp_path, capsys):
+        runs = tmp_path / "runs.csv"
+        experiment.write_run_csv([experiment.RunResult(
+            m, 0, f, 1, 0, 0, 1, g_mean=1.0, mcc=0.5)
+            for m in ("bce", "gmn") for f in range(5)], runs)
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["report", "--runs", str(runs), "--out", str(out),
+                      "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"seed": 1}))
+        assert cli.main(["report", "--runs", str(runs), "--out", str(out),
+                         "--config", str(config)]) == 4
+        assert "unknown config key(s): seed" in capsys.readouterr().err
         assert not out.exists()

@@ -1,12 +1,18 @@
 import itertools
+import multiprocessing
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from astra import experiment
+import astra
+from astra import cli, experiment
 from astra.data import (DataFormatError, Dataset, fold_split, standardize,
-                        stratified_folds)
+                        stratified_folds, undersample_minority, write_sparse)
 from astra.experiment import (
     MIN_PAIRS,
     RunResult,
@@ -17,13 +23,14 @@ from astra.experiment import (
     read_run_csv,
     render_table,
     run_cv,
+    score,
     split,
     wilcoxon_signed_rank,
     write_run_csv,
 )
 from astra.losses import ALL_KINDS, LossKind
 from astra.metrics import CountCM
-from astra.trainer import TrainConfig
+from astra.trainer import TrainConfig, train
 
 
 def reference_midranks(values):
@@ -260,9 +267,9 @@ def small_cv_results():
     Xn = rng.normal(0, 1, (200, 2))
     Xp = rng.normal(3, 0.5, (10, 2))
     ds = Dataset(X=np.vstack([Xn, Xp]), y=np.array([0] * 200 + [1] * 10))
-    cfg = TrainConfig(epochs=60)
+    cfg = TrainConfig(epochs=60, seed=3)
     methods = [LossKind("bce", False), LossKind("gmn", True)]
-    return ds, cfg, methods, run_cv(ds, cfg, methods, repeats=2, k=5, base_seed=3)
+    return ds, cfg, methods, run_cv(ds, cfg, methods, repeats=2, k=5)
 
 
 class TestRunCv:
@@ -280,7 +287,7 @@ class TestRunCv:
 
     def test_deterministic(self, small_cv_results):
         ds, cfg, methods, results = small_cv_results
-        again = run_cv(ds, cfg, methods, repeats=2, k=5, base_seed=3)
+        again = run_cv(ds, cfg, methods, repeats=2, k=5)
         assert again == results
 
     def test_metrics_match_stored_cm(self, small_cv_results):
@@ -322,7 +329,7 @@ class TestRunCv:
                      y=np.array([0] * 100 + [1] * 20))
         cfg = TrainConfig(epochs=5)
         results = run_cv(ds, cfg, [LossKind("bce", False)], repeats=1, k=5,
-                         base_seed=0, keep_positives=5)
+                         keep_positives=5)
         # 5 retained positives over 5 folds: one test positive per fold
         for r in results:
             assert r.tp + r.fn == 1
@@ -358,7 +365,7 @@ class TestRunCv:
 
     def test_jobs_parallel_identical(self, small_cv_results):
         ds, cfg, methods, results = small_cv_results
-        parallel = run_cv(ds, cfg, methods, repeats=2, k=5, base_seed=3, jobs=2)
+        parallel = run_cv(ds, cfg, methods, repeats=2, k=5, jobs=2)
         assert parallel == results
 
     def test_run_health_recorded(self, small_cv_results):
@@ -381,9 +388,117 @@ class TestRunCv:
             return snapshot, records
 
         monkeypatch.setattr(experiment, "train", train_diverging)
-        again = run_cv(ds, cfg, methods, repeats=2, k=5, base_seed=3)
+        again = run_cv(ds, cfg, methods, repeats=2, k=5)
         assert again == [replace(r, diverged=True) for r in results]
         assert determine_winners(again) == determine_winners(results)
+
+
+class TestRotationTask:
+    """run_cv's unit of work is one (repeat, fold) rotation: the pool gets
+    its key, and the worker splits once and trains every method on it."""
+
+    def test_pool_gets_only_keys(self, small_cv_results, monkeypatch):
+        ds, cfg, methods, results = small_cv_results
+        sent = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, keys, chunksize=1):
+                sent.append((fn, list(keys)))
+                return map(fn, sent[-1][1])
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", InlinePool)
+        assert run_cv(ds, cfg, methods, repeats=2, k=5, jobs=2) == results
+        [(fn, keys)] = sent
+        assert keys == list(itertools.product(range(2), range(5)))
+        assert fn.func is experiment._run_rotation
+        assert fn.args == (ds, cfg, methods, 5, None) and not fn.keywords
+
+    def test_each_split_is_followed_by_its_trains(self, small_cv_results,
+                                                  monkeypatch):
+        ds, cfg, methods, results = small_cv_results
+        calls = []
+        real_split, real_train = experiment.split, experiment.train
+
+        def logged_split(ds, k, seed, repeat, fold):
+            calls.append(("split", seed, repeat, fold))
+            return real_split(ds, k, seed, repeat, fold)
+
+        def logged_train(cfg, train_ds, val_ds):
+            calls.append(("train", cfg.loss.name, cfg.seed))
+            return real_train(cfg, train_ds, val_ds)
+
+        monkeypatch.setattr(experiment, "split", logged_split)
+        monkeypatch.setattr(experiment, "train", logged_train)
+        assert run_cv(ds, cfg, methods, repeats=2, k=5) == results
+        assert calls == [
+            call for repeat, fold in itertools.product(range(2), range(5))
+            for call in [("split", 3, repeat, fold)]
+            + [("train", kind.name, [3, repeat, fold]) for kind in methods]]
+
+    def test_keep_positives_matches_reference(self):
+        # The reference undersamples once per repeat, then splits, trains
+        # and scores each rotation.
+        rng = np.random.default_rng(24)
+        ds = Dataset(X=np.vstack([rng.normal(0, 1, (150, 2)),
+                                  rng.normal(2, 0.7, (20, 2))]),
+                     y=np.array([0] * 150 + [1] * 20))
+        cfg = TrainConfig(epochs=20, seed=5)
+        methods = [LossKind("bce", False), LossKind("gmn", True)]
+        want = []
+        for repeat in range(2):
+            ds_r, _ = undersample_minority(ds, 6, seed=[5, repeat, 101])
+            for fold in range(5):
+                train_ds, val_ds, test_ds = split(ds_r, 5, 5, repeat, fold)
+                for kind in methods:
+                    cfg_run = replace(cfg, loss=kind, seed=[5, repeat, fold])
+                    snapshot, _ = train(cfg_run, train_ds, val_ds)
+                    want.append(score(snapshot, test_ds, kind.name, repeat, fold))
+        want.sort(key=lambda r: (r.method, r.repeat, r.fold))
+        got = run_cv(ds, cfg, methods, repeats=2, k=5, keep_positives=6)
+        assert got == want
+        # Each repeat's five test folds hold its 6 kept positives, and the
+        # two repeats keep different ones.
+        for method, repeat in itertools.product(("bce", "gmn-astra"), range(2)):
+            assert sum(r.tp + r.fn for r in got
+                       if (r.method, r.repeat) == (method, repeat)) == 6
+        kept = [undersample_minority(ds, 6, seed=[5, r, 101])[1] for r in range(2)]
+        assert not np.array_equal(*kept)
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_pool_under_start_method_matches_one_job(self, tmp_path, method):
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method on this platform")
+        rng = np.random.default_rng(25)
+        dataset = tmp_path / "data.txt"
+        write_sparse(dataset, np.vstack([rng.normal(0, 1, (120, 3)),
+                                         rng.normal(2.5, 0.6, (10, 3))]),
+                     np.array([0.0] * 120 + [1.0] * 10))
+        args = ["cv", "--dataset", str(dataset), "--epochs", "5",
+                "--repeats", "2", "--seed", "7"]
+        assert cli.main(args + ["--out", str(tmp_path / "one"), "--jobs", "1"]) == 0
+        script = ("import multiprocessing, sys\n"
+                  "from astra import cli\n"
+                  "if __name__ == '__main__':\n"
+                  f"    multiprocessing.set_start_method({method!r})\n"
+                  "    sys.exit(cli.main(sys.argv[1:]))\n")
+        src = str(Path(astra.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-c", script, *args, "--out",
+                        str(tmp_path / "two"), "--jobs", "2"],
+                       env=env, check=True, timeout=300)
+        for name in ("runs.csv", "report.json", "table.txt"):
+            assert ((tmp_path / "one" / name).read_bytes()
+                    == (tmp_path / "two" / name).read_bytes()), name
 
 
 class TestFailedRuns:
@@ -400,7 +515,7 @@ class TestFailedRuns:
             return real_train(cfg, train_ds, val_ds)
 
         monkeypatch.setattr(experiment, "train", train_failing_once)
-        failed = run_cv(ds, cfg, methods, repeats=2, k=5, base_seed=3)
+        failed = run_cv(ds, cfg, methods, repeats=2, k=5)
         bad = [r for r in failed if r.error is not None]
         assert bad == [RunResult("gmn-astra", 1, 2,
                                  error="RuntimeError: " + self.ERROR)]

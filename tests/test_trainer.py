@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import astuple
 
 import numpy as np
@@ -59,6 +60,19 @@ class TestEtaBUpdate:
 
 
 class TestTrain:
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda kind: kind.name)
+    def test_divergence_raises_no_floating_point_warning(self, toy_sets, kind):
+        # NonFiniteError reports the divergence; numpy warns of nothing, and
+        # its error state is as it was once train returns.
+        tr, val = toy_sets
+        before = np.geterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            snapshot, _ = train(TrainConfig(epochs=5, eta=1e200, loss=kind), tr, val)
+        assert snapshot.diverged
+        assert [str(w.message) for w in caught] == []
+        assert np.geterr() == before
+
     def test_zero_epochs_returns_initial(self, toy_sets):
         tr, val = toy_sets
         cfg = TrainConfig(epochs=0, loss=LossKind("bce", False), seed=5)
