@@ -16,8 +16,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .workspace import Workspace
-
 # Hard floor / soft ceiling for the slope.  b = 60 corresponds to a threshold
 # of roughly 0.05, the lowest value that is numerically workable.
 B_MIN = 1.0
@@ -37,7 +35,7 @@ class NonFiniteError(ValueError):
 
 
 def _check_slope(b: float) -> None:
-    if not np.isfinite(b) or b < B_MIN:
+    if not math.isfinite(b) or b < B_MIN:
         raise ValueError(f"slope must be a finite value >= 1, got {b}")
 
 
@@ -46,58 +44,46 @@ def _check_tau(tau: float) -> None:
         raise ValueError(f"tau must be in (0, 1), got {tau}")
 
 
-def _astra_terms(x: np.ndarray, b: float, ws: Workspace):
+def empty_terms(terms, shape):
+    """A `terms` NamedTuple of fresh float arrays of `shape`."""
+    return terms._make(np.empty(shape) for _ in terms._fields)
+
+
+def _astra_terms(x: np.ndarray, b: float, t):
     """(b*x, s, u, -u/b) with s = b*exp(min(b*x, _LOG_SWITCH)) and
-    u = log(1 + b*exp(b*x)), evaluated without overflow: above _LOG_SWITCH,
-    u is replaced by its asymptote log(b) + b*x."""
-    bx = np.multiply(b, x, out=ws.get("bx", x.shape))
-    s = np.minimum(bx, _LOG_SWITCH, out=ws.get("s", x.shape))
+    u = log(1 + b*exp(b*x)), written into the arrays of OutputTerms `t`
+    without overflow: above _LOG_SWITCH, u is replaced by its asymptote
+    log(b) + b*x."""
+    bx = np.multiply(b, x, out=t.bx)
+    s = np.minimum(bx, _LOG_SWITCH, out=t.s)
     np.exp(s, out=s)
     s *= b
-    u = np.log1p(s, out=ws.get("u", x.shape))
-    big = np.greater(bx, _LOG_SWITCH, out=ws.get("big", x.shape, bool))
-    if big.any():
+    u = np.log1p(s, out=t.u)
+    if np.fmax.reduce(bx, axis=None, initial=-math.inf) > _LOG_SWITCH:
+        big = bx > _LOG_SWITCH
         u[big] = math.log(b) + bx[big]
-    neg_u_b = np.negative(u, out=ws.get("neg_u_b", x.shape))
+    neg_u_b = np.negative(u, out=t.neg_u_b)
     neg_u_b /= b
     return bx, s, u, neg_u_b
 
 
-def _astra_grads(bx, s, u, neg_u_b, b: float, ws: Workspace):
-    """(dy/dx, dy/db) from _astra_terms."""
-    # r = s/(1 + s); above _LOG_SWITCH, s is capped and r is 1 within 1e-15.
-    r = np.add(1.0, s, out=ws.get("r", bx.shape))
-    np.divide(s, r, out=r)
-    # 1 - y = exp(-u/b) before the clamp.  Not 1 + expm1(-u/b): that
-    # cancels as b -> 1 at large x.
-    one_my = np.exp(neg_u_b, out=ws.get("exp_neg_u_b", bx.shape))
-    dy_dx = np.multiply(r, one_my, out=ws.get("dy_dx", bx.shape))
-    # one_my / (b*b) * (r*(1 + bx) - u)
-    dy_db = np.add(1.0, bx, out=ws.get("dy_db", bx.shape))
-    dy_db *= r
-    dy_db -= u
-    one_my /= b * b
-    dy_db *= one_my
-    return dy_dx, dy_db
-
-
-def _z_terms(y, tau: float, ws: Workspace):
-    """(1 - y, denominator, z) of the z-transform of clamped outputs y."""
-    one_my = np.subtract(1.0, y, out=ws.get("one_my", y.shape))
-    num = np.multiply(y, 1.0 - tau, out=ws.get("z", y.shape))
-    den = np.multiply(one_my, tau, out=ws.get("den", y.shape))
+def _z_terms(y, tau: float, t):
+    """(1 - y, denominator, z) of the z-transform of clamped outputs y,
+    written into the arrays of OutputTerms `t`."""
+    one_my = np.subtract(1.0, y, out=t.one_my)
+    num = np.multiply(y, 1.0 - tau, out=t.z)
+    den = np.multiply(one_my, tau, out=t.den)
     den += num
     return one_my, den, np.divide(num, den, out=num)
 
 
-def _z_grads(y, one_my, den, tau: float, ws: Workspace):
-    """(dz/dy, dz/dtau) from _z_terms."""
-    den2 = np.multiply(den, den, out=ws.get("den2", y.shape))
-    dz_dy = np.divide(tau * (1.0 - tau), den2, out=ws.get("dz_dy", y.shape))
-    dz_dtau = np.negative(y, out=ws.get("dz_dtau", y.shape))
-    dz_dtau *= one_my
+def _z_grads(y, t, tau: float, g) -> None:
+    """dz/dy and dz/dtau at y from the _z_terms of `t`, into OutputGrads `g`."""
+    den2 = np.multiply(t.den, t.den, out=g.den2)
+    np.divide(tau * (1.0 - tau), den2, out=g.dz_dy)
+    dz_dtau = np.negative(y, out=g.dz_dtau)
+    dz_dtau *= t.one_my
     dz_dtau /= den2
-    return dz_dy, dz_dtau
 
 
 def _preactivation(x, b: float) -> np.ndarray:
@@ -121,7 +107,7 @@ def astra_forward(x, b: float):
     Strictly increasing in x, stable for b*x up to +/-700 (saturates smoothly
     to 0 or 1).  Scalar or ndarray x; scalar b.
     """
-    neg_u_b = _astra_terms(_preactivation(x, b), b, Workspace())[3]
+    neg_u_b = output_forward(_preactivation(x, b), b, 0.5).neg_u_b
     (y,) = _unwrap(x, -np.expm1(neg_u_b))
     return y
 
@@ -141,7 +127,7 @@ def slope_from_beta(beta: float) -> float:
     Linear branch 2 + beta for beta > 0, exponential branch 1 + exp(beta)
     otherwise; continuous at beta = 0 (both give 2).
     """
-    if not np.isfinite(beta):
+    if not math.isfinite(beta):
         raise ValueError("beta must be finite")
     if beta > 0:
         return 2.0 + beta
@@ -191,9 +177,10 @@ def astra_backward(x, b: float):
     dy/dx = s/(1+s) * (1+s)**(-1/b) with s = b*exp(b*x); it is positive
     everywhere and maximal at x = 0, the threshold point.
     """
-    ws = Workspace()
-    terms = _astra_terms(_preactivation(x, b), b, ws)
-    return _unwrap(x, *_astra_grads(*terms, b, ws))
+    # Any tau: it moves only the z-transform's derivatives.
+    terms = output_forward(_preactivation(x, b), b, 0.5)
+    dy_dx, _, dy_db, _ = output_backward(terms, b, 0.5)
+    return _unwrap(x, dy_dx, dy_db)
 
 
 def threshold_grad_b(b: float) -> float:
@@ -204,8 +191,9 @@ def threshold_grad_b(b: float) -> float:
 
 
 def clamp_unit(y, out=None):
-    """Clamp activation outputs into [EPS, 1 - EPS] before logarithms."""
-    return np.clip(y, EPS, 1.0 - EPS, out=out)
+    """Clamp activation outputs into [EPS, 1 - EPS] before logarithms: the
+    bits of np.clip, without its five Python frames."""
+    return np.minimum(np.maximum(y, EPS, out=out), 1.0 - EPS, out=out)
 
 
 def z_transform(y_hat, tau: float):
@@ -216,7 +204,7 @@ def z_transform(y_hat, tau: float):
     """
     _check_tau(tau)
     y = clamp_unit(np.atleast_1d(np.asarray(y_hat, dtype=float)))
-    (z,) = _unwrap(y_hat, _z_terms(y, tau, Workspace())[2])
+    (z,) = _unwrap(y_hat, _z_terms(y, tau, empty_terms(OutputTerms, y.shape))[2])
     return z
 
 
@@ -224,9 +212,10 @@ def z_transform_backward(y_hat, tau: float):
     """Partial derivatives (dz/dy_hat, dz/dtau) of z_transform."""
     _check_tau(tau)
     y = clamp_unit(np.atleast_1d(np.asarray(y_hat, dtype=float)))
-    ws = Workspace()
-    one_my, den, _ = _z_terms(y, tau, ws)
-    return _unwrap(y_hat, *_z_grads(y, one_my, den, tau, ws))
+    t, g = empty_terms(OutputTerms, y.shape), empty_terms(OutputGrads, y.shape)
+    _z_terms(y, tau, t)
+    _z_grads(y, t, tau, g)
+    return _unwrap(y_hat, g.dz_dy, g.dz_dtau)
 
 
 def misorder_band_upper(b: float) -> float:
@@ -257,26 +246,55 @@ class OutputTerms(NamedTuple):
     z: np.ndarray           # clamped z-transform output
 
 
+class OutputGrads(NamedTuple):
+    """The derivatives of OutputTerms, in the order output_backward returns
+    them, then the intermediates they are built from."""
+
+    dy_dx: np.ndarray
+    dz_dy: np.ndarray
+    dy_db: np.ndarray
+    dz_dtau: np.ndarray
+    r: np.ndarray           # s/(1 + s)
+    exp_neg_u_b: np.ndarray  # exp(-u/b), then divided by b*b
+    den2: np.ndarray        # the z-transform denominator squared
+
+
 def output_forward(x: np.ndarray, b: float, tau: float,
-                   ws: Workspace) -> OutputTerms:
+                   t: OutputTerms | None = None) -> OutputTerms:
     """clamp_unit(z_transform(clamp_unit(astra_forward(x, b)), tau)), bit for
-    bit, keeping what output_backward needs.  The arrays live in `ws`."""
-    x = _preactivation(x, b)
-    _check_tau(tau)
-    bx, s, u, neg_u_b = _astra_terms(x, b, ws)
-    y = np.expm1(neg_u_b, out=ws.get("y_hat", x.shape))
+    bit, keeping what output_backward needs, in the arrays of `t` (fresh
+    ones without it).  The kernel of network.forward, which checks that x is
+    finite; b and tau are a slope's own, which AstraParams keeps valid."""
+    t = empty_terms(OutputTerms, x.shape) if t is None else t
+    _astra_terms(x, b, t)
+    y = np.expm1(t.neg_u_b, out=t.y_hat)
     clamp_unit(np.negative(y, out=y), out=y)
-    one_my, den, z = _z_terms(y, tau, ws)
-    clamp_unit(z, out=z)
-    return OutputTerms(bx, s, u, neg_u_b, y, one_my, den, z)
+    _z_terms(y, tau, t)
+    clamp_unit(t.z, out=t.z)
+    return t
 
 
-def output_backward(terms: OutputTerms, b: float, tau: float, ws: Workspace):
+def output_backward(terms: OutputTerms, b: float, tau: float,
+                    g: OutputGrads | None = None):
     """(dy/dx, dz/dy, dy/db, dz/dtau) as astra_backward and
-    z_transform_backward give them."""
-    dy_dx, dy_db = _astra_grads(terms.bx, terms.s, terms.u, terms.neg_u_b, b, ws)
-    dz_dy, dz_dtau = _z_grads(terms.y_hat, terms.one_my, terms.den, tau, ws)
-    return dy_dx, dz_dy, dy_db, dz_dtau
+    z_transform_backward give them, in the arrays of `g` (fresh ones
+    without it)."""
+    g = empty_terms(OutputGrads, terms.z.shape) if g is None else g
+    # r = s/(1 + s); above _LOG_SWITCH, s is capped and r is 1 within 1e-15.
+    r = np.add(1.0, terms.s, out=g.r)
+    np.divide(terms.s, r, out=r)
+    # 1 - y = exp(-u/b) before the clamp.  Not 1 + expm1(-u/b): that
+    # cancels as b -> 1 at large x.
+    one_my = np.exp(terms.neg_u_b, out=g.exp_neg_u_b)
+    np.multiply(r, one_my, out=g.dy_dx)
+    # one_my / (b*b) * (r*(1 + bx) - u)
+    dy_db = np.add(1.0, terms.bx, out=g.dy_db)
+    dy_db *= r
+    dy_db -= terms.u
+    one_my /= b * b
+    dy_db *= one_my
+    _z_grads(terms.y_hat, terms, tau, g)
+    return g[:4]
 
 
 # exp(700) is finite, and below x = -700 the logistic is under 1e-304, which
@@ -297,25 +315,28 @@ class LogisticTerms(NamedTuple):
         return self.z
 
 
-def logistic_forward(x: np.ndarray, ws: Workspace) -> LogisticTerms:
-    """clamp_unit(1/(1 + exp(-x))): output_forward(x, 1.0, 0.5, ws).z within
-    rounding (4.4e-16 relative), in fewer passes.  The arrays live in `ws`."""
-    x = _preactivation(x, B_MIN)
-    e = np.maximum(x, _LOGISTIC_FLOOR, out=ws.get("e", x.shape))
+def logistic_forward(x: np.ndarray,
+                     t: LogisticTerms | None = None) -> LogisticTerms:
+    """clamp_unit(1/(1 + exp(-x))): output_forward(x, 1.0, 0.5).z within
+    rounding (4.4e-16 relative), in fewer passes, in the arrays of `t`
+    (fresh ones without it).  x is finite, as network.forward checks."""
+    t = empty_terms(LogisticTerms, x.shape) if t is None else t
+    e = np.maximum(x, _LOGISTIC_FLOOR, out=t.e)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    y = np.add(1.0, e, out=ws.get("y", x.shape))
+    y = np.add(1.0, e, out=t.y)
     np.divide(1.0, y, out=y)
-    return LogisticTerms(e, y, clamp_unit(y, out=ws.get("z", x.shape)))
+    clamp_unit(y, out=t.z)
+    return t
 
 
-def logistic_backward(terms: LogisticTerms, ws: Workspace) -> np.ndarray:
-    """dy/dx = e*y*y of logistic_forward; dz/dy is 1.
+def logistic_backward(terms: LogisticTerms, out: np.ndarray | None = None):
+    """dy/dx = e*y*y of logistic_forward, in `out` if given; dz/dy is 1.
 
     Equal to y*(1 - y), which cancels at the positive tail: its relative
     error reaches 100% from x = 37 on.
     """
-    dy_dx = np.multiply(terms.e, terms.y, out=ws.get("dy_dx", terms.y.shape))
+    dy_dx = np.multiply(terms.e, terms.y, out=out)
     dy_dx *= terms.y
     return dy_dx
 

@@ -170,12 +170,13 @@ def cmd_cv(cfg: dict) -> int:
     repeats = cfg.get("repeats", experiment.REPEATS)
     keep_positives = cfg.get("keep_positives")
     ds = _load_dataset(cfg["dataset"])
-    experiment.check_protocol(ds, k, keep_positives, repeats, len(methods))
+    jobs = cfg.get("jobs", 1)
+    experiment.check_protocol(ds, k, keep_positives, repeats, len(methods), jobs)
 
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "manifest.json", _manifest("cv", cfg, tcfg, "loss" in cfg))
     results = experiment.run_cv(ds, tcfg, methods, repeats=repeats, k=k,
-                                keep_positives=keep_positives, jobs=cfg.get("jobs", 1))
+                                keep_positives=keep_positives, jobs=jobs)
     experiment.write_run_csv(results, out / "runs.csv")
     return _report(results, out, out / "runs.csv")
 

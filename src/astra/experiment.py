@@ -142,10 +142,10 @@ def score(snapshot: Snapshot, test_ds: Dataset, method: str, repeat: int,
 
 
 def check_protocol(ds: Dataset, k: int, keep_positives: int | None,
-                   repeats: int, n_methods: int) -> None:
+                   repeats: int, n_methods: int, jobs: int = 1) -> None:
     """Reject a protocol that cannot give a report: every fold serves once as
     the validation fold, which needs a positive, and the paired tests of two
-    or more methods need MIN_PAIRS runs each."""
+    or more methods need MIN_PAIRS runs each.  At least one job runs it."""
     if k < 3:    # a rotation takes a test, a validation and a train fold
         raise ValueError(f"need at least 3 folds, got {k}")
     m1 = ds.m1 if keep_positives is None else min(ds.m1, keep_positives)
@@ -155,6 +155,8 @@ def check_protocol(ds: Dataset, k: int, keep_positives: int | None,
         raise ValueError(f"need at least 1 repeat, got {repeats}")
     if n_methods > 1 and repeats * k < MIN_PAIRS:
         raise ValueError(f"paired tests need repeats * folds >= {MIN_PAIRS}")
+    if jobs < 1:
+        raise ValueError(f"need at least 1 job, got {jobs}")
 
 
 def split(ds: Dataset, k: int, seed: int, repeat: int, fold: int):
@@ -189,6 +191,13 @@ def _run_rotation(ds: Dataset, cfg: TrainConfig, methods, k, keep_positives, key
     return results
 
 
+def _rotate(key):
+    """_run_rotation(*_rotate.args, key) in a pool worker, whose initializer
+    sets _rotate.args: the dataset reaches each worker once, not with every
+    task."""
+    return _run_rotation(*_rotate.args, key)
+
+
 def run_cv(ds: Dataset, cfg: TrainConfig, methods: list[LossKind],
            repeats: int = REPEATS, k: int = FOLDS,
            keep_positives: int | None = None, jobs: int = 1) -> list[RunResult]:
@@ -197,15 +206,18 @@ def run_cv(ds: Dataset, cfg: TrainConfig, methods: list[LossKind],
     Returns repeats*k RunResults per method, deterministically ordered by
     (method, repeat, fold) and reproducible for a fixed cfg.seed regardless
     of the worker count.  A task is one (repeat, fold) key: _run_rotation.
+    The pool starts no more workers than there are keys.
     """
-    check_protocol(ds, k, keep_positives, repeats, len(methods))
-    rotation = partial(_run_rotation, ds, cfg, methods, k, keep_positives)
-    keys = itertools.product(range(repeats), range(k))
+    check_protocol(ds, k, keep_positives, repeats, len(methods), jobs)
+    args = (ds, cfg, methods, k, keep_positives)
+    keys = list(itertools.product(range(repeats), range(k)))
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            per_key = list(pool.map(rotation, keys, chunksize=1))
+        with ProcessPoolExecutor(max_workers=min(jobs, len(keys)),
+                                 initializer=partial(setattr, _rotate, "args"),
+                                 initargs=(args,)) as pool:
+            per_key = list(pool.map(_rotate, keys, chunksize=1))
     else:
-        per_key = map(rotation, keys)
+        per_key = map(partial(_run_rotation, *args), keys)
     return sorted(itertools.chain.from_iterable(per_key),
                   key=lambda r: (r.method, r.repeat, r.fold))
 

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .activation import clamp_unit
-from .metrics import ApproxCM, ClassSplit, approx_cm, check_lengths, class_split
-from .workspace import Workspace
+from .metrics import ApproxCM, ClassSplit, approx_cm, split_outputs
 
 
 @dataclass(frozen=True)
@@ -42,17 +41,18 @@ ALL_KINDS = (
 )
 
 
-def _bce(z: np.ndarray, split: ClassSplit, ws: Workspace):
-    """(mean BCE, d(mean BCE)/dz), with arrays in `ws`; `z` is clamped."""
+def _bce(z: np.ndarray, split: ClassSplit, g: np.ndarray):
+    """(mean BCE, d(mean BCE)/dz), the gradient in `g`; `z` is clamped."""
     pos = split.pos
     zp = z[pos]
     # -log(1 - z) on a negative, -log(z) on a positive; the mean of their
-    # negation rounds to the negated mean.
-    a = np.negative(z, out=ws.get("loss.a", z.shape))
+    # negation rounds to the negated mean.  They are summed before the
+    # gradient overwrites them.
+    a = np.negative(z, out=g)
     np.log1p(a, out=a)
     a[pos] = np.log(zp)
-    value = -float(a.sum() / len(a))              # np.mean(a), bit for bit
-    g = np.subtract(1.0, z, out=ws.get("loss.grad", z.shape))
+    value = -float(np.add.reduce(a) / len(a))     # np.mean(a), bit for bit
+    np.subtract(1.0, z, out=g)
     np.divide(1.0, g, out=g)                      # 1/(1 - z)
     g[pos] = -1.0 / zp                            # -1/z
     g /= len(z)
@@ -72,9 +72,9 @@ def bce_grad(z, y) -> np.ndarray:
     return loss_and_grad(LossKind("bce", False), zc, y)[1]
 
 
-def _gmn(z: np.ndarray, split: ClassSplit, acm: ApproxCM | None, ws: Workspace):
-    """(loss, d loss/dz) of the approximated-G-Mean loss, with arrays in
-    `ws`; `acm`, if given, is approx_cm(z, split)."""
+def _gmn(z: np.ndarray, split: ClassSplit, acm: ApproxCM | None, g: np.ndarray):
+    """(loss, d loss/dz) of the approximated-G-Mean loss, the gradient in
+    `g`; `acm`, if given, is approx_cm(z, split)."""
     if split.m0 < 1 or split.m1 < 1:
         raise ValueError("GMN needs at least one example of each class")
     # No clamp here: the loss has no logs, and unclamped inputs make the
@@ -86,7 +86,6 @@ def _gmn(z: np.ndarray, split: ClassSplit, acm: ApproxCM | None, ws: Workspace):
     tp = max(cm.tp_apx, 1e-12)
     tn = max(cm.tn_apx, 1e-12)
     c = -0.5 * g_apx
-    g = ws.get("loss.grad", z.shape)
     g.fill((0.0 - 1.0 / tn) * c)                  # (y/TP - (1-y)/TN) * c
     g[split.pos] = (1.0 / tp) * c
     return 1.0 - g_apx, g
@@ -111,20 +110,17 @@ def gmn_grad(y_hat, y) -> np.ndarray:
 
 
 def loss_and_grad(kind: LossKind, z, y, acm: ApproxCM | None = None,
-                  ws: Workspace | None = None):
+                  out: np.ndarray | None = None):
     """Loss value and gradient with respect to the (z-transformed) outputs
     `z`, for 0/1 targets `y` or their ClassSplit.
 
     `z` is taken as given: BCE needs it clamped into [EPS, 1 - EPS], as
     network.forward returns it (bce_loss and bce_grad clamp).  `acm`, if
-    given, is approx_cm(z, y), which the GMN loss then does not rebuild.  A
-    training loop passes the same `ws` every epoch; the gradient lives
-    there.
+    given, is approx_cm(z, y), which the GMN loss then does not rebuild.  The
+    gradient is written into `out`, a fresh array without it.
     """
-    split = class_split(y)
-    check_lengths(z, split)
-    z = np.asarray(z, dtype=float)
-    ws = Workspace() if ws is None else ws
+    z, split = split_outputs(z, y)
+    out = np.empty(z.shape) if out is None else out
     if kind.variant == "bce":
-        return _bce(z, split, ws)
-    return _gmn(z, split, acm, ws)
+        return _bce(z, split, out)
+    return _gmn(z, split, acm, out)

@@ -54,6 +54,15 @@ class Rates:
     fpr: float
     fnr: float
 
+    @property
+    def e_ratio(self) -> float:
+        """FNR / FPR; > 1 means positives are harder than negatives.
+
+        Zero FPR is guarded with a small epsilon so the ratio stays finite
+        (it drives the slope learning-rate schedule every epoch).
+        """
+        return self.fnr / max(self.fpr, E_RATIO_EPS)
+
 
 def check_lengths(a, b) -> None:
     if len(a) != len(b):
@@ -84,9 +93,6 @@ class ClassSplit:
     m0: int
     m1: int
 
-    def __len__(self) -> int:
-        return self.m0 + self.m1
-
 
 def class_split(y) -> ClassSplit:
     """The split of 0/1 targets `y`, or `y` itself if it is one."""
@@ -102,7 +108,16 @@ def class_split(y) -> ClassSplit:
 
 def positive_cells(z_pos: np.ndarray) -> tuple[float, float]:
     """(FN_apx, TP_apx) from the outputs of the positives alone."""
-    return float((1.0 - z_pos).sum()), float(z_pos.sum())
+    return float(np.add.reduce(1.0 - z_pos)), float(np.add.reduce(z_pos))
+
+
+def split_outputs(outputs, y) -> tuple[np.ndarray, ClassSplit]:
+    """`outputs` as floats, and class_split(y) of their targets: one per
+    output, and at least one."""
+    split = class_split(y)
+    if len(outputs) != split.m0 + split.m1 or not len(outputs):
+        raise ValueError(f"{len(outputs)} outputs for {split.m0 + split.m1} targets")
+    return np.asarray(outputs, dtype=float), split
 
 
 def approx_cm(y_hat, y) -> ApproxCM:
@@ -113,11 +128,9 @@ def approx_cm(y_hat, y) -> ApproxCM:
     - TP_apx and TN_apx = m0 - FP_apx, exact on binary outputs; otherwise
     FP_apx errs by about eps * sum(y_hat) (README, "Epoch kernel").
     """
-    split = class_split(y)
-    check_lengths(y_hat, split)
-    yh = np.asarray(y_hat, dtype=float)
+    yh, split = split_outputs(y_hat, y)
     fn, tp = positive_cells(yh[split.pos])
-    fp = float(yh.sum()) - tp
+    fp = float(np.add.reduce(yh)) - tp
     return ApproxCM(tn_apx=split.m0 - fp, fp_apx=fp, fn_apx=fn, tp_apx=tp)
 
 
@@ -157,10 +170,5 @@ def rates(cm: CountCM | ApproxCM) -> Rates:
 
 
 def e_ratio(acm: ApproxCM) -> float:
-    """FNR_apx / FPR_apx; > 1 means positives are harder than negatives.
-
-    Zero FPR_apx is guarded with a small epsilon so the ratio stays finite
-    (it drives the slope learning-rate schedule every epoch).
-    """
-    r = rates(acm)
-    return r.fnr / max(r.fpr, E_RATIO_EPS)
+    """FNR_apx / FPR_apx: Rates.e_ratio of the approximated rates."""
+    return rates(acm).e_ratio

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,9 +17,11 @@ from .activation import (  # noqa: F401
     AstraParams,
     LogisticTerms,
     NonFiniteError,
+    OutputGrads,
     OutputTerms,
     astra_backward,
     astra_forward,
+    empty_terms,
     logistic_backward,
     logistic_forward,
     output_backward,
@@ -31,7 +33,6 @@ from .activation import (  # noqa: F401
 )
 from .losses import LossKind, loss_and_grad
 from .metrics import ApproxCM
-from .workspace import Workspace
 
 LEAKY_SLOPE = 0.3
 
@@ -47,12 +48,34 @@ def hidden_width(n_x: int, n_y: int = 1) -> int:
 PARAM_NAMES = ("w1", "b1", "w2", "b2")
 
 
+def param_views(flat: np.ndarray, n_h: int, n_x: int) -> tuple:
+    """Views of a flat parameter-sized vector shaped as each parameter, in
+    the order of PARAM_NAMES; b2 is a 1-element array."""
+    n_w1 = n_h * n_x
+    return (flat[:n_w1].reshape(n_h, n_x), flat[n_w1:n_w1 + n_h],
+            flat[n_w1 + n_h:-1], flat[-1:])
+
+
+def _all_finite(a: np.ndarray, out: np.ndarray | None = None) -> bool:
+    """Whether every element of `a` is finite; `out` takes np.isfinite(a)."""
+    return np.logical_and.reduce(np.isfinite(a, out=out), axis=None)
+
+
+def _check_finite(model: "Mlp", flat: np.ndarray, message: str) -> None:
+    """Raise NonFiniteError(message naming the first parameter whose block
+    of the flat parameter-sized vector holds a non-finite value), if any."""
+    if not _all_finite(flat):
+        views = param_views(flat, model.n_h, model.n_x)
+        k = next(k for k, a in zip(PARAM_NAMES, views) if not _all_finite(a))
+        raise NonFiniteError(message.format(k))
+
+
 @dataclass
 class AdamState:
     """First/second moment accumulators and a shared step counter.
 
-    `m` and `v` are flat: the parameters w1 (row by row), b1, w2 and b2 in
-    that order, the layout of the gradient backward_and_step builds.
+    `m` and `v` are flat, in the layout of Mlp.theta and of the gradient
+    backward_and_step builds.
     """
 
     m: np.ndarray
@@ -65,58 +88,48 @@ class AdamState:
         return cls(m=np.zeros(size), v=np.zeros(size))
 
 
-@dataclass
-class ForwardTrace:
-    """What forward computed and backward_and_step reads.
-
-    `inputs` is the X forward was given.  `hidden_pre`, `leak` and
-    `hidden_act` are column-major (n, n_h) arrays;
-    `leak` is the Leaky ReLU slope of each unit, exactly 1.0 or LEAKY_SLOPE.
-    All arrays live in `ws`, so the next forward with the same workspace
-    overwrites them.
+class Mlp:
+    """The network's parameters, in one flat vector `theta`: w1 (row by
+    row), b1, w2 and b2, the layout of the gradient and of Adam's moments,
+    so one subtraction steps them all.  w1, b1 and w2 are views of theta,
+    and assigning one writes into it; b2 reads and writes its last element.
     """
 
-    inputs: np.ndarray
-    hidden_pre: np.ndarray
-    leak: np.ndarray
-    hidden_act: np.ndarray
-    out_pre: np.ndarray
-    out: OutputTerms | LogisticTerms
-    ws: Workspace
+    def __init__(self, theta: np.ndarray, n_x: int, n_h: int,
+                 astra: AstraParams, seed):
+        w1, b1, w2, _ = param_views(theta, n_h, n_x)
+        # Bound past __setattr__: a snapshot copy makes eight fewer calls.
+        vars(self).update(theta=theta, n_x=n_x, n_h=n_h, w1=w1, b1=b1, w2=w2,
+                          astra=astra, seed=seed)
+
+    @classmethod
+    def from_arrays(cls, w1, b1, w2, b2: float, astra: AstraParams,
+                    seed) -> "Mlp":
+        n_h, n_x = np.shape(w1)
+        theta = np.concatenate([np.ravel(w1), b1, w2, [b2]], dtype=float)
+        return cls(theta, n_x, n_h, astra, seed)
+
+    def __setattr__(self, name, value):
+        if name in PARAM_NAMES[:3] and name in self.__dict__:
+            self.__dict__[name][...] = value
+        else:
+            super().__setattr__(name, value)
 
     @property
-    def y_hat(self) -> np.ndarray:
-        return self.out.y_hat
+    def b2(self) -> float:
+        return float(self.theta[-1])
 
-    @property
-    def z(self) -> np.ndarray:
-        return self.out.z
-
-
-@dataclass
-class Mlp:
-    w1: np.ndarray          # (n_h, n_x)
-    b1: np.ndarray          # (n_h,)
-    w2: np.ndarray          # (n_h,)
-    b2: float
-    astra: AstraParams
-    seed: int
-
-    @property
-    def n_x(self) -> int:
-        return self.w1.shape[1]
-
-    @property
-    def n_h(self) -> int:
-        return self.w1.shape[0]
+    @b2.setter
+    def b2(self, value: float) -> None:
+        self.theta[-1] = value
 
     def params(self) -> dict:
-        return {"w1": self.w1, "b1": self.b1, "w2": self.w2,
-                "b2": np.array([self.b2])}
+        return dict(zip(PARAM_NAMES, param_views(self.theta, self.n_h, self.n_x)))
 
     def copy(self) -> "Mlp":
-        return replace(self, w1=self.w1.copy(), b1=self.b1.copy(),
-                       w2=self.w2.copy(), astra=replace(self.astra))
+        ap = self.astra
+        return Mlp(self.theta.copy(), self.n_x, self.n_h,
+                   AstraParams(ap.beta, ap.b, ap.tau, ap.trainable), self.seed)
 
 
 def init_mlp(n_x: int, n_h: int, seed: int,
@@ -131,7 +144,7 @@ def init_mlp(n_x: int, n_h: int, seed: int,
     w1 = rng.normal(0.0, math.sqrt(2.0 / n_x), size=(n_h, n_x))
     limit = math.sqrt(6.0 / (n_h + 1))
     w2 = rng.uniform(-limit, limit, size=n_h)
-    return Mlp(
+    return Mlp.from_arrays(
         w1=w1,
         b1=np.zeros(n_h),
         w2=w2,
@@ -141,73 +154,105 @@ def init_mlp(n_x: int, n_h: int, seed: int,
     )
 
 
-def forward(model: Mlp, X: np.ndarray, ws: Workspace | None = None) -> ForwardTrace:
+class ForwardTrace:
+    """What forward computed and backward_and_step reads over one batch of
+    rows: a run makes one per batch and each epoch's forward rewrites it.
+
+    `inputs` is the X forward was given.  `hidden_pre`, `leak` and
+    `hidden_act` are column-major (n, n_h) arrays: each is the transposed
+    view of an (n_h, n) C array.  `leak` is the Leaky ReLU slope of each
+    unit, exactly 1.0 or LEAKY_SLOPE.  `step` holds the arrays of
+    backward_and_step, made by its first call on the trace.
+    """
+
+    def __init__(self, X: np.ndarray, model: Mlp):
+        n, trainable = len(X), model.astra.trainable
+        self.key = (X.shape, model.n_h, trainable)
+        self.inputs = X
+        self.hidden_pre, self.leak, self.hidden_act = (
+            np.empty((model.n_h, n)).T for _ in range(3))
+        self.out_pre, self.finite = np.empty(n), np.empty(n, bool)
+        self.out = empty_terms(OutputTerms if trainable else LogisticTerms, n)
+        self.y_hat, self.z = self.out.y_hat, self.out.z
+        self.step = None
+
+
+class _Step:
+    """The arrays backward_and_step writes over a trace's rows."""
+
+    def __init__(self, trace: ForwardTrace, model: Mlp):
+        n, size = len(trace.out_pre), model.theta.size
+        self.dj_dz, self.dj_dx = np.empty(n), np.empty(n)
+        # The output's derivatives; dy/dx alone on the logistic path.
+        self.out_grads = (empty_terms(OutputGrads, n) if model.astra.trainable
+                          else np.empty(n))
+        self.dhidden = np.empty(trace.leak.T.shape).T     # column-major
+        self.grad = np.empty(size)                        # as Mlp.theta
+        (self.grad_w1, self.grad_b1, self.grad_w2,
+         self.grad_b2) = param_views(self.grad, model.n_h, model.n_x)
+        self.adam_tmp, self.adam_den = np.empty(size), np.empty(size)
+
+
+def forward(model: Mlp, X: np.ndarray,
+            trace: ForwardTrace | None = None) -> ForwardTrace:
     """Full-batch forward pass through hidden layer, activation and z-transform.
 
-    A training loop passes the same `ws` every epoch; without one the trace
-    gets fresh arrays.  X is fastest feature-major (Fortran-ordered), as
-    data.standardize writes it.
+    Given a `trace` made for this model and X's shape, the pass rewrites its
+    arrays and returns it, as a training loop does every epoch; without one
+    the trace gets fresh arrays.  X is fastest feature-major
+    (Fortran-ordered), as data.standardize writes it.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.n_x:
         raise ValueError(f"expected shape (*, {model.n_x}), got {X.shape}")
-    ws = Workspace() if ws is None else ws
+    ap = model.astra
+    if trace is None:
+        trace = ForwardTrace(X, model)
+    elif trace.key != (X.shape, model.n_h, ap.trainable):
+        raise ValueError(f"a trace made for {trace.key} cannot hold "
+                         f"{(X.shape, model.n_h, ap.trainable)}")
+    trace.inputs = X
     # Column-major hidden arrays: each per-unit pass runs over a contiguous
     # column of n rows, not over n rows of only n_h elements.  With X
     # feature-major too, w1 @ X.T reads and writes C arrays.
-    units = (model.n_h, len(X))
-    hidden_pre = np.matmul(model.w1, X.T, out=ws.get("hidden_pre", units)).T
-    hidden_pre += model.b1
+    np.matmul(model.w1, X.T, out=trace.hidden_pre.T)
+    trace.hidden_pre += model.b1
     # Branch-free Leaky ReLU: the same bits as np.where(h > 0, h, slope*h).
     # The slope is (h > 0) raised to LEAKY_SLOPE, so exactly 1.0 or
     # LEAKY_SLOPE, both zeros included.  A NaN h also gets LEAKY_SLOPE, but
     # its NaN output then fails the output's finiteness check.
-    leak = np.greater(hidden_pre, 0.0, out=ws.get("leak", units).T)
-    np.maximum(leak, LEAKY_SLOPE, out=leak)
-    hidden_act = np.multiply(hidden_pre, leak, out=ws.get("hidden_act", units).T)
-    out_pre = np.matmul(hidden_act, model.w2, out=ws.get("out_pre", units[1:]))
+    np.greater(trace.hidden_pre, 0.0, out=trace.leak)
+    np.maximum(trace.leak, LEAKY_SLOPE, out=trace.leak)
+    np.multiply(trace.hidden_pre, trace.leak, out=trace.hidden_act)
+    out_pre = np.matmul(trace.hidden_act, model.w2, out=trace.out_pre)
     out_pre += model.b2
-    ap = model.astra
+    if not _all_finite(out_pre, trace.finite):
+        raise NonFiniteError("preactivation must be finite")
     if ap.trainable:
-        out = output_forward(out_pre, ap.b, ap.tau, ws)
+        output_forward(out_pre, ap.b, ap.tau, trace.out)
     else:   # b = 1 and tau = 0.5: the logistic, no z-transform
-        out = logistic_forward(out_pre, ws)
-    return ForwardTrace(inputs=X, hidden_pre=hidden_pre, leak=leak,
-                        hidden_act=hidden_act, out_pre=out_pre, out=out, ws=ws)
+        logistic_forward(out_pre, trace.out)
+    return trace
 
 
-def _blocks(model: Mlp, flat: np.ndarray) -> dict:
-    """Views of a flat parameter-sized vector shaped as each parameter, in
-    the order of PARAM_NAMES."""
-    n_w1, n_h = model.w1.size, model.n_h
-    return {"w1": flat[:n_w1].reshape(model.w1.shape),
-            "b1": flat[n_w1:n_w1 + n_h],
-            "w2": flat[n_w1 + n_h:n_w1 + 2 * n_h],
-            "b2": flat[n_w1 + 2 * n_h:]}
-
-
-def _adam_step(model: Mlp, st: AdamState, grad: np.ndarray, eta: float,
-               ws: Workspace) -> None:
+def _adam_step(theta: np.ndarray, st: AdamState, grad: np.ndarray, eta: float,
+               tmp: np.ndarray, den: np.ndarray) -> None:
     """Adam on the flat gradient, in one pass over all parameters."""
     st.t += 1
-    tmp = np.multiply(1 - ADAM_BETA1, grad, out=ws.get("adam.tmp", grad.shape))
+    np.multiply(1 - ADAM_BETA1, grad, out=tmp)
     st.m *= ADAM_BETA1
     st.m += tmp
     np.multiply(1 - ADAM_BETA2, grad, out=tmp)
     tmp *= grad
     st.v *= ADAM_BETA2
     st.v += tmp
-    den = np.divide(st.v, 1 - ADAM_BETA2 ** st.t, out=ws.get("adam.den", grad.shape))
+    np.divide(st.v, 1 - ADAM_BETA2 ** st.t, out=den)
     np.sqrt(den, out=den)
     den += ADAM_EPS                                   # sqrt(v_hat) + eps
     step = np.divide(st.m, 1 - ADAM_BETA1 ** st.t, out=tmp)
     step *= eta
     step /= den                                       # eta*m_hat / den
-    s = _blocks(model, step)
-    model.w1 -= s["w1"]
-    model.b1 -= s["b1"]
-    model.w2 -= s["w2"]
-    model.b2 = float(model.b2 - step[-1])
+    theta -= step
 
 
 def backward_and_step(model: Mlp, adam: AdamState, trace: ForwardTrace, y,
@@ -220,17 +265,20 @@ def backward_and_step(model: Mlp, adam: AdamState, trace: ForwardTrace, y,
     Adam step to the weights (updating `adam` in place) and (when the slope
     is trainable) a plain gradient step to beta, then re-derives b and tau.
     `acm`, if given, is approx_cm(trace.z, y), reused by the GMN loss.
+    The first call on a trace binds the arrays every later one rewrites.
     Returns (pre-step loss value, grad wrt beta).
     """
     ap = model.astra
-    ws = trace.ws
-    loss_value, dj_dz = loss_and_grad(kind, trace.z, y, acm, ws)
-    if not np.isfinite(loss_value):
+    st = trace.step
+    if st is None:
+        st = trace.step = _Step(trace, model)
+    loss_value, dj_dz = loss_and_grad(kind, trace.z, y, acm, st.dj_dz)
+    if not math.isfinite(loss_value):
         raise NonFiniteError("non-finite loss")
-    dj_dx = ws.get("dj_dx", dj_dz.shape)
+    dj_dx = st.dj_dx
     if ap.trainable:
         dy_dx, dz_dy, dy_db, dz_dtau = output_backward(trace.out, ap.b, ap.tau,
-                                                       ws)
+                                                       st.out_grads)
         np.multiply(dj_dz, dz_dy, out=dj_dx)
         dj_dx *= dy_dx                                # (n,)
         # dj_dz * (dz_dy*dy_db + dz_dtau*dtau_db), in the buffer of dy_db
@@ -238,33 +286,28 @@ def backward_and_step(model: Mlp, adam: AdamState, trace: ForwardTrace, y,
         dz_dtau *= threshold_grad_b(ap.b)
         dj_db += dz_dtau
         dj_db *= dj_dz
-        grad_beta = float(dj_db.sum()) * slope_grad_beta(ap.beta)
+        grad_beta = float(np.add.reduce(dj_db)) * slope_grad_beta(ap.beta)
     else:   # dz/dy = 1
-        np.multiply(dj_dz, logistic_backward(trace.out, ws), out=dj_dx)
+        np.multiply(dj_dz, logistic_backward(trace.out, st.out_grads), out=dj_dx)
         grad_beta = 0.0
 
-    # The gradient of every parameter, written into one flat vector.
-    grad = ws.get("grad", adam.m.shape)
-    g = _blocks(model, grad)
-    np.matmul(trace.hidden_act.T, dj_dx, out=g["w2"])
-    g["b2"][0] = dj_dx.sum()
-    dhidden = ws.get("dhidden", trace.leak.T.shape).T     # column-major
+    # The gradient of every parameter, written through views into one flat
+    # vector.
+    np.matmul(trace.hidden_act.T, dj_dx, out=st.grad_w2)
+    st.grad_b2[0] = np.add.reduce(dj_dx)
+    dhidden = st.dhidden                                  # column-major
     np.multiply(dj_dx[:, None], model.w2, out=dhidden)    # np.outer(dj_dx, w2)
     dhidden *= trace.leak
-    np.matmul(trace.inputs.T, dhidden, out=g["w1"].T)    # (dhidden.T @ X).T
-    dhidden.sum(axis=0, out=g["b1"])
+    np.matmul(trace.inputs.T, dhidden, out=st.grad_w1.T)  # (dhidden.T @ X).T
+    np.add.reduce(dhidden, axis=0, out=st.grad_b1)
 
-    if not np.isfinite(grad).all():
-        k = next(k for k, a in g.items() if not np.isfinite(a).all())
-        raise NonFiniteError(f"non-finite gradient in {k}")
-    if not np.isfinite(grad_beta):
+    _check_finite(model, st.grad, "non-finite gradient in {}")
+    if not math.isfinite(grad_beta):
         raise NonFiniteError("non-finite gradient in beta")
 
-    _adam_step(model, adam, grad, eta, ws)
+    _adam_step(model.theta, adam, st.grad, eta, st.adam_tmp, st.adam_den)
     ap.step_beta(grad_beta, eta_b)
-    for k in PARAM_NAMES:     # separate arrays: one check each
-        if not np.isfinite(getattr(model, k)).all():
-            raise NonFiniteError(f"non-finite parameter {k} after update")
+    _check_finite(model, model.theta, "non-finite parameter {} after update")
     return float(loss_value), grad_beta
 
 
@@ -295,7 +338,7 @@ def to_checkpoint(model: Mlp) -> dict:
 
 
 def from_checkpoint(payload: dict) -> Mlp:
-    return Mlp(
+    return Mlp.from_arrays(
         w1=np.array(payload["w1"], dtype=float),
         b1=np.array(payload["b1"], dtype=float),
         w2=np.array(payload["w2"], dtype=float),

@@ -16,16 +16,16 @@ import numpy as np
 from .activation import AstraParams, NonFiniteError
 from .data import Dataset, write_records
 from .losses import LossKind
-from .metrics import approx_cm, class_split, e_ratio, positive_cells, rates
+from .metrics import approx_cm, class_split, positive_cells, rates
 from .network import (
     AdamState,
+    ForwardTrace,
     Mlp,
     backward_and_step,
     forward,
     hidden_width,
     init_mlp,
 )
-from .workspace import Workspace
 
 log = logging.getLogger(__name__)
 
@@ -82,14 +82,15 @@ def eta_b_update(eta_b: float, e_ratio_value: float, cfg: TrainConfig) -> float:
     return eta_b
 
 
-def _val_fnr_apx(model: Mlp, X_pos: np.ndarray, ws: Workspace) -> float:
+def _val_fnr_apx(model: Mlp, X_pos: np.ndarray,
+                 trace: ForwardTrace | None) -> float:
     """FNR_apx = FN_apx / (FN_apx + TP_apx) of the validation set, from its
     positive rows `X_pos` alone: the two cells read no negative row.
 
     Only these rows pass through the network, so a non-finite preactivation
     on a validation negative raises nothing; it could not move FNR_apx.
     """
-    fn, tp = positive_cells(forward(model, X_pos, ws).z)
+    fn, tp = positive_cells(forward(model, X_pos, trace).z)
     return fn / (fn + tp)
 
 
@@ -123,26 +124,28 @@ def train(cfg: TrainConfig, train_set: Dataset, val_set: Dataset):
     # X that experiment.split returns, and one of the validation positives.
     X_train = np.asfortranarray(train_set.X)
     X_val_pos = np.asfortranarray(val_set.X[val_set.y == 1])
-    # One workspace per batch: after the first epoch nothing is allocated.
-    ws_train, ws_val = Workspace(), Workspace()
+    # One trace per batch, which every epoch's forward rewrites; the train
+    # trace also holds what backward_and_step writes, from its first call.
+    trace_train = ForwardTrace(X_train, model)
+    trace_val = ForwardTrace(X_val_pos, model)
     eta_b = cfg.eta_b_min
 
     snapshot = Snapshot(epoch=0, model=model.copy(),
-                        val_fnr_apx=_val_fnr_apx(model, X_val_pos, ws_val))
+                        val_fnr_apx=_val_fnr_apx(model, X_val_pos, trace_val))
     records: list[EpochRecord] = []
 
     # NonFiniteError reports a divergence; numpy's warning would crash under -W error.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, cfg.epochs + 1):
             try:
-                trace = forward(model, X_train, ws_train)
+                trace = forward(model, X_train, trace_train)
                 acm = approx_cm(trace.z, split)
                 r = rates(acm)
-                er = e_ratio(acm)
+                er = r.e_ratio
                 eta_b = eta_b_update(eta_b, er, cfg)
                 loss_value, _ = backward_and_step(
                     model, adam, trace, split, cfg.loss, cfg.eta, eta_b, acm)
-                val_fnr = _val_fnr_apx(model, X_val_pos, ws_val)
+                val_fnr = _val_fnr_apx(model, X_val_pos, trace_val)
             except NonFiniteError as exc:
                 log.warning("epoch %d: %s; stopping with last good snapshot",
                             epoch, exc)

@@ -347,6 +347,17 @@ class TestErrorPaths:
         assert "invalid configuration" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_cv_rejects_fewer_than_one_job(self, tmp_path, sparse_dataset,
+                                           capsys, jobs):
+        # Such a count ran serially before; now it exits before any write.
+        out = tmp_path / "cv"
+        rc = cli.main(["cv", "--dataset", str(sparse_dataset), "--out", str(out),
+                       "--epochs", "1", "--repeats", "1", "--jobs", jobs])
+        assert rc == 4
+        assert f"need at least 1 job, got {jobs}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["train", "cv"])
     def test_rejects_fewer_than_three_folds(self, tmp_path, sparse_dataset,
                                             capsys, command):

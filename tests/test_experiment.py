@@ -402,8 +402,9 @@ class TestRotationTask:
         sent = []
 
         class InlinePool:
-            def __init__(self, max_workers):
-                pass
+            def __init__(self, max_workers, initializer, initargs):
+                sent.append(initargs)
+                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -416,11 +417,47 @@ class TestRotationTask:
                 return map(fn, sent[-1][1])
 
         monkeypatch.setattr(experiment, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(experiment._rotate, "args", None, raising=False)
         assert run_cv(ds, cfg, methods, repeats=2, k=5, jobs=2) == results
-        [(fn, keys)] = sent
+        [initargs, (fn, keys)] = sent
         assert keys == list(itertools.product(range(2), range(5)))
-        assert fn.func is experiment._run_rotation
-        assert fn.args == (ds, cfg, methods, 5, None) and not fn.keywords
+        assert fn is experiment._rotate
+        assert initargs == ((ds, cfg, methods, 5, None),)
+
+    @pytest.mark.parametrize("jobs, workers", [(2, 2), (10, 10), (64, 10)])
+    def test_pool_starts_at_most_one_worker_per_rotation(self, monkeypatch,
+                                                         jobs, workers):
+        # A stand-in records the pool's size and runs nothing, so no
+        # process starts.
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers, initializer, initargs):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, keys, chunksize=1):
+                return [[] for _ in keys]
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+        ds = Dataset(X=np.zeros((30, 2)), y=np.array([0] * 20 + [1] * 10))
+        assert run_cv(ds, TrainConfig(epochs=1), [LossKind("bce", False)],
+                      repeats=2, k=5, jobs=jobs) == []
+        assert sizes == [workers]
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_fewer_than_one_job_rejected(self, monkeypatch, jobs):
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", None)
+        monkeypatch.setattr(experiment, "train", None)
+        ds = Dataset(X=np.zeros((30, 2)), y=np.array([0] * 20 + [1] * 10))
+        with pytest.raises(ValueError, match=f"need at least 1 job, got {jobs}"):
+            run_cv(ds, TrainConfig(epochs=1), [LossKind("bce", False)],
+                   repeats=2, k=5, jobs=jobs)
 
     def test_each_split_is_followed_by_its_trains(self, small_cv_results,
                                                   monkeypatch):

@@ -43,11 +43,11 @@ from astra.network import (
     LEAKY_SLOPE,
     PARAM_NAMES,
     AdamState,
+    ForwardTrace,
     backward_and_step,
     forward,
     init_mlp,
 )
-from astra.workspace import Workspace
 
 # Even and odd widths from 1 up, and the widths of the two benchmark shapes.
 WIDTHS = (1, 2, 3, 4, 5, 6, 12)
@@ -192,7 +192,7 @@ def test_step_matches_reference(kind, n_h, seed):
     fused = make_model(kind, n_x, n_h, seed)
     ref = fused.copy()
     fused_adam, ref_adam = fresh_adam(fused), reference_adam(ref)
-    ws = Workspace()
+    ws = ForwardTrace(X, fused)
     for _ in range(STEPS):
         trace = forward(fused, X, ws)
         acm = approx_cm(trace.z, split)
@@ -229,7 +229,7 @@ def test_steps_near_row_major_reference(kind, n_h, seed):
     fused = make_model(kind, n_x, n_h, seed)
     ref = fused.copy()
     fused_adam, ref_adam = fresh_adam(fused), reference_adam(ref)
-    ws = Workspace()
+    ws = ForwardTrace(X, fused)
     for _ in range(STEPS):
         trace = forward(fused, X, ws)
         backward_and_step(fused, fused_adam, trace, y, kind, 0.01, 0.05,
@@ -256,7 +256,7 @@ def test_step_without_acm_or_workspace_matches():
         b = a.copy()
         adam_a, adam_b = fresh_adam(a), fresh_adam(b)
         backward_and_step(a, adam_a, forward(a, X), y, kind, 0.01, 0.05)
-        trace = forward(b, X, Workspace())
+        trace = forward(b, X, ForwardTrace(X, b))
         backward_and_step(b, adam_b, trace, split, kind, 0.01, 0.05,
                           approx_cm(trace.z, split))
         assert_same_model(a, b)
@@ -267,7 +267,7 @@ def test_step_without_acm_or_workspace_matches():
 def test_workspace_reuses_arrays():
     X, _ = batch(4, 3)
     model = make_model(ALL_KINDS[3], 3, 2, 4)
-    ws = Workspace()
+    ws = ForwardTrace(X, model)
     first = forward(model, X, ws)
     second = forward(model, X, ws)
     assert np.shares_memory(first.z, second.z)
@@ -281,13 +281,12 @@ TAIL_X = np.concatenate([np.linspace(-700.0, 700.0, 20001),
 
 
 def test_logistic_path_near_general_path():
-    ws_l, ws_g = Workspace(), Workspace()
-    frozen = logistic_forward(TAIL_X, ws_l)
-    general = output_forward(TAIL_X, 1.0, 0.5, ws_g)
+    frozen = logistic_forward(TAIL_X)
+    general = output_forward(TAIL_X, 1.0, 0.5)
     np.testing.assert_allclose(frozen.z, general.z, rtol=1e-15, atol=0)
     assert frozen.y_hat is frozen.z
-    dy_dx, dz_dy, _, _ = output_backward(general, 1.0, 0.5, ws_g)
-    np.testing.assert_allclose(logistic_backward(frozen, ws_l), dy_dx,
+    dy_dx, dz_dy, _, _ = output_backward(general, 1.0, 0.5)
+    np.testing.assert_allclose(logistic_backward(frozen), dy_dx,
                                rtol=1e-14, atol=0)
 
 
@@ -295,18 +294,16 @@ def test_general_path_has_unit_z_slope_at_b_one():
     # Why the logistic path drops dz/dy: at b = 1 and tau = 0.5 the general
     # path's dz/dy is exactly 1.0.
     x = np.linspace(-800.0, 800.0, 16001)
-    ws = Workspace()
-    _, dz_dy, _, _ = output_backward(output_forward(x, 1.0, 0.5, ws), 1.0, 0.5, ws)
+    _, dz_dy, _, _ = output_backward(output_forward(x, 1.0, 0.5), 1.0, 0.5)
     assert np.all(dz_dy == 1.0)
 
 
 def test_logistic_path_tails_are_finite_and_warning_free():
     x = np.array([-800.0, -700.0, -40.0, 0.0, 40.0, 700.0, 800.0])
-    ws = Workspace()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        terms = logistic_forward(x, ws)
-        dy_dx = logistic_backward(terms, ws)
+        terms = logistic_forward(x)
+        dy_dx = logistic_backward(terms)
     assert np.all(np.isfinite(terms.e)) and np.all(np.isfinite(dy_dx))
     assert np.all(dy_dx >= 0)
     assert terms.z[0] == 1e-7 and terms.z[-1] == 1.0 - 1e-7

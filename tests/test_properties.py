@@ -14,17 +14,18 @@ from astra.activation import (  # noqa: E402
     AstraParams,
     B_MIN,
     EPS,
+    OutputTerms,
     _astra_terms,
     astra_forward,
     astra_threshold,
     beta_from_slope,
+    empty_terms,
     slope_from_beta,
     z_transform,
 )
 from astra.metrics import approx_cm, counting_cm, rates  # noqa: E402
 from astra.network import forward, init_mlp  # noqa: E402
 from astra.trainer import _val_fnr_apx  # noqa: E402
-from astra.workspace import Workspace  # noqa: E402
 
 # 200 examples per property keep the file at a few seconds.
 CHECK = settings(max_examples=200, deadline=None)
@@ -56,7 +57,7 @@ def test_threshold_is_output_at_zero(b):
 @CHECK
 @given(slopes, st.floats(-64.0, 64.0))
 def test_r_from_s_is_exp_form(b, bx):
-    _, s, u, _ = _astra_terms(np.array([bx / b]), b, Workspace())
+    _, s, u, _ = _astra_terms(np.array([bx / b]), b, empty_terms(OutputTerms, 1))
     bx = b * (bx / b)
     want = np.exp(np.log(b) + bx - u[0])
     assert s[0] / (1.0 + s[0]) == pytest.approx(want, rel=1e-14, abs=0.0)
@@ -119,7 +120,7 @@ def test_val_fnr_apx_from_positives_is_full_set_fnr(seed, n_x, n_h, n, tau):
     model.b1 = rng.normal(0.0, 1.0, n_h)
     model.b2 = float(rng.normal())
     want = rates(approx_cm(forward(model, X).z, y)).fnr
-    assert _val_fnr_apx(model, X[y == 1], Workspace()) == pytest.approx(
+    assert _val_fnr_apx(model, X[y == 1], None) == pytest.approx(
         want, rel=1e-12, abs=0.0)
 
 

@@ -1,6 +1,7 @@
 import math
+import tracemalloc
 import warnings
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -219,6 +220,143 @@ class TestFeatureMajor:
         monkeypatch.setattr(trainer, "forward", recording)
         train(TrainConfig(epochs=3, seed=1), tr, val)
         assert sum(X is tr.X for X in seen) == 3
+
+
+def snapshot_bits(snapshot) -> tuple:
+    m = snapshot.model
+    return (snapshot.epoch, snapshot.val_fnr_apx,
+            *(np.asarray(getattr(m, k)).tobytes() for k in ("w1", "b1", "w2", "b2")),
+            astuple(m.astra))
+
+
+class TestRunState:
+    """What a run that rewrites the same arrays every epoch must keep: its
+    snapshots apart from the live parameters, no allocation after the first
+    epoch, and the epoch, snapshot and records each divergence check stops
+    at."""
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.name)
+    def test_snapshot_does_not_follow_later_steps(self, kind):
+        tr, val = shaped(1200, 3, 0), shaped(400, 3, 1)
+        cfg = TrainConfig(epochs=40, eta=0.05, loss=kind, seed=5)
+        best, _ = train(cfg, tr, val)
+        assert 0 < best.epoch < cfg.epochs
+        shorter, _ = train(replace(cfg, epochs=best.epoch), tr, val)
+        assert snapshot_bits(shorter) == snapshot_bits(best)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.name)
+    def test_later_epochs_allocate_no_row_array(self, kind):
+        # The skin-cv train fold's size.
+        tr, val = shaped(12020, 3, 0), shaped(4000, 3, 1)
+
+        def peak(epochs):
+            tracemalloc.start()
+            try:
+                train(TrainConfig(epochs=epochs, eta=0.01, loss=kind, seed=5),
+                      tr, val)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(30) - peak(3) < 12020 * 8
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.name)
+    def test_no_epoch_after_the_first_peaks_by_a_row_array(self, kind,
+                                                           monkeypatch):
+        # What an epoch allocates and frees leaves the peak of a whole run
+        # alone, so each epoch from the second on is measured by itself:
+        # the peak from the start of its train forward to the next one's.
+        tr, val = shaped(12020, 3, 0), shaped(4000, 3, 1)
+        rises, real_forward = [], trainer.forward
+
+        def measured_forward(model, X, ws=None):
+            if len(X) == len(tr.X):
+                current, peak = tracemalloc.get_traced_memory()
+                rises.append(peak - current)
+                tracemalloc.reset_peak()
+            return real_forward(model, X, ws)
+
+        monkeypatch.setattr(trainer, "forward", measured_forward)
+        tracemalloc.start()
+        try:
+            train(TrainConfig(epochs=12, eta=0.01, loss=kind, seed=5), tr, val)
+        finally:
+            tracemalloc.stop()
+        assert len(rises) == 12
+        assert max(rises[2:]) < 12020 * 8
+
+    def run_to_divergence(self, monkeypatch, kind, tr, val, eta=0.01,
+                          inject=None):
+        """(snapshot, records, the stop message, the X of the forward that
+        raised or None); `inject(model, trace)` runs before epoch 4's step."""
+        messages, raised_on, steps = [], [], []
+        real_forward, real_step = trainer.forward, trainer.backward_and_step
+
+        def watched_forward(model, X, ws=None):
+            try:
+                return real_forward(model, X, ws)
+            except ValueError:
+                raised_on.append(X)
+                raise
+
+        def injecting_step(model, adam, trace, *args):
+            steps.append(None)
+            if inject is not None and len(steps) == 4:
+                inject(model, trace)
+            return real_step(model, adam, trace, *args)
+
+        monkeypatch.setattr(trainer, "forward", watched_forward)
+        monkeypatch.setattr(trainer, "backward_and_step", injecting_step)
+        monkeypatch.setattr(trainer.log, "warning",
+                            lambda fmt, *a: messages.append(fmt % a))
+        snapshot, records = train(TrainConfig(epochs=30, eta=eta, loss=kind,
+                                              seed=2), tr, val)
+        assert snapshot.diverged and len(messages) == 1
+        return snapshot, records, messages[0], (raised_on or [None])[0]
+
+    @pytest.mark.parametrize("kind, good_epochs", [
+        (LossKind("bce", False), 20), (LossKind("gmn", False), 8)])
+    def test_train_preactivation_stops_the_run(self, monkeypatch, kind,
+                                               good_epochs):
+        # Features of 1e300 overflow the train rows' output preactivation.
+        tr = fortran(Dataset(shaped(400, 3, 0).X * 1e300, shaped(400, 3, 0).y))
+        val = fortran(Dataset(shaped(200, 3, 1).X * 1e300, shaped(200, 3, 1).y))
+        snapshot, records, message, raised_on = self.run_to_divergence(
+            monkeypatch, kind, tr, val, eta=1e3)
+        assert raised_on is tr.X
+        assert message.startswith(f"epoch {good_epochs + 1}: preactivation "
+                                  "must be finite")
+        assert (snapshot.epoch, len(records)) == (1, good_epochs)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.name)
+    def test_validation_forward_stops_the_run(self, monkeypatch, kind):
+        # eta = 1e200 steps the weights far enough that the validation
+        # positives' preactivation overflows after the first step.
+        tr, val = fortran(shaped(400, 3, 0)), fortran(shaped(200, 3, 1))
+        snapshot, records, message, raised_on = self.run_to_divergence(
+            monkeypatch, kind, tr, val, eta=1e200)
+        assert raised_on is not None and len(raised_on) == 2
+        assert message.startswith("epoch 1: preactivation must be finite")
+        assert (snapshot.epoch, len(records)) == (0, 0)
+
+    @pytest.mark.parametrize("inject, check", [
+        (lambda model, trace: trace.hidden_act.__setitem__((0, 0), np.inf),
+         "non-finite gradient in w2"),
+        (lambda model, trace: model.b1.__setitem__(0, np.nan),
+         "non-finite parameter b1 after update"),
+    ], ids=["gradient", "parameter"])
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.name)
+    def test_step_checks_stop_the_run(self, monkeypatch, kind, inject, check):
+        # A value made non-finite before epoch 4's step stops the run there
+        # with the snapshot of the three good epochs.
+        tr, val = fortran(shaped(400, 3, 0)), fortran(shaped(200, 3, 1))
+        snapshot, records, message, raised_on = self.run_to_divergence(
+            monkeypatch, kind, tr, val, inject=inject)
+        assert raised_on is None and message.startswith(f"epoch 4: {check};")
+        assert len(records) == 3
+        clean, _ = train(TrainConfig(epochs=3, eta=0.01, loss=kind, seed=2),
+                         tr, val)
+        assert snapshot_bits(snapshot) == snapshot_bits(clean)
 
 
 class TestEpochCsv:
