@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -91,25 +92,17 @@ def _preactivation(x, b: float) -> np.ndarray:
     xa = np.asarray(x, dtype=float)
     if not np.isfinite(xa).all():
         raise NonFiniteError("preactivation must be finite")
-    return np.atleast_1d(xa)
-
-
-def _unwrap(x, *arrays):
-    """Scalars back out for scalar input, arrays otherwise."""
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return tuple(float(a[0]) for a in arrays)
-    return arrays
+    return xa
 
 
 def astra_forward(x, b: float):
     """Evaluate 1 - (1 + b*exp(b*x))**(-1/b).
 
     Strictly increasing in x, stable for b*x up to +/-700 (saturates smoothly
-    to 0 or 1).  Scalar or ndarray x; scalar b.
+    to 0 or 1).  Scalar x gives an np.float64, ndarray x an array; scalar b.
     """
     neg_u_b = output_forward(_preactivation(x, b), b, 0.5).neg_u_b
-    (y,) = _unwrap(x, -np.expm1(neg_u_b))
-    return y
+    return (-np.expm1(neg_u_b))[()]
 
 
 def astra_threshold(b: float) -> float:
@@ -150,8 +143,9 @@ def beta_from_slope(b: float) -> float:
     return math.log(b - 1.0)
 
 
+@cache
 def slope_from_tau(tau: float) -> float:
-    """Solve astra_threshold(b) == tau for b by bisection.
+    """Solve astra_threshold(b) == tau for b by bisection, once per tau.
 
     tau must lie in (astra_threshold(B_MAX), 0.5].
     """
@@ -180,7 +174,7 @@ def astra_backward(x, b: float):
     # Any tau: it moves only the z-transform's derivatives.
     terms = output_forward(_preactivation(x, b), b, 0.5)
     dy_dx, _, dy_db, _ = output_backward(terms, b, 0.5)
-    return _unwrap(x, dy_dx, dy_db)
+    return dy_dx[()], dy_db[()]
 
 
 def threshold_grad_b(b: float) -> float:
@@ -203,19 +197,18 @@ def z_transform(y_hat, tau: float):
     maps tau -> 0.5.
     """
     _check_tau(tau)
-    y = clamp_unit(np.atleast_1d(np.asarray(y_hat, dtype=float)))
-    (z,) = _unwrap(y_hat, _z_terms(y, tau, empty_terms(OutputTerms, y.shape))[2])
-    return z
+    y = clamp_unit(np.asarray(y_hat, dtype=float))
+    return _z_terms(y, tau, empty_terms(OutputTerms, y.shape))[2][()]
 
 
 def z_transform_backward(y_hat, tau: float):
     """Partial derivatives (dz/dy_hat, dz/dtau) of z_transform."""
     _check_tau(tau)
-    y = clamp_unit(np.atleast_1d(np.asarray(y_hat, dtype=float)))
+    y = clamp_unit(np.asarray(y_hat, dtype=float))
     t, g = empty_terms(OutputTerms, y.shape), empty_terms(OutputGrads, y.shape)
     _z_terms(y, tau, t)
     _z_grads(y, t, tau, g)
-    return _unwrap(y_hat, g.dz_dy, g.dz_dtau)
+    return g.dz_dy[()], g.dz_dtau[()]
 
 
 def misorder_band_upper(b: float) -> float:

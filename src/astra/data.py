@@ -379,10 +379,9 @@ def fold_split(ds: Dataset, plan: FoldPlan, test_fold: int, val_fold: int):
     """(train, val, test) datasets for one rotation of the plan."""
     if test_fold == val_fold:
         raise ValueError("test and validation folds must differ")
-    test_idx = plan.fold_indices(test_fold)
-    val_idx = plan.fold_indices(val_fold)
-    train_mask = ~np.isin(np.arange(ds.m_tot), np.concatenate([test_idx, val_idx]))
-    return ds.subset(np.flatnonzero(train_mask)), ds.subset(val_idx), ds.subset(test_idx)
+    a = plan.assignments
+    masks = ((a != test_fold) & (a != val_fold), a == val_fold, a == test_fold)
+    return tuple(ds.subset(np.flatnonzero(mask)) for mask in masks)
 
 
 def undersample_minority(ds: Dataset, keep: int, seed):

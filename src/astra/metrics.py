@@ -3,7 +3,7 @@
 The approximated matrix replaces indicator counts with probabilistic outputs,
 so its entries are real-valued and its derived rates retain the "by how much"
 that counting metrics lose.  It reduces exactly to the counting matrix on
-binary predictions.
+binary predictions: counting_cm is the ACM of 0/1 labels, cast to int.
 """
 
 from __future__ import annotations
@@ -64,25 +64,6 @@ class Rates:
         return self.fnr / max(self.fpr, E_RATIO_EPS)
 
 
-def check_lengths(a, b) -> None:
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    if len(a) == 0:
-        raise ValueError("empty input")
-
-
-def counting_cm(pred_labels, y) -> CountCM:
-    """Exact TP/TN/FP/FN counts from binary predictions and targets."""
-    check_lengths(pred_labels, y)
-    p = np.asarray(pred_labels)
-    t = np.asarray(y)
-    tp = int(np.sum((p == 1) & (t == 1)))
-    tn = int(np.sum((p == 0) & (t == 0)))
-    fp = int(np.sum((p == 1) & (t == 0)))
-    fn = int(np.sum((p == 0) & (t == 1)))
-    return CountCM(tn=tn, fp=fp, fn=fn, tp=tp)
-
-
 @dataclass(frozen=True)
 class ClassSplit:
     """The classes of 0/1 targets, found once: the positives' indices and
@@ -132,6 +113,15 @@ def approx_cm(y_hat, y) -> ApproxCM:
     fn, tp = positive_cells(yh[split.pos])
     fp = float(np.add.reduce(yh)) - tp
     return ApproxCM(tn_apx=split.m0 - fp, fp_apx=fp, fn_apx=fn, tp_apx=tp)
+
+
+def counting_cm(pred_labels, y) -> CountCM:
+    """The ACM of 0/1 predictions against 0/1 targets `y` or their ClassSplit,
+    as int.  Other predictions raise: the ACM would count a 2 as two."""
+    p = np.asarray(pred_labels)
+    if not ((p == 0) | (p == 1)).all():
+        raise ValueError("predictions must be 0 or 1")
+    return CountCM(*map(int, _cells(approx_cm(p, y))))
 
 
 def mcc(cm: CountCM | ApproxCM) -> float:

@@ -44,6 +44,12 @@ class TrainConfig:
     n_h: int | None = None        # override of the ceil((n_x+1)/2) rule
 
     def __post_init__(self):
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if not 0 < self.eta < np.inf:
+            raise ValueError(f"eta must be finite and > 0, got {self.eta}")
+        if self.n_h is not None and self.n_h < 1:
+            raise ValueError(f"n_h must be >= 1, got {self.n_h}")
         if not 0 < self.eta_b_min <= self.eta_b_max:
             raise ValueError("need 0 < eta_b_min <= eta_b_max")
         if self.k_mult <= 1 or not 0 < self.k_dec < 1:

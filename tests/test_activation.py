@@ -266,3 +266,39 @@ class TestAstraParams:
         p.step_beta(0.37, 0.1)
         assert p.b == pytest.approx(slope_from_beta(p.beta), rel=1e-15)
         assert p.tau == pytest.approx(astra_threshold(p.b), rel=1e-15)
+
+
+class TestScalarContract:
+    """Scalar in, scalar out: numpy's 0-d path runs the helpers, and [()]
+    returns an np.float64 (a float) with the bits of a (1,)-array input."""
+
+    HELPERS = {
+        "astra_forward": lambda v: astra_forward(v, 7.396),
+        "astra_backward": lambda v: astra_backward(v, 7.396),
+        "z_transform": lambda v: z_transform(v, 0.25),
+        "z_transform_backward": lambda v: z_transform_backward(v, 0.25),
+    }
+
+    @staticmethod
+    def results(r):
+        return r if isinstance(r, tuple) else (r,)
+
+    @pytest.mark.parametrize("name", HELPERS)
+    @pytest.mark.parametrize("kind", [float, np.float64, np.array])
+    # 40 takes the b*x > 35 branch of the activation; 1e-9 and 1 - 1e-9 are
+    # clamped by the z-transform.
+    @pytest.mark.parametrize("value", [-3.0, 0.0, 1e-9, 0.3, 1.0 - 1e-9, 40.0])
+    def test_scalar_input_gives_scalar(self, name, kind, value):
+        helper = self.HELPERS[name]
+        got = self.results(helper(kind(value)))
+        want = self.results(helper(np.array([value])))
+        for r, w in zip(got, want, strict=True):
+            assert isinstance(r, float) and np.ndim(r) == 0
+            assert np.float64(r).tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("name", HELPERS)
+    @pytest.mark.parametrize("shape", [(5,), (2, 3)])
+    def test_array_input_keeps_its_shape(self, name, shape):
+        x = np.linspace(0.1, 0.9, math.prod(shape)).reshape(shape)
+        for r in self.results(self.HELPERS[name](x)):
+            assert isinstance(r, np.ndarray) and r.shape == shape

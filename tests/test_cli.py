@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -437,6 +440,39 @@ class TestConfigFile:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "cv"])
+    @pytest.mark.parametrize("content, field", [
+        ('{"epochs": -3}', "epochs"),
+        ('{"eta": -0.5}', "eta"),
+        ('{"eta": 0}', "eta"),
+        ('{"eta": NaN}', "eta"),
+        ('{"eta": Infinity}', "eta"),
+        ('{"n_h": 0}', "n_h"),
+    ], ids=["negative-epochs", "negative-eta", "zero-eta", "nan-eta",
+            "infinite-eta", "zero-n-h"])
+    def test_bad_train_setting_rejected(self, tmp_path, sparse_dataset, capsys,
+                                        command, content, field):
+        # Rejected before the manifest is written, in both commands.
+        config = tmp_path / "cfg.json"
+        config.write_text(content)
+        out = tmp_path / "o"
+        quick = ["--repeats", "1"] if command == "cv" else []
+        if field != "epochs":
+            quick += ["--epochs", "1"]
+        assert cli.main([command, "--config", str(config), "--dataset",
+                         str(sparse_dataset), "--out", str(out), *quick]) == 4
+        assert f"invalid configuration: {field} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--epochs", "-3"), ("--n-h", "0")])
+    def test_bad_train_flag_rejected(self, tmp_path, sparse_dataset, capsys,
+                                     flag, value):
+        out = tmp_path / "o"
+        assert cli.main(["train", "--dataset", str(sparse_dataset), "--out",
+                         str(out), flag, value]) == 4
+        assert "invalid configuration" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file(self, tmp_path, sparse_dataset, capsys):
         out = tmp_path / "o"
         assert cli.main(["train", "--dataset", str(sparse_dataset), "--config",
@@ -745,3 +781,29 @@ class TestCommandReadsItsOwnOptions:
                          "--config", str(config)]) == 4
         assert "unknown config key(s): seed" in capsys.readouterr().err
         assert not out.exists()
+
+
+# Runs astra.cli.main with the test-only packages made unimportable.
+NUMPY_ONLY = """
+import sys
+for name in ("scipy", "hypothesis", "pytest"):
+    sys.modules[name] = None
+from astra.cli import main
+data, out = sys.argv[1:]
+assert main(["train", "--dataset", data, "--out", out + "/train",
+             "--epochs", "2"]) == 0
+assert main(["cv", "--dataset", data, "--out", out + "/cv", "--jobs", "2",
+             "--repeats", "1", "--epochs", "2"]) == 0
+"""
+
+
+def test_numpy_is_the_only_runtime_dependency(tmp_path, sparse_dataset):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", NUMPY_ONLY, str(sparse_dataset),
+                           str(tmp_path)], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "train" / "summary.json").exists()
+    assert len((tmp_path / "cv" / "runs.csv").read_text().splitlines()) == 1 + 20

@@ -549,6 +549,26 @@ class TestFoldSplit:
             assert total == sorted(ds.X[:, 0])
             assert tr.m_tot + val.m_tot + te.m_tot == 40
 
+    @pytest.mark.parametrize("k", range(3, 11))
+    def test_train_rows_are_the_isin_reference(self, k):
+        # Each row's index as its feature, so a subset shows its rows.
+        rng = np.random.default_rng(k)
+        m = int(rng.integers(4 * k, 12 * k))
+        y = np.zeros(m, dtype=int)
+        y[rng.choice(m, k, replace=False)] = 1
+        ds = Dataset(X=np.arange(m, dtype=float)[:, None], y=y)
+        plan = stratified_folds(ds, k, seed=k)
+        for test_fold in range(k):
+            for val_fold in set(range(k)) - {test_fold}:
+                test_idx = plan.fold_indices(test_fold)
+                val_idx = plan.fold_indices(val_fold)
+                mask = ~np.isin(np.arange(m), np.concatenate([test_idx, val_idx]))
+                want = (np.flatnonzero(mask), val_idx, test_idx)
+                got = fold_split(ds, plan, test_fold, val_fold)
+                for part, idx in zip(got, want, strict=True):
+                    assert np.array_equal(part.X[:, 0], idx)
+                    assert np.array_equal(part.y, y[idx])
+
     def test_same_fold_rejected(self):
         ds = Dataset(X=np.zeros((10, 1)), y=np.array([0] * 8 + [1] * 2))
         plan = stratified_folds(ds, 5, seed=0)

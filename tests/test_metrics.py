@@ -67,6 +67,41 @@ class TestCountingCm:
         with pytest.raises(ValueError):
             counting_cm([0, 1], [0])
 
+    def test_equals_elementwise_tally(self):
+        # The ACM of the labels, cast to int, is the tally for 0/1 labels of
+        # any dtype, all-0 and all-1 predictions included, and for targets
+        # given as their ClassSplit.
+        hypothesis = pytest.importorskip("hypothesis")
+        from hypothesis import strategies as st
+
+        labels = st.integers(1, 200).flatmap(lambda n: st.tuples(
+            st.one_of(st.lists(st.integers(0, 1), min_size=n, max_size=n),
+                      st.just([0] * n), st.just([1] * n)),
+            st.lists(st.integers(0, 1), min_size=n, max_size=n),
+            st.sampled_from([int, bool, float]),
+            st.booleans()))
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(labels)
+        def check(case):
+            preds, y, dtype, as_split = case
+            tally = {"tn": 0, "fp": 0, "fn": 0, "tp": 0}
+            for p, t in zip(preds, y):
+                tally[("t" if p == t else "f") + ("p" if p == 1 else "n")] += 1
+            cm = counting_cm(np.array(preds, dtype=dtype),
+                             class_split(y) if as_split else y)
+            assert cm == CountCM(**tally)
+            assert all(type(v) is int for v in vars(cm).values())
+
+        check()
+
+    @pytest.mark.parametrize("preds", [[0, 2, 1], [0, -1, 1], [0, 0.5, 1],
+                                       [0, float("nan"), 1]])
+    def test_rejects_predictions_other_than_0_1(self, preds):
+        # A 2 falls in no cell of a tally; the ACM would count it as fp = 2.
+        with pytest.raises(ValueError, match="predictions must be 0 or 1"):
+            counting_cm(preds, [0, 0, 1])
+
 
 class TestApproxCm:
     def test_binary_reduces_to_counting(self):

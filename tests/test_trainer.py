@@ -47,6 +47,22 @@ class TestEtaBUpdate:
         with pytest.raises(ValueError):
             TrainConfig(tau_init=0.01)
 
+    @pytest.mark.parametrize("setting, field", [
+        ({"epochs": -1}, "epochs"),
+        ({"eta": -0.5}, "eta"),
+        ({"eta": 0.0}, "eta"),
+        ({"eta": math.nan}, "eta"),
+        ({"eta": math.inf}, "eta"),
+        ({"n_h": 0}, "n_h"),
+    ])
+    def test_rejects_bad_epochs_eta_and_n_h(self, setting, field):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            TrainConfig(**setting)
+
+    def test_accepts_the_edges(self):
+        cfg = TrainConfig(epochs=0, eta=5e-324, n_h=1)
+        assert (cfg.epochs, cfg.eta, cfg.n_h) == (0, 5e-324, 1)
+
     def test_tau_init_range_is_the_slopes(self):
         # Open at both ends: b = 1 has no beta, and slope_from_tau stops
         # short of B_MAX.
