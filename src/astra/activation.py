@@ -52,10 +52,10 @@ def empty_terms(terms, shape):
 
 def _astra_terms(x: np.ndarray, b: float, t):
     """(b*x, s, u, -u/b) with s = b*exp(min(b*x, _LOG_SWITCH)) and
-    u = log(1 + b*exp(b*x)), written into the arrays of OutputTerms `t`
-    without overflow: above _LOG_SWITCH, u is replaced by its asymptote
-    log(b) + b*x."""
-    bx = np.multiply(b, x, out=t.bx)
+    u = log(1 + b*exp(b*x)), written into the arrays of OutputTerms `t` (b*x
+    into t.z, which the z-transform overwrites) without overflow: above
+    _LOG_SWITCH, u is replaced by its asymptote log(b) + b*x."""
+    bx = np.multiply(b, x, out=t.z)
     s = np.minimum(bx, _LOG_SWITCH, out=t.s)
     np.exp(s, out=s)
     s *= b
@@ -63,9 +63,7 @@ def _astra_terms(x: np.ndarray, b: float, t):
     if np.fmax.reduce(bx, axis=None, initial=-math.inf) > _LOG_SWITCH:
         big = bx > _LOG_SWITCH
         u[big] = math.log(b) + bx[big]
-    neg_u_b = np.negative(u, out=t.neg_u_b)
-    neg_u_b /= b
-    return bx, s, u, neg_u_b
+    return bx, s, u, np.divide(u, -b, out=t.neg_u_b)
 
 
 def _z_terms(y, tau: float, t):
@@ -185,9 +183,8 @@ def threshold_grad_b(b: float) -> float:
 
 
 def clamp_unit(y, out=None):
-    """Clamp activation outputs into [EPS, 1 - EPS] before logarithms: the
-    bits of np.clip, without its five Python frames."""
-    return np.minimum(np.maximum(y, EPS, out=out), 1.0 - EPS, out=out)
+    """Clamp activation outputs into [EPS, 1 - EPS] before logarithms."""
+    return np.clip(y, EPS, 1.0 - EPS, out=out)
 
 
 def z_transform(y_hat, tau: float):
@@ -229,7 +226,7 @@ class OutputTerms(NamedTuple):
     """The activation and z-transform of an array of preactivations, with
     the intermediates their derivatives reuse."""
 
-    bx: np.ndarray          # b*x
+    x: np.ndarray           # the preactivation, as given; never written
     s: np.ndarray           # b*exp(min(b*x, _LOG_SWITCH))
     u: np.ndarray           # log(1 + b*exp(b*x))
     neg_u_b: np.ndarray     # -u/b; 1 - y = exp(-u/b) before clamping
@@ -256,9 +253,10 @@ def output_forward(x: np.ndarray, b: float, tau: float,
                    t: OutputTerms | None = None) -> OutputTerms:
     """clamp_unit(z_transform(clamp_unit(astra_forward(x, b)), tau)), bit for
     bit, keeping what output_backward needs, in the arrays of `t` (fresh
-    ones without it).  The kernel of network.forward, which checks that x is
-    finite; b and tau are a slope's own, which AstraParams keeps valid."""
-    t = empty_terms(OutputTerms, x.shape) if t is None else t
+    ones without it; t.x is x).  The kernel of network.forward, which checks
+    that x is finite; b and tau are a slope's own, which AstraParams keeps
+    valid."""
+    t = empty_terms(OutputTerms, x.shape)._replace(x=x) if t is None else t
     _astra_terms(x, b, t)
     y = np.expm1(t.neg_u_b, out=t.y_hat)
     clamp_unit(np.negative(y, out=y), out=y)
@@ -271,7 +269,7 @@ def output_backward(terms: OutputTerms, b: float, tau: float,
                     g: OutputGrads | None = None):
     """(dy/dx, dz/dy, dy/db, dz/dtau) as astra_backward and
     z_transform_backward give them, in the arrays of `g` (fresh ones
-    without it)."""
+    without it), each written once the terms under it are read."""
     g = empty_terms(OutputGrads, terms.z.shape) if g is None else g
     # r = s/(1 + s); above _LOG_SWITCH, s is capped and r is 1 within 1e-15.
     r = np.add(1.0, terms.s, out=g.r)
@@ -280,8 +278,9 @@ def output_backward(terms: OutputTerms, b: float, tau: float,
     # cancels as b -> 1 at large x.
     one_my = np.exp(terms.neg_u_b, out=g.exp_neg_u_b)
     np.multiply(r, one_my, out=g.dy_dx)
-    # one_my / (b*b) * (r*(1 + bx) - u)
-    dy_db = np.add(1.0, terms.bx, out=g.dy_db)
+    # one_my / (b*b) * (r*(1 + bx) - u), with bx = b*x as the forward's
+    dy_db = np.multiply(b, terms.x, out=g.dy_db)
+    dy_db += 1.0
     dy_db *= r
     dy_db -= terms.u
     one_my /= b * b

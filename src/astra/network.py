@@ -56,9 +56,10 @@ def param_views(flat: np.ndarray, n_h: int, n_x: int) -> tuple:
             flat[n_w1 + n_h:-1], flat[-1:])
 
 
-def _all_finite(a: np.ndarray, out: np.ndarray | None = None) -> bool:
-    """Whether every element of `a` is finite; `out` takes np.isfinite(a)."""
-    return np.logical_and.reduce(np.isfinite(a, out=out), axis=None)
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every element of `a` is finite: max and min propagate NaN."""
+    return (math.isfinite(np.maximum.reduce(a, axis=None, initial=0.0))
+            and math.isfinite(np.minimum.reduce(a, axis=None, initial=0.0)))
 
 
 def _check_finite(model: "Mlp", flat: np.ndarray, message: str) -> None:
@@ -98,7 +99,7 @@ class Mlp:
     def __init__(self, theta: np.ndarray, n_x: int, n_h: int,
                  astra: AstraParams, seed):
         w1, b1, w2, _ = param_views(theta, n_h, n_x)
-        # Bound past __setattr__: a snapshot copy makes eight fewer calls.
+        # Bound past __setattr__: a copy makes eight fewer calls.
         vars(self).update(theta=theta, n_x=n_x, n_h=n_h, w1=w1, b1=b1, w2=w2,
                           astra=astra, seed=seed)
 
@@ -155,25 +156,33 @@ def init_mlp(n_x: int, n_h: int, seed: int,
 
 
 class ForwardTrace:
-    """What forward computed and backward_and_step reads over one batch of
-    rows: a run makes one per batch and each epoch's forward rewrites it.
+    """What forward computed and backward_and_step reads over a batch of n
+    rows, and over a run's validation rows after them (`X_val`): a run
+    makes one trace and every forward rewrites it.
 
-    `inputs` is the X forward was given.  `hidden_pre`, `leak` and
-    `hidden_act` are column-major (n, n_h) arrays: each is the transposed
-    view of an (n_h, n) C array.  `leak` is the Leaky ReLU slope of each
-    unit, exactly 1.0 or LEAKY_SLOPE.  `step` holds the arrays of
-    backward_and_step, made by its first call on the trace.
+    `hidden_act` and `leak` (each unit's Leaky ReLU slope, 1.0 or
+    LEAKY_SLOPE) are column-major (n, n_h) views of (n_h, rows) C arrays;
+    `out_pre`, `out`, `y_hat` and `z` hold the n rows, `val_z` the
+    validation rows.  `step` holds backward_and_step's arrays from its
+    first call, which writes over `hidden_act` and `out`.
     """
 
-    def __init__(self, X: np.ndarray, model: Mlp):
+    def __init__(self, X: np.ndarray, model: Mlp, X_val: np.ndarray | None = None):
         n, trainable = len(X), model.astra.trainable
         self.key = (X.shape, model.n_h, trainable)
         self.inputs = X
-        self.hidden_pre, self.leak, self.hidden_act = (
-            np.empty((model.n_h, n)).T for _ in range(3))
-        self.out_pre, self.finite = np.empty(n), np.empty(n, bool)
-        self.out = empty_terms(OutputTerms if trainable else LogisticTerms, n)
-        self.y_hat, self.z = self.out.y_hat, self.out.z
+        self.val_inputs = np.empty((0, model.n_x)) if X_val is None else X_val
+        rows = n + len(self.val_inputs)
+        self.hidden_all, self.leak_all = (np.empty((model.n_h, rows)).T for _ in range(2))
+        self.pre = np.empty(rows)
+        self.out_all = (empty_terms(OutputTerms, rows)._replace(x=self.pre)
+                        if trainable else empty_terms(LogisticTerms, rows))
+        self.out = type(self.out_all)._make(a[:n] for a in self.out_all)
+        self.hidden_act, self.leak, self.out_pre = (
+            self.hidden_all[:n], self.leak_all[:n], self.pre[:n])
+        self.y_hat, self.z, self.val_z = self.out.y_hat, self.out.z, self.out_all.z[n:]
+        # forward checks the rows it alone reads: backward_and_step a run's.
+        self.checked = self.pre[n:] if len(self.val_inputs) else self.pre
         self.step = None
 
 
@@ -181,12 +190,13 @@ class _Step:
     """The arrays backward_and_step writes over a trace's rows."""
 
     def __init__(self, trace: ForwardTrace, model: Mlp):
-        n, size = len(trace.out_pre), model.theta.size
+        n, size, t = len(trace.out_pre), model.theta.size, trace.out
         self.dj_dz, self.dj_dx = np.empty(n), np.empty(n)
-        # The output's derivatives; dy/dx alone on the logistic path.
-        self.out_grads = (empty_terms(OutputGrads, n) if model.astra.trainable
-                          else np.empty(n))
-        self.dhidden = np.empty(trace.leak.T.shape).T     # column-major
+        # The output's derivatives (dy/dx alone on the logistic path), over
+        # the terms output_backward has read by then, and r over dj_dx.
+        self.out_grads = (OutputGrads(t.s, t.u, t.z, t.y_hat, self.dj_dx,
+                                      t.neg_u_b, t.den)
+                          if model.astra.trainable else t.e)
         self.grad = np.empty(size)                        # as Mlp.theta
         (self.grad_w1, self.grad_b1, self.grad_w2,
          self.grad_b2) = param_views(self.grad, model.n_h, model.n_x)
@@ -197,10 +207,10 @@ def forward(model: Mlp, X: np.ndarray,
             trace: ForwardTrace | None = None) -> ForwardTrace:
     """Full-batch forward pass through hidden layer, activation and z-transform.
 
-    Given a `trace` made for this model and X's shape, the pass rewrites its
-    arrays and returns it, as a training loop does every epoch; without one
-    the trace gets fresh arrays.  X is fastest feature-major
-    (Fortran-ordered), as data.standardize writes it.
+    Given a `trace` made for this model and X's shape, the pass rewrites it
+    over X and its validation rows and returns it, as a training loop does
+    every epoch; without one the trace gets fresh arrays.  X is fastest
+    feature-major (Fortran-ordered), as data.standardize writes it.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.n_x:
@@ -212,26 +222,32 @@ def forward(model: Mlp, X: np.ndarray,
         raise ValueError(f"a trace made for {trace.key} cannot hold "
                          f"{(X.shape, model.n_h, ap.trainable)}")
     trace.inputs = X
+    n, hidden, leak = len(X), trace.hidden_all, trace.leak_all
     # Column-major hidden arrays: each per-unit pass runs over a contiguous
-    # column of n rows, not over n rows of only n_h elements.  With X
+    # column of all rows, not over rows of only n_h elements.  With X
     # feature-major too, w1 @ X.T reads and writes C arrays.
-    np.matmul(model.w1, X.T, out=trace.hidden_pre.T)
-    trace.hidden_pre += model.b1
-    # Branch-free Leaky ReLU: the same bits as np.where(h > 0, h, slope*h).
-    # The slope is (h > 0) raised to LEAKY_SLOPE, so exactly 1.0 or
-    # LEAKY_SLOPE, both zeros included.  A NaN h also gets LEAKY_SLOPE, but
-    # its NaN output then fails the output's finiteness check.
-    np.greater(trace.hidden_pre, 0.0, out=trace.leak)
-    np.maximum(trace.leak, LEAKY_SLOPE, out=trace.leak)
-    np.multiply(trace.hidden_pre, trace.leak, out=trace.hidden_act)
-    out_pre = np.matmul(trace.hidden_act, model.w2, out=trace.out_pre)
-    out_pre += model.b2
-    if not _all_finite(out_pre, trace.finite):
+    np.matmul(model.w1, X.T, out=hidden[:n].T)
+    np.matmul(model.w1, trace.val_inputs.T, out=hidden[n:].T)
+    hidden += model.b1
+    # Branch-free Leaky ReLU over the preactivation, the bits of
+    # np.where(h > 0, h, slope*h): the slope is (h > 0) raised to LEAKY_SLOPE,
+    # exactly 1.0 or LEAKY_SLOPE, both zeros included.  A NaN h also gets
+    # LEAKY_SLOPE; its NaN output then fails the finiteness check.
+    np.greater(hidden, 0.0, out=leak)
+    np.maximum(leak, LEAKY_SLOPE, out=leak)
+    np.multiply(hidden, leak, out=hidden)
+    # Two products, train rows then validation rows: OpenBLAS's gemv rounds
+    # a row by its position in the product, and one product over all rows
+    # moved validation rows' last bits against a product over them alone.
+    np.matmul(hidden[:n], model.w2, out=trace.out_pre)
+    np.matmul(hidden[n:], model.w2, out=trace.pre[n:])
+    trace.pre += model.b2
+    if not _all_finite(trace.checked):
         raise NonFiniteError("preactivation must be finite")
     if ap.trainable:
-        output_forward(out_pre, ap.b, ap.tau, trace.out)
+        output_forward(trace.pre, ap.b, ap.tau, trace.out_all)
     else:   # b = 1 and tau = 0.5: the logistic, no z-transform
-        logistic_forward(out_pre, trace.out)
+        logistic_forward(trace.pre, trace.out_all)
     return trace
 
 
@@ -269,6 +285,8 @@ def backward_and_step(model: Mlp, adam: AdamState, trace: ForwardTrace, y,
     Returns (pre-step loss value, grad wrt beta).
     """
     ap = model.astra
+    if not _all_finite(trace.out_pre):
+        raise NonFiniteError("preactivation must be finite")
     st = trace.step
     if st is None:
         st = trace.step = _Step(trace, model)
@@ -292,10 +310,10 @@ def backward_and_step(model: Mlp, adam: AdamState, trace: ForwardTrace, y,
         grad_beta = 0.0
 
     # The gradient of every parameter, written through views into one flat
-    # vector.
+    # vector.  dhidden is written over hidden_act once w2's gradient is in.
     np.matmul(trace.hidden_act.T, dj_dx, out=st.grad_w2)
     st.grad_b2[0] = np.add.reduce(dj_dx)
-    dhidden = st.dhidden                                  # column-major
+    dhidden = trace.hidden_act                            # column-major
     np.multiply(dj_dx[:, None], model.w2, out=dhidden)    # np.outer(dj_dx, w2)
     dhidden *= trace.leak
     np.matmul(trace.inputs.T, dhidden, out=st.grad_w1.T)  # (dhidden.T @ X).T

@@ -88,15 +88,14 @@ def eta_b_update(eta_b: float, e_ratio_value: float, cfg: TrainConfig) -> float:
     return eta_b
 
 
-def _val_fnr_apx(model: Mlp, X_pos: np.ndarray,
-                 trace: ForwardTrace | None) -> float:
+def _val_fnr_apx(trace: ForwardTrace) -> float:
     """FNR_apx = FN_apx / (FN_apx + TP_apx) of the validation set, from its
-    positive rows `X_pos` alone: the two cells read no negative row.
+    positives' outputs in a run's trace alone: the cells read no negative.
 
     Only these rows pass through the network, so a non-finite preactivation
     on a validation negative raises nothing; it could not move FNR_apx.
     """
-    fn, tp = positive_cells(forward(model, X_pos, trace).z)
+    fn, tp = positive_cells(trace.val_z)
     return fn / (fn + tp)
 
 
@@ -113,8 +112,9 @@ def train(cfg: TrainConfig, train_set: Dataset, val_set: Dataset):
     """Run exactly cfg.epochs full-batch steps; return (Snapshot, records).
 
     Per epoch: train-set telemetry on the current model, eta_b update from the
-    train e-ratio, one parameter step, then validation FNR_apx on the stepped
-    model, from the validation positives alone (see _val_fnr_apx); the
+    train e-ratio, one parameter step, then one forward of the stepped model
+    over the train rows and validation positives: this epoch's validation
+    FNR_apx (see _val_fnr_apx) and the next one's train outputs.  The
     snapshot is replaced only on strictly lower validation FNR_apx (earliest
     epoch kept among ties).  Deterministic for a fixed seed.
     """
@@ -129,41 +129,39 @@ def train(cfg: TrainConfig, train_set: Dataset, val_set: Dataset):
     # Feature-major, the layout network.forward is fast in: no copy of the
     # X that experiment.split returns, and one of the validation positives.
     X_train = np.asfortranarray(train_set.X)
-    X_val_pos = np.asfortranarray(val_set.X[val_set.y == 1])
-    # One trace per batch, which every epoch's forward rewrites; the train
-    # trace also holds what backward_and_step writes, from its first call.
-    trace_train = ForwardTrace(X_train, model)
-    trace_val = ForwardTrace(X_val_pos, model)
+    # One trace per run, the validation positives after the train rows,
+    # which every forward and backward_and_step rewrites.
+    trace = ForwardTrace(X_train, model, np.asfortranarray(val_set.X[val_set.y == 1]))
     eta_b = cfg.eta_b_min
-
-    snapshot = Snapshot(epoch=0, model=model.copy(),
-                        val_fnr_apx=_val_fnr_apx(model, X_val_pos, trace_val))
     records: list[EpochRecord] = []
 
     # NonFiniteError reports a divergence; numpy's warning would crash under -W error.
     with np.errstate(over="ignore", invalid="ignore"):
+        forward(model, X_train, trace)
+        # Its own copy of the initial model, built again from the seed.
+        snapshot = Snapshot(epoch=0, model=build_model(cfg, train_set.n_x),
+                            val_fnr_apx=_val_fnr_apx(trace))
         for epoch in range(1, cfg.epochs + 1):
             try:
-                trace = forward(model, X_train, trace_train)
                 acm = approx_cm(trace.z, split)
                 r = rates(acm)
-                er = r.e_ratio
-                eta_b = eta_b_update(eta_b, er, cfg)
+                eta_b = eta_b_update(eta_b, r.e_ratio, cfg)
                 loss_value, _ = backward_and_step(
                     model, adam, trace, split, cfg.loss, cfg.eta, eta_b, acm)
-                val_fnr = _val_fnr_apx(model, X_val_pos, trace_val)
+                val_fnr = _val_fnr_apx(forward(model, X_train, trace))
             except NonFiniteError as exc:
                 log.warning("epoch %d: %s; stopping with last good snapshot",
                             epoch, exc)
                 snapshot.diverged = True
                 break
             records.append(EpochRecord(
-                epoch=epoch, train_loss=loss_value, train_e_ratio=er,
+                epoch=epoch, train_loss=loss_value, train_e_ratio=r.e_ratio,
                 train_fnr_apx=r.fnr, train_fpr_apx=r.fpr, val_fnr_apx=val_fnr,
                 b=model.astra.b, tau=model.astra.tau, eta_b=eta_b))
             if val_fnr < snapshot.val_fnr_apx:
-                snapshot = Snapshot(epoch=epoch, model=model.copy(),
-                                    val_fnr_apx=val_fnr)
+                np.copyto(snapshot.model.theta, model.theta)
+                vars(snapshot.model.astra).update(vars(model.astra))
+                snapshot.epoch, snapshot.val_fnr_apx = epoch, val_fnr
     return snapshot, records
 
 

@@ -101,7 +101,7 @@ def test_criterion_2_gradients():
         dy_dx, dy_db = astra_backward(trace.out_pre, ap.b)
         dj_dx = dj_dz * dz_dy * dy_dx
         grads = {"w2": trace.hidden_act.T @ dj_dx, "b2": np.sum(dj_dx)}
-        dh = np.outer(dj_dx, model.w2) * np.where(trace.hidden_pre > 0, 1.0, 0.3)
+        dh = np.outer(dj_dx, model.w2) * trace.leak
         grads["w1"] = dh.T @ X
         grads["b1"] = dh.sum(axis=0)
 

@@ -35,7 +35,7 @@ from astra.activation import (
     z_transform_backward,
 )
 from astra.losses import ALL_KINDS, loss_and_grad
-from astra.metrics import approx_cm, class_split
+from astra.metrics import approx_cm, class_split, positive_cells
 from astra.network import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -48,6 +48,7 @@ from astra.network import (
     forward,
     init_mlp,
 )
+from astra.trainer import _val_fnr_apx
 
 # Even and odd widths from 1 up, and the widths of the two benchmark shapes.
 WIDTHS = (1, 2, 3, 4, 5, 6, 12)
@@ -211,7 +212,7 @@ def test_forward_matches_reference(kind, n_h):
     model = make_model(kind, n_x, n_h, 7)
     trace = forward(model, X)
     hidden_pre, hidden_act, out_pre, y_hat, z = reference_forward(model, X)
-    assert same_bits(trace.hidden_pre, hidden_pre)
+    assert same_bits(trace.leak, np.where(hidden_pre > 0, 1.0, LEAKY_SLOPE))
     assert same_bits(trace.hidden_act, hidden_act)
     assert same_bits(trace.out_pre, out_pre)
     assert same_bits(trace.y_hat, y_hat)
@@ -273,6 +274,31 @@ def test_workspace_reuses_arrays():
     assert np.shares_memory(first.z, second.z)
     assert np.shares_memory(first.hidden_act, second.hidden_act)
     assert not np.shares_memory(forward(model, X).z, second.z)
+
+
+# A skin-shaped batch at n_h = 2, small and at paper scale, and the wide
+# shape at n_h = 12; 7 validation positives as in a skin-cv fold, and 36.
+@pytest.mark.parametrize("n, n_x, n_h", [(150, 3, 2), (147033, 3, 2),
+                                         (7200, 22, 12)],
+                         ids=lambda v: str(v))
+@pytest.mark.parametrize("m", [7, 36])
+@pytest.mark.parametrize("kind", ALL_KINDS[1::2], ids=lambda k: k.name)
+def test_validation_rows_ride_in_the_forward(kind, n, n_x, n_h, m):
+    # A run's one forward over its train rows and validation positives
+    # gives the bits of a train forward and a separate validation forward.
+    rng = np.random.default_rng([n, n_x, m])
+    X = np.asfortranarray(rng.normal(0.0, 1.0, (n, n_x)))
+    X_val = np.asfortranarray(rng.normal(1.5, 0.8, (m, n_x)))
+    model = make_model(kind, n_x, n_h, 9)
+    model.b1 = rng.normal(0.0, 0.5, n_h)
+    model.b2 = float(rng.normal())
+    both = forward(model, X, ForwardTrace(X, model, X_val))
+    train_only, val_only = forward(model, X), forward(model, X_val)
+    for name in ("leak", "hidden_act", "out_pre", "y_hat", "z"):
+        assert same_bits(getattr(both, name), getattr(train_only, name)), name
+    assert same_bits(both.val_z, val_only.z)
+    fn, tp = positive_cells(val_only.z)
+    assert same_bits(_val_fnr_apx(both), fn / (fn + tp))
 
 
 # Over [-700, 700] both paths' outputs and slopes stay normal numbers.

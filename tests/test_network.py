@@ -95,7 +95,8 @@ class TestForward:
         model.b2 = 0.25
         trace = forward(model, np.array([[2.0], [-1.0]]))
         # x=2: pre=4.5, act=4.5, out=-6.5; x=-1: pre=-1.5, act=-0.45, out=0.925
-        assert trace.hidden_pre[:, 0] == pytest.approx([4.5, -1.5])
+        assert list(trace.leak[:, 0]) == [1.0, 0.3]
+        assert trace.hidden_act[:, 0] / trace.leak[:, 0] == pytest.approx([4.5, -1.5])
         assert trace.hidden_act[:, 0] == pytest.approx([4.5, -0.45])
         assert trace.out_pre == pytest.approx([-6.5, 0.925])
         assert trace.y_hat == pytest.approx(
@@ -129,7 +130,7 @@ class TestBackward:
             "w2": trace.hidden_act.T @ dj_dx,
             "b2": np.array([np.sum(dj_dx)]),
         }
-        dh = np.outer(dj_dx, model.w2) * np.where(trace.hidden_pre > 0, 1.0, 0.3)
+        dh = np.outer(dj_dx, model.w2) * trace.leak
         grads["w1"] = dh.T @ X
         grads["b1"] = dh.sum(axis=0)
 

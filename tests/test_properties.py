@@ -24,7 +24,7 @@ from astra.activation import (  # noqa: E402
     z_transform,
 )
 from astra.metrics import approx_cm, counting_cm, rates  # noqa: E402
-from astra.network import forward, init_mlp  # noqa: E402
+from astra.network import ForwardTrace, forward, init_mlp  # noqa: E402
 from astra.trainer import _val_fnr_apx  # noqa: E402
 
 # 200 examples per property keep the file at a few seconds.
@@ -120,8 +120,9 @@ def test_val_fnr_apx_from_positives_is_full_set_fnr(seed, n_x, n_h, n, tau):
     model.b1 = rng.normal(0.0, 1.0, n_h)
     model.b2 = float(rng.normal())
     want = rates(approx_cm(forward(model, X).z, y)).fnr
-    assert _val_fnr_apx(model, X[y == 1], None) == pytest.approx(
-        want, rel=1e-12, abs=0.0)
+    # The positives ride after the rows of a run's train forward.
+    trace = forward(model, X, ForwardTrace(X, model, X[y == 1]))
+    assert _val_fnr_apx(trace) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 # Features and biases among signed zeros, subnormals and +-1e300, weights
@@ -146,8 +147,9 @@ def test_leaky_relu_is_the_where_form(n_x, n_h, n, data):
     model = init_mlp(n_x, n_h, 0)
     model.w1 = arrays_of(data, weights, (n_h, n_x))
     model.b1 = arrays_of(data, special, (n_h,))
-    trace = forward(model, np.asfortranarray(arrays_of(data, special, (n, n_x))))
-    h = trace.hidden_pre
+    X = np.asfortranarray(arrays_of(data, special, (n, n_x)))
+    trace = forward(model, X)
+    h = (model.w1 @ X.T).T + model.b1       # the kernel's hidden product
     assert trace.leak.tobytes() == np.where(h > 0, 1.0, 0.3).tobytes()
     assert trace.hidden_act.tobytes() == np.where(h > 0, h, 0.3 * h).tobytes()
 

@@ -218,14 +218,15 @@ class TestFeatureMajor:
                 np.asarray(getattr(b, name)).tobytes(), name
         assert astuple(a.astra) == astuple(b.astra)
         c, f = forward(a, tr.X), forward(a, np.asfortranarray(tr.X))
-        for name in ("hidden_pre", "leak", "hidden_act", "out_pre", "z"):
+        for name in ("leak", "hidden_act", "out_pre", "z"):
             assert getattr(c, name).tobytes() == getattr(f, name).tobytes(), name
         assert np.array_equal(predict_labels(a, tr.X),
                               predict_labels(a, np.asfortranarray(tr.X)))
 
     def test_train_forward_gets_the_train_set_x(self, toy_sets, monkeypatch):
         # A feature-major train set reaches forward as itself, not a copy:
-        # the benchmark's tracer tells the train forward by identity.
+        # the benchmark's tracer tells the train forward by identity.  One
+        # forward per epoch, after its step, and one before the first.
         tr, val = toy_sets
         seen = []
 
@@ -235,7 +236,7 @@ class TestFeatureMajor:
 
         monkeypatch.setattr(trainer, "forward", recording)
         train(TrainConfig(epochs=3, seed=1), tr, val)
-        assert sum(X is tr.X for X in seen) == 3
+        assert len(seen) == 4 and all(X is tr.X for X in seen)
 
 
 def snapshot_bits(snapshot) -> tuple:
@@ -281,7 +282,8 @@ class TestRunState:
                                                            monkeypatch):
         # What an epoch allocates and frees leaves the peak of a whole run
         # alone, so each epoch from the second on is measured by itself:
-        # the peak from the start of its train forward to the next one's.
+        # the peak from the start of the forward before it to the next
+        # one's.
         tr, val = shaped(12020, 3, 0), shaped(4000, 3, 1)
         rises, real_forward = [], trainer.forward
 
@@ -298,17 +300,54 @@ class TestRunState:
             train(TrainConfig(epochs=12, eta=0.01, loss=kind, seed=5), tr, val)
         finally:
             tracemalloc.stop()
-        assert len(rises) == 12
+        assert len(rises) == 13
         assert max(rises[2:]) < 12020 * 8
+
+    @pytest.mark.parametrize("kind, limit_kib", [
+        (LossKind("gmn", True), 1750), (LossKind("gmn", False), 1250)],
+        ids=lambda v: getattr(v, "name", v))
+    def test_run_holds_few_row_buffers(self, monkeypatch, kind, limit_kib):
+        # The skin-cv train fold and its 7 validation positives, n_h = 2.
+        # One trace holds both batches, and backward writes its derivatives
+        # over the arrays it has finished reading: the epoch's arrays stay
+        # within this host's 2 MiB of L2 per core.
+        tr, val = shaped(12020, 3, 0), shaped(700, 3, 1)
+        traces, real_forward = [], trainer.forward
+
+        def recording(model, X, ws=None):
+            traces.append(ws)
+            return real_forward(model, X, ws)
+
+        monkeypatch.setattr(trainer, "forward", recording)
+        train(TrainConfig(epochs=2, eta=0.01, loss=kind, seed=5), tr, val)
+        trace = traces[-1]
+        assert trace.step is not None and len(trace.val_z) == 7
+        owners = {}
+
+        def visit(v):
+            if isinstance(v, tuple):
+                for item in v:
+                    visit(item)
+            elif isinstance(v, np.ndarray) and max(v.shape, default=0) >= 12020:
+                while isinstance(v.base, np.ndarray):
+                    v = v.base
+                owners[id(v)] = v
+
+        for obj in (trace, trace.step):
+            for v in vars(obj).values():
+                visit(v)
+        assert sum(a.nbytes for a in owners.values()) <= limit_kib * 1024
 
     def run_to_divergence(self, monkeypatch, kind, tr, val, eta=0.01,
                           inject=None):
         """(snapshot, records, the stop message, the X of the forward that
-        raised or None); `inject(model, trace)` runs before epoch 4's step."""
-        messages, raised_on, steps = [], [], []
+        raised or None, the number of forwards); `inject(model, trace)` runs
+        before epoch 4's step.  Every forward is on tr.X."""
+        messages, raised_on, steps, seen = [], [], [], []
         real_forward, real_step = trainer.forward, trainer.backward_and_step
 
         def watched_forward(model, X, ws=None):
+            seen.append(X)
             try:
                 return real_forward(model, X, ws)
             except ValueError:
@@ -328,7 +367,8 @@ class TestRunState:
         snapshot, records = train(TrainConfig(epochs=30, eta=eta, loss=kind,
                                               seed=2), tr, val)
         assert snapshot.diverged and len(messages) == 1
-        return snapshot, records, messages[0], (raised_on or [None])[0]
+        assert all(X is tr.X for X in seen)
+        return snapshot, records, messages[0], (raised_on or [None])[0], len(seen)
 
     @pytest.mark.parametrize("kind, good_epochs", [
         (LossKind("bce", False), 20), (LossKind("gmn", False), 8)])
@@ -337,9 +377,11 @@ class TestRunState:
         # Features of 1e300 overflow the train rows' output preactivation.
         tr = fortran(Dataset(shaped(400, 3, 0).X * 1e300, shaped(400, 3, 0).y))
         val = fortran(Dataset(shaped(200, 3, 1).X * 1e300, shaped(200, 3, 1).y))
-        snapshot, records, message, raised_on = self.run_to_divergence(
+        snapshot, records, message, raised_on, forwards = self.run_to_divergence(
             monkeypatch, kind, tr, val, eta=1e3)
-        assert raised_on is tr.X
+        # The forward after epoch good_epochs gave its validation FNR_apx;
+        # the step of the next epoch found its train rows non-finite.
+        assert raised_on is None and forwards == good_epochs + 1
         assert message.startswith(f"epoch {good_epochs + 1}: preactivation "
                                   "must be finite")
         assert (snapshot.epoch, len(records)) == (1, good_epochs)
@@ -349,9 +391,11 @@ class TestRunState:
         # eta = 1e200 steps the weights far enough that the validation
         # positives' preactivation overflows after the first step.
         tr, val = fortran(shaped(400, 3, 0)), fortran(shaped(200, 3, 1))
-        snapshot, records, message, raised_on = self.run_to_divergence(
+        snapshot, records, message, raised_on, forwards = self.run_to_divergence(
             monkeypatch, kind, tr, val, eta=1e200)
-        assert raised_on is not None and len(raised_on) == 2
+        # The forward after the first step raised on the validation rows,
+        # which it alone checks.
+        assert raised_on is tr.X and forwards == 2
         assert message.startswith("epoch 1: preactivation must be finite")
         assert (snapshot.epoch, len(records)) == (0, 0)
 
@@ -366,9 +410,10 @@ class TestRunState:
         # A value made non-finite before epoch 4's step stops the run there
         # with the snapshot of the three good epochs.
         tr, val = fortran(shaped(400, 3, 0)), fortran(shaped(200, 3, 1))
-        snapshot, records, message, raised_on = self.run_to_divergence(
+        snapshot, records, message, raised_on, forwards = self.run_to_divergence(
             monkeypatch, kind, tr, val, inject=inject)
         assert raised_on is None and message.startswith(f"epoch 4: {check};")
+        assert forwards == 4
         assert len(records) == 3
         clean, _ = train(TrainConfig(epochs=3, eta=0.01, loss=kind, seed=2),
                          tr, val)
