@@ -76,13 +76,14 @@ def _z_terms(y, tau: float, t):
     return one_my, den, np.divide(num, den, out=num)
 
 
-def _z_grads(y, t, tau: float, g) -> None:
-    """dz/dy and dz/dtau at y from the _z_terms of `t`, into OutputGrads `g`."""
-    den2 = np.multiply(t.den, t.den, out=g.den2)
-    np.divide(tau * (1.0 - tau), den2, out=g.dz_dy)
-    dz_dtau = np.negative(y, out=g.dz_dtau)
+def _z_grads(t, tau: float):
+    """(dz/dy, dz/dtau) from the _z_terms of `t`, over t.u and t.y_hat."""
+    den2 = np.multiply(t.den, t.den, out=t.den)
+    dz_dy = np.divide(tau * (1.0 - tau), den2, out=t.u)
+    dz_dtau = np.negative(t.y_hat, out=t.y_hat)
     dz_dtau *= t.one_my
     dz_dtau /= den2
+    return dz_dy, dz_dtau
 
 
 def _preactivation(x, b: float) -> np.ndarray:
@@ -171,7 +172,7 @@ def astra_backward(x, b: float):
     """
     # Any tau: it moves only the z-transform's derivatives.
     terms = output_forward(_preactivation(x, b), b, 0.5)
-    dy_dx, _, dy_db, _ = output_backward(terms, b, 0.5)
+    dy_dx, _, dy_db, _ = output_backward(terms, b, 0.5, np.empty_like(terms.s))
     return dy_dx[()], dy_db[()]
 
 
@@ -201,11 +202,11 @@ def z_transform(y_hat, tau: float):
 def z_transform_backward(y_hat, tau: float):
     """Partial derivatives (dz/dy_hat, dz/dtau) of z_transform."""
     _check_tau(tau)
-    y = clamp_unit(np.asarray(y_hat, dtype=float))
-    t, g = empty_terms(OutputTerms, y.shape), empty_terms(OutputGrads, y.shape)
+    t = empty_terms(OutputTerms, np.shape(y_hat))
+    y = clamp_unit(np.asarray(y_hat, dtype=float), out=t.y_hat)
     _z_terms(y, tau, t)
-    _z_grads(y, t, tau, g)
-    return g.dz_dy[()], g.dz_dtau[()]
+    dz_dy, dz_dtau = _z_grads(t, tau)
+    return dz_dy[()], dz_dtau[()]
 
 
 def misorder_band_upper(b: float) -> float:
@@ -236,19 +237,6 @@ class OutputTerms(NamedTuple):
     z: np.ndarray           # clamped z-transform output
 
 
-class OutputGrads(NamedTuple):
-    """The derivatives of OutputTerms, in the order output_backward returns
-    them, then the intermediates they are built from."""
-
-    dy_dx: np.ndarray
-    dz_dy: np.ndarray
-    dy_db: np.ndarray
-    dz_dtau: np.ndarray
-    r: np.ndarray           # s/(1 + s)
-    exp_neg_u_b: np.ndarray  # exp(-u/b), then divided by b*b
-    den2: np.ndarray        # the z-transform denominator squared
-
-
 def output_forward(x: np.ndarray, b: float, tau: float,
                    t: OutputTerms | None = None) -> OutputTerms:
     """clamp_unit(z_transform(clamp_unit(astra_forward(x, b)), tau)), bit for
@@ -265,28 +253,27 @@ def output_forward(x: np.ndarray, b: float, tau: float,
     return t
 
 
-def output_backward(terms: OutputTerms, b: float, tau: float,
-                    g: OutputGrads | None = None):
+def output_backward(terms: OutputTerms, b: float, tau: float, r: np.ndarray):
     """(dy/dx, dz/dy, dy/db, dz/dtau) as astra_backward and
-    z_transform_backward give them, in the arrays of `g` (fresh ones
-    without it), each written once the terms under it are read."""
-    g = empty_terms(OutputGrads, terms.z.shape) if g is None else g
+    z_transform_backward give them, each over a term no longer read: dy/dx
+    over s, dz/dy over u, dy/db over z and dz/dtau over y_hat; exp(-u/b)
+    over neg_u_b, den squared over den, and r = s/(1 + s) into `r`."""
     # r = s/(1 + s); above _LOG_SWITCH, s is capped and r is 1 within 1e-15.
-    r = np.add(1.0, terms.s, out=g.r)
+    np.add(1.0, terms.s, out=r)
     np.divide(terms.s, r, out=r)
     # 1 - y = exp(-u/b) before the clamp.  Not 1 + expm1(-u/b): that
     # cancels as b -> 1 at large x.
-    one_my = np.exp(terms.neg_u_b, out=g.exp_neg_u_b)
-    np.multiply(r, one_my, out=g.dy_dx)
+    one_my = np.exp(terms.neg_u_b, out=terms.neg_u_b)
+    dy_dx = np.multiply(r, one_my, out=terms.s)
     # one_my / (b*b) * (r*(1 + bx) - u), with bx = b*x as the forward's
-    dy_db = np.multiply(b, terms.x, out=g.dy_db)
+    dy_db = np.multiply(b, terms.x, out=terms.z)
     dy_db += 1.0
     dy_db *= r
     dy_db -= terms.u
     one_my /= b * b
     dy_db *= one_my
-    _z_grads(terms.y_hat, terms, tau, g)
-    return g[:4]
+    dz_dy, dz_dtau = _z_grads(terms, tau)
+    return dy_dx, dz_dy, dy_db, dz_dtau
 
 
 # exp(700) is finite, and below x = -700 the logistic is under 1e-304, which
@@ -322,13 +309,13 @@ def logistic_forward(x: np.ndarray,
     return t
 
 
-def logistic_backward(terms: LogisticTerms, out: np.ndarray | None = None):
-    """dy/dx = e*y*y of logistic_forward, in `out` if given; dz/dy is 1.
+def logistic_backward(terms: LogisticTerms):
+    """dy/dx = e*y*y of logistic_forward, written over e; dz/dy is 1.
 
     Equal to y*(1 - y), which cancels at the positive tail: its relative
     error reaches 100% from x = 37 on.
     """
-    dy_dx = np.multiply(terms.e, terms.y, out=out)
+    dy_dx = np.multiply(terms.e, terms.y, out=terms.e)
     dy_dx *= terms.y
     return dy_dx
 

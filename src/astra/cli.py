@@ -47,10 +47,11 @@ def _load_dataset(path: str) -> Dataset:
         raise DataFormatError(f"dataset not found: {path}")
     raw = parse_csv(p) if p.suffix == ".csv" else parse_sparse(p)
     # The parsers read nan and inf; no run can learn from them.
-    bad = np.flatnonzero(~np.isfinite(raw.X).all(axis=1))
-    if len(bad):
-        raise DataFormatError(f"{path}: data row {bad[0] + 1} holds a "
-                              "non-finite feature value")
+    for values, what in ((raw.labels[:, None], "label"), (raw.X, "feature value")):
+        bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+        if len(bad):
+            raise DataFormatError(f"{path}: data row {bad[0] + 1} holds a "
+                                  f"non-finite {what}")
     return orient_labels(raw)
 
 

@@ -148,7 +148,9 @@ def check_protocol(ds: Dataset, k: int, keep_positives: int | None,
     or more methods need MIN_PAIRS runs each.  At least one job runs it."""
     if k < 3:    # a rotation takes a test, a validation and a train fold
         raise ValueError(f"need at least 3 folds, got {k}")
-    m1 = ds.m1 if keep_positives is None else min(ds.m1, keep_positives)
+    m1 = ds.m1 if keep_positives is None else keep_positives
+    if m1 > ds.m1:      # below 1, it fails the fold count next
+        raise ValueError(f"keep must be in [1, {ds.m1}], got {m1}")
     if m1 < k:
         raise ValueError(f"{k} folds need at least {k} positives, got {m1}")
     if repeats < 1:

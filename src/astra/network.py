@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +16,6 @@ from .activation import (  # noqa: F401
     AstraParams,
     LogisticTerms,
     NonFiniteError,
-    OutputGrads,
     OutputTerms,
     astra_backward,
     astra_forward,
@@ -71,22 +69,18 @@ def _check_finite(model: "Mlp", flat: np.ndarray, message: str) -> None:
         raise NonFiniteError(message.format(k))
 
 
-@dataclass
 class AdamState:
-    """First/second moment accumulators and a shared step counter.
+    """Adam's moments `m` and `v`, its step count `t` and every array a step
+    writes, flat in the layout of Mlp.theta: the gradient `grad`, written
+    through its views `grad_w1` ... `grad_b2`, and two scratch vectors."""
 
-    `m` and `v` are flat, in the layout of Mlp.theta and of the gradient
-    backward_and_step builds.
-    """
-
-    m: np.ndarray
-    v: np.ndarray
-    t: int = 0
-
-    @classmethod
-    def for_shapes(cls, params: dict) -> "AdamState":
-        size = sum(np.size(p) for p in params.values())
-        return cls(m=np.zeros(size), v=np.zeros(size))
+    def __init__(self, model: "Mlp"):
+        size = model.theta.size
+        self.m, self.v, self.t = np.zeros(size), np.zeros(size), 0
+        self.grad = np.empty(size)
+        (self.grad_w1, self.grad_b1, self.grad_w2,
+         self.grad_b2) = param_views(self.grad, model.n_h, model.n_x)
+        self.tmp, self.den = np.empty(size), np.empty(size)
 
 
 class Mlp:
@@ -163,8 +157,8 @@ class ForwardTrace:
     `hidden_act` and `leak` (each unit's Leaky ReLU slope, 1.0 or
     LEAKY_SLOPE) are column-major (n, n_h) views of (n_h, rows) C arrays;
     `out_pre`, `out`, `y_hat` and `z` hold the n rows, `val_z` the
-    validation rows.  `step` holds backward_and_step's arrays from its
-    first call, which writes over `hidden_act` and `out`.
+    validation rows.  backward_and_step writes `dj_dz` and `dj_dx`, then
+    over `out` (as the output path's backward says) and `hidden_act`.
     """
 
     def __init__(self, X: np.ndarray, model: Mlp, X_val: np.ndarray | None = None):
@@ -183,24 +177,7 @@ class ForwardTrace:
         self.y_hat, self.z, self.val_z = self.out.y_hat, self.out.z, self.out_all.z[n:]
         # forward checks the rows it alone reads: backward_and_step a run's.
         self.checked = self.pre[n:] if len(self.val_inputs) else self.pre
-        self.step = None
-
-
-class _Step:
-    """The arrays backward_and_step writes over a trace's rows."""
-
-    def __init__(self, trace: ForwardTrace, model: Mlp):
-        n, size, t = len(trace.out_pre), model.theta.size, trace.out
         self.dj_dz, self.dj_dx = np.empty(n), np.empty(n)
-        # The output's derivatives (dy/dx alone on the logistic path), over
-        # the terms output_backward has read by then, and r over dj_dx.
-        self.out_grads = (OutputGrads(t.s, t.u, t.z, t.y_hat, self.dj_dx,
-                                      t.neg_u_b, t.den)
-                          if model.astra.trainable else t.e)
-        self.grad = np.empty(size)                        # as Mlp.theta
-        (self.grad_w1, self.grad_b1, self.grad_w2,
-         self.grad_b2) = param_views(self.grad, model.n_h, model.n_x)
-        self.adam_tmp, self.adam_den = np.empty(size), np.empty(size)
 
 
 def forward(model: Mlp, X: np.ndarray,
@@ -251,9 +228,9 @@ def forward(model: Mlp, X: np.ndarray,
     return trace
 
 
-def _adam_step(theta: np.ndarray, st: AdamState, grad: np.ndarray, eta: float,
-               tmp: np.ndarray, den: np.ndarray) -> None:
-    """Adam on the flat gradient, in one pass over all parameters."""
+def _adam_step(theta: np.ndarray, st: AdamState, eta: float) -> None:
+    """Adam on the flat gradient st.grad, in one pass over all parameters."""
+    grad, tmp, den = st.grad, st.tmp, st.den
     st.t += 1
     np.multiply(1 - ADAM_BETA1, grad, out=tmp)
     st.m *= ADAM_BETA1
@@ -281,22 +258,18 @@ def backward_and_step(model: Mlp, adam: AdamState, trace: ForwardTrace, y,
     Adam step to the weights (updating `adam` in place) and (when the slope
     is trainable) a plain gradient step to beta, then re-derives b and tau.
     `acm`, if given, is approx_cm(trace.z, y), reused by the GMN loss.
-    The first call on a trace binds the arrays every later one rewrites.
     Returns (pre-step loss value, grad wrt beta).
     """
     ap = model.astra
     if not _all_finite(trace.out_pre):
         raise NonFiniteError("preactivation must be finite")
-    st = trace.step
-    if st is None:
-        st = trace.step = _Step(trace, model)
-    loss_value, dj_dz = loss_and_grad(kind, trace.z, y, acm, st.dj_dz)
+    loss_value, dj_dz = loss_and_grad(kind, trace.z, y, acm, trace.dj_dz)
     if not math.isfinite(loss_value):
         raise NonFiniteError("non-finite loss")
-    dj_dx = st.dj_dx
+    dj_dx = trace.dj_dx
     if ap.trainable:
         dy_dx, dz_dy, dy_db, dz_dtau = output_backward(trace.out, ap.b, ap.tau,
-                                                       st.out_grads)
+                                                       dj_dx)
         np.multiply(dj_dz, dz_dy, out=dj_dx)
         dj_dx *= dy_dx                                # (n,)
         # dj_dz * (dz_dy*dy_db + dz_dtau*dtau_db), in the buffer of dy_db
@@ -306,24 +279,24 @@ def backward_and_step(model: Mlp, adam: AdamState, trace: ForwardTrace, y,
         dj_db *= dj_dz
         grad_beta = float(np.add.reduce(dj_db)) * slope_grad_beta(ap.beta)
     else:   # dz/dy = 1
-        np.multiply(dj_dz, logistic_backward(trace.out, st.out_grads), out=dj_dx)
+        np.multiply(dj_dz, logistic_backward(trace.out), out=dj_dx)
         grad_beta = 0.0
 
     # The gradient of every parameter, written through views into one flat
     # vector.  dhidden is written over hidden_act once w2's gradient is in.
-    np.matmul(trace.hidden_act.T, dj_dx, out=st.grad_w2)
-    st.grad_b2[0] = np.add.reduce(dj_dx)
+    np.matmul(trace.hidden_act.T, dj_dx, out=adam.grad_w2)
+    adam.grad_b2[0] = np.add.reduce(dj_dx)
     dhidden = trace.hidden_act                            # column-major
     np.multiply(dj_dx[:, None], model.w2, out=dhidden)    # np.outer(dj_dx, w2)
     dhidden *= trace.leak
-    np.matmul(trace.inputs.T, dhidden, out=st.grad_w1.T)  # (dhidden.T @ X).T
-    np.add.reduce(dhidden, axis=0, out=st.grad_b1)
+    np.matmul(trace.inputs.T, dhidden, out=adam.grad_w1.T)  # (dhidden.T @ X).T
+    np.add.reduce(dhidden, axis=0, out=adam.grad_b1)
 
-    _check_finite(model, st.grad, "non-finite gradient in {}")
+    _check_finite(model, adam.grad, "non-finite gradient in {}")
     if not math.isfinite(grad_beta):
         raise NonFiniteError("non-finite gradient in beta")
 
-    _adam_step(model.theta, adam, st.grad, eta, st.adam_tmp, st.adam_den)
+    _adam_step(model.theta, adam, eta)
     ap.step_beta(grad_beta, eta_b)
     _check_finite(model, model.theta, "non-finite parameter {} after update")
     return float(loss_value), grad_beta

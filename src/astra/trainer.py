@@ -46,6 +46,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if np.min(self.seed) < 0:   # a run's seed is [seed, repeat, fold]
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0 < self.eta < np.inf:
             raise ValueError(f"eta must be finite and > 0, got {self.eta}")
         if self.n_h is not None and self.n_h < 1:
@@ -125,7 +127,7 @@ def train(cfg: TrainConfig, train_set: Dataset, val_set: Dataset):
         raise ValueError("validation set must contain positives")
 
     model = build_model(cfg, train_set.n_x)
-    adam = AdamState.for_shapes(model.params())
+    adam = AdamState(model)
     # Feature-major, the layout network.forward is fast in: no copy of the
     # X that experiment.split returns, and one of the validation positives.
     X_train = np.asfortranarray(train_set.X)

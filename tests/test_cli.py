@@ -361,6 +361,29 @@ class TestErrorPaths:
         assert f"need at least 1 job, got {jobs}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_cv_rejects_negative_seed(self, tmp_path, sparse_dataset, capsys,
+                                      jobs):
+        # numpy rejected it inside the first rotation, after the manifest.
+        out = tmp_path / "cv"
+        rc = cli.main(["cv", "--dataset", str(sparse_dataset), "--out", str(out),
+                       "--epochs", "1", "--repeats", "1", "--loss", "bce",
+                       "--jobs", jobs, "--seed", "-1"])
+        assert rc == 4
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cv_rejects_keeping_more_positives_than_exist(
+            self, tmp_path, sparse_dataset, capsys):
+        # The undersample of the first rotation raised this, after the manifest.
+        out = tmp_path / "cv"
+        rc = cli.main(["cv", "--dataset", str(sparse_dataset), "--out", str(out),
+                       "--epochs", "1", "--repeats", "1", "--loss", "bce",
+                       "--keep-positives", "50"])
+        assert rc == 4
+        assert "keep must be in [1, 10], got 50" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["train", "cv"])
     def test_rejects_fewer_than_three_folds(self, tmp_path, sparse_dataset,
                                             capsys, command):
@@ -700,24 +723,32 @@ class TestNonFiniteFeatures:
         ("undersample", ["--keep-positives", "4"]),
     ])
     @pytest.mark.parametrize("suffix", [".txt", ".csv"])
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("what, value", [
+        pytest.param(what, value, id=prefix + str(value))
+        for what, prefix in (("feature value", ""), ("label", "label-"))
+        for value in (np.nan, np.inf, -np.inf)])
     def test_rejected_at_load(self, tmp_path, sparse_dataset, capsys, command,
-                              flags, suffix, value):
+                              flags, suffix, what, value):
         raw = parse_sparse(sparse_dataset)
-        X = raw.X.copy()
-        X[6, 1] = value        # a negative: no validation forward reads it
+        X, labels = raw.X.copy(), raw.labels.copy()
+        if what == "label":
+            # One nan label was a third label; a whole class of them, or of
+            # -inf, trained as negatives.
+            labels[6] = value
+        else:
+            X[6, 1] = value    # a negative: no validation forward reads it
         path = tmp_path / f"bad{suffix}"
         if suffix == ".csv":
-            rows = np.column_stack([raw.labels, X])
+            rows = np.column_stack([labels, X])
             path.write_text("label,a,b,c\n\n" + "".join(
                 ",".join(map(repr, map(float, row))) + "\n" for row in rows))
         else:
-            write_sparse(path, X, raw.labels)
+            write_sparse(path, X, labels)
         out = tmp_path / "o"
         assert cli.main([command, "--dataset", str(path), "--out", str(out),
                          *flags]) == 2
-        assert (f"parse error: {path}: data row 7 holds a non-finite feature "
-                "value") in capsys.readouterr().err
+        assert (f"parse error: {path}: data row 7 holds a non-finite {what}"
+                in capsys.readouterr().err)
         assert not out.exists()
 
 

@@ -18,6 +18,7 @@ from astra.experiment import (
     RunResult,
     _midranks,
     aggregate,
+    check_protocol,
     compare,
     determine_winners,
     read_run_csv,
@@ -344,6 +345,14 @@ class TestRunCv:
         with pytest.raises(ValueError, match="5 folds need at least 5 positives"):
             run_cv(ds, TrainConfig(epochs=1), [LossKind("bce", False)],
                    repeats=1, k=5, keep_positives=keep)
+
+    def test_rejects_keeping_more_positives_than_exist(self):
+        # Checked with the protocol, before a rotation's undersample.
+        rng = np.random.default_rng(22)
+        ds = Dataset(X=rng.normal(size=(110, 2)), y=np.array([0] * 100 + [1] * 10))
+        with pytest.raises(ValueError, match=r"keep must be in \[1, 10\], got 50"):
+            check_protocol(ds, 5, 50, 1, 1)
+        check_protocol(ds, 5, 10, 1, 1)
 
     @pytest.mark.parametrize("repeats, k, methods, match", [
         (0, 5, [LossKind("bce", False)], "at least 1 repeat"),

@@ -87,7 +87,7 @@ class ReferenceAdam:
 
 
 def fresh_adam(model):
-    return AdamState.for_shapes(model.params())
+    return AdamState(model)
 
 
 def reference_adam(model):
@@ -276,6 +276,36 @@ def test_workspace_reuses_arrays():
     assert not np.shares_memory(forward(model, X).z, second.z)
 
 
+def test_backward_writes_over_the_terms_it_replaces():
+    # The derivatives take the buffers of the terms they replace, and r the
+    # caller's: a trace holds no row buffer for them.
+    x = np.linspace(-40.0, 40.0, 801)
+    terms = output_forward(x, 1.5, 0.3)
+    s, r = terms.s.copy(), np.empty_like(x)
+    replaced = (terms.s, terms.u, terms.z, terms.y_hat)
+    for grad, term in zip(output_backward(terms, 1.5, 0.3, r), replaced):
+        assert np.shares_memory(grad, term)
+    assert same_bits(r, s / (1.0 + s))
+    logistic = logistic_forward(x)
+    assert np.shares_memory(logistic_backward(logistic), logistic.e)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.name)
+def test_trace_and_adam_hold_every_array_a_step_writes(kind):
+    X, y = batch(4, 3)
+    model = make_model(kind, 3, 2, 4)
+    trace, adam = ForwardTrace(X, model, X[:5]), AdamState(model)
+    assert trace.dj_dz.shape == trace.dj_dx.shape == (len(X),)
+    for flat in (adam.m, adam.v, adam.grad, adam.tmp, adam.den):
+        assert flat.shape == model.theta.shape
+    for view in (adam.grad_w1, adam.grad_b1, adam.grad_w2, adam.grad_b2):
+        assert view.base is adam.grad
+    held = (trace.dj_dz, trace.dj_dx, adam.grad, adam.tmp, adam.den)
+    backward_and_step(model, adam, forward(model, X, trace), y, kind, 0.01, 0.05)
+    now = (trace.dj_dz, trace.dj_dx, adam.grad, adam.tmp, adam.den)
+    assert all(a is b for a, b in zip(now, held))
+
+
 # A skin-shaped batch at n_h = 2, small and at paper scale, and the wide
 # shape at n_h = 12; 7 validation positives as in a skin-cv fold, and 36.
 @pytest.mark.parametrize("n, n_x, n_h", [(150, 3, 2), (147033, 3, 2),
@@ -311,7 +341,8 @@ def test_logistic_path_near_general_path():
     general = output_forward(TAIL_X, 1.0, 0.5)
     np.testing.assert_allclose(frozen.z, general.z, rtol=1e-15, atol=0)
     assert frozen.y_hat is frozen.z
-    dy_dx, dz_dy, _, _ = output_backward(general, 1.0, 0.5)
+    dy_dx, dz_dy, _, _ = output_backward(general, 1.0, 0.5,
+                                         np.empty_like(TAIL_X))
     np.testing.assert_allclose(logistic_backward(frozen), dy_dx,
                                rtol=1e-14, atol=0)
 
@@ -320,7 +351,8 @@ def test_general_path_has_unit_z_slope_at_b_one():
     # Why the logistic path drops dz/dy: at b = 1 and tau = 0.5 the general
     # path's dz/dy is exactly 1.0.
     x = np.linspace(-800.0, 800.0, 16001)
-    _, dz_dy, _, _ = output_backward(output_forward(x, 1.0, 0.5), 1.0, 0.5)
+    _, dz_dy, _, _ = output_backward(output_forward(x, 1.0, 0.5), 1.0, 0.5,
+                                     np.empty_like(x))
     assert np.all(dz_dy == 1.0)
 
 

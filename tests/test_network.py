@@ -23,7 +23,7 @@ from astra.network import (
 
 
 def fresh_adam(model):
-    return AdamState.for_shapes(model.params())
+    return AdamState(model)
 
 
 def end_to_end_loss(model, X, y, kind):

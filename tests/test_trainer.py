@@ -54,6 +54,7 @@ class TestEtaBUpdate:
         ({"eta": math.nan}, "eta"),
         ({"eta": math.inf}, "eta"),
         ({"n_h": 0}, "n_h"),
+        ({"seed": -1}, "seed"),
     ])
     def test_rejects_bad_epochs_eta_and_n_h(self, setting, field):
         with pytest.raises(ValueError, match=f"^{field} must be"):
@@ -321,7 +322,7 @@ class TestRunState:
         monkeypatch.setattr(trainer, "forward", recording)
         train(TrainConfig(epochs=2, eta=0.01, loss=kind, seed=5), tr, val)
         trace = traces[-1]
-        assert trace.step is not None and len(trace.val_z) == 7
+        assert len(trace.val_z) == 7
         owners = {}
 
         def visit(v):
@@ -333,9 +334,8 @@ class TestRunState:
                     v = v.base
                 owners[id(v)] = v
 
-        for obj in (trace, trace.step):
-            for v in vars(obj).values():
-                visit(v)
+        for v in vars(trace).values():
+            visit(v)
         assert sum(a.nbytes for a in owners.values()) <= limit_kib * 1024
 
     def run_to_divergence(self, monkeypatch, kind, tr, val, eta=0.01,
