@@ -13,22 +13,21 @@ from .activation import (
     z_transform,
     z_transform_backward,
 )
-from .data import Dataset, FoldPlan, orient_labels, parse_csv, parse_sparse
+from .data import Dataset, orient_labels, parse_csv, parse_sparse
 from .losses import ALL_KINDS, LossKind, bce_loss, gmn_loss
-from .metrics import ApproxCM, CountCM, approx_cm, counting_cm, e_ratio, g_mean, mcc, rates
+from .metrics import ConfusionMatrix, approx_cm, counting_cm, g_mean, mcc, rates
 from .network import Mlp, forward, init_mlp, predict_labels
 from .trainer import Snapshot, TrainConfig, train
 from .experiment import RunResult, compare, determine_winners, run_cv
 
 __all__ = [
-    "ALL_KINDS", "ApproxCM", "AstraParams", "CountCM", "Dataset",
-    "FoldPlan", "LossKind", "Mlp", "RunResult", "Snapshot", "TrainConfig",
-    "approx_cm", "astra_backward", "astra_forward", "astra_threshold",
-    "bce_loss", "compare", "counting_cm", "determine_winners", "e_ratio",
-    "forward", "g_mean", "gmn_loss", "init_mlp", "mcc",
-    "misorder_band_upper", "orient_labels", "parse_csv", "parse_sparse",
-    "predict_labels", "rates", "run_cv", "slope_from_beta", "train",
-    "z_transform", "z_transform_backward",
+    "ALL_KINDS", "AstraParams", "ConfusionMatrix", "Dataset", "LossKind",
+    "Mlp", "RunResult", "Snapshot", "TrainConfig", "approx_cm",
+    "astra_backward", "astra_forward", "astra_threshold", "bce_loss",
+    "compare", "counting_cm", "determine_winners", "forward", "g_mean",
+    "gmn_loss", "init_mlp", "mcc", "misorder_band_upper", "orient_labels",
+    "parse_csv", "parse_sparse", "predict_labels", "rates", "run_cv",
+    "slope_from_beta", "train", "z_transform", "z_transform_backward",
 ]
 
 __version__ = "0.1.0"

@@ -201,9 +201,11 @@ def _report(results, out: Path, runs_csv, show: bool = False) -> int:
 
 def cmd_undersample(cfg: dict) -> int:
     out = Path(cfg["out"])
+    seed = cfg.get("seed", TrainConfig.seed)
+    if seed < 0:        # as TrainConfig rejects it for train and cv
+        raise ValueError(f"seed must be >= 0, got {seed}")
     ds = _load_dataset(cfg["dataset"])
     keep = cfg["keep_positives"]
-    seed = cfg.get("seed", TrainConfig.seed)
     reduced, kept_idx = undersample_minority(ds, keep, seed=[seed, 0, 101])
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "manifest.json", {"command": "undersample",
@@ -245,6 +247,10 @@ COMMANDS = {
                     ("seed", "dataset", "keep_positives")),
     "report": (cmd_report, "rebuild a report from a runs CSV", ("runs",)),
 }
+# The options each command needs besides --out, checked once the config file
+# is merged.
+REQUIRED = {"train": ("dataset",), "cv": ("dataset",),
+            "undersample": ("dataset", "keep_positives"), "report": ("runs",)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -268,8 +274,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _resolve(args)
-        if not cfg.get("out"):
-            parser.error("--out is required")
+        for key in ("out", *REQUIRED[args.command]):
+            if cfg.get(key) in (None, ""):
+                parser.error(f"--{key.replace('_', '-')} is required")
         return args.func(cfg)
     except DataFormatError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

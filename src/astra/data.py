@@ -71,17 +71,6 @@ class Dataset:
         return Dataset(X=self.X[idx], y=self.y[idx])
 
 
-@dataclass(frozen=True)
-class FoldPlan:
-    """Stratified fold assignment per example; folds partition the dataset."""
-
-    k: int
-    assignments: np.ndarray
-
-    def fold_indices(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(self.assignments == fold)
-
-
 def parse_sparse(source) -> RawData:
     """Parse the sparse text format from a path or open text stream.
 
@@ -358,8 +347,9 @@ def standardize(train: Dataset, others: list[Dataset] | None = None):
     return scaled[0], scaled[1:], mean, std
 
 
-def stratified_folds(ds: Dataset, k: int, seed) -> FoldPlan:
-    """Shuffle each class independently and deal round-robin into k folds."""
+def stratified_folds(ds: Dataset, k: int, seed) -> np.ndarray:
+    """The fold, 0 to k - 1, of each example: each class is shuffled on its
+    own and dealt round-robin into the k folds, which partition the dataset."""
     if ds.m1 < 1:
         raise ValueError("dataset has no positives")
     if k < 2:
@@ -372,15 +362,16 @@ def stratified_folds(ds: Dataset, k: int, seed) -> FoldPlan:
         idx = np.flatnonzero(ds.y == cls)
         rng.shuffle(idx)
         assignments[idx] = np.arange(len(idx)) % k
-    return FoldPlan(k=k, assignments=assignments)
+    return assignments
 
 
-def fold_split(ds: Dataset, plan: FoldPlan, test_fold: int, val_fold: int):
-    """(train, val, test) datasets for one rotation of the plan."""
+def fold_split(ds: Dataset, plan: np.ndarray, test_fold: int, val_fold: int):
+    """(train, val, test) datasets for one rotation of the plan, the fold of
+    each example (stratified_folds)."""
     if test_fold == val_fold:
         raise ValueError("test and validation folds must differ")
-    a = plan.assignments
-    masks = ((a != test_fold) & (a != val_fold), a == val_fold, a == test_fold)
+    masks = ((plan != test_fold) & (plan != val_fold), plan == val_fold,
+             plan == test_fold)
     return tuple(ds.subset(np.flatnonzero(mask)) for mask in masks)
 
 

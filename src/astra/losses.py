@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .activation import clamp_unit
-from .metrics import ApproxCM, ClassSplit, approx_cm, split_outputs
+from .metrics import ClassSplit, ConfusionMatrix, approx_cm, split_outputs
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ def bce_grad(z, y) -> np.ndarray:
     return loss_and_grad(LossKind("bce", False), zc, y)[1]
 
 
-def _gmn(z: np.ndarray, split: ClassSplit, acm: ApproxCM | None, g: np.ndarray):
+def _gmn(z: np.ndarray, split: ClassSplit, acm: ConfusionMatrix | None, g: np.ndarray):
     """(loss, d loss/dz) of the approximated-G-Mean loss, the gradient in
     `g`; `acm`, if given, is approx_cm(z, split)."""
     if split.m0 < 1 or split.m1 < 1:
@@ -80,11 +80,11 @@ def _gmn(z: np.ndarray, split: ClassSplit, acm: ApproxCM | None, g: np.ndarray):
     # No clamp here: the loss has no logs, and unclamped inputs make the
     # reduction to the counting G-Mean exact on binary predictions.
     cm = approx_cm(z, split) if acm is None else acm
-    g_apx = np.sqrt(cm.tn_apx * cm.tp_apx / (split.m0 * split.m1))
+    g_apx = np.sqrt(cm.tn * cm.tp / (split.m0 * split.m1))
     # Network outputs are clamped to (0, 1) upstream, so the approximated
     # cells stay positive there; the floor only guards raw binary input.
-    tp = max(cm.tp_apx, 1e-12)
-    tn = max(cm.tn_apx, 1e-12)
+    tp = max(cm.tp, 1e-12)
+    tn = max(cm.tn, 1e-12)
     c = -0.5 * g_apx
     g.fill((0.0 - 1.0 / tn) * c)                  # (y/TP - (1-y)/TN) * c
     g[split.pos] = (1.0 / tp) * c
@@ -109,7 +109,7 @@ def gmn_grad(y_hat, y) -> np.ndarray:
     return loss_and_grad(LossKind("gmn", False), y_hat, y)[1]
 
 
-def loss_and_grad(kind: LossKind, z, y, acm: ApproxCM | None = None,
+def loss_and_grad(kind: LossKind, z, y, acm: ConfusionMatrix | None = None,
                   out: np.ndarray | None = None):
     """Loss value and gradient with respect to the (z-transformed) outputs
     `z`, for 0/1 targets `y` or their ClassSplit.

@@ -9,7 +9,7 @@ binary predictions: counting_cm is the ACM of 0/1 labels, cast to int.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -17,34 +17,17 @@ E_RATIO_EPS = 1e-12
 
 
 @dataclass(frozen=True)
-class CountCM:
-    """Integer counting confusion matrix."""
+class ConfusionMatrix:
+    """The four cells of a confusion matrix: int counts (counting_cm) or
+    real-valued sums of probabilistic outputs (approx_cm, the ACM).
 
-    tn: int
-    fp: int
-    fn: int
-    tp: int
-
-
-@dataclass(frozen=True)
-class ApproxCM:
-    """Real-valued approximated confusion matrix.
-
-    Row sums: tn_apx + fp_apx = m_0, fn_apx + tp_apx = m_1, up to rounding.
+    Row sums: tn + fp = m_0 and fn + tp = m_1, up to rounding in an ACM.
     """
 
-    tn_apx: float
-    fp_apx: float
-    fn_apx: float
-    tp_apx: float
-
-    @property
-    def m0(self) -> float:
-        return self.tn_apx + self.fp_apx
-
-    @property
-    def m1(self) -> float:
-        return self.fn_apx + self.tp_apx
+    tn: float
+    fp: float
+    fn: float
+    tp: float
 
 
 @dataclass(frozen=True)
@@ -101,7 +84,7 @@ def split_outputs(outputs, y) -> tuple[np.ndarray, ClassSplit]:
     return np.asarray(outputs, dtype=float), split
 
 
-def approx_cm(y_hat, y) -> ApproxCM:
+def approx_cm(y_hat, y) -> ConfusionMatrix:
     """Approximated confusion matrix from probabilistic outputs and 0/1
     targets `y` or their ClassSplit.
 
@@ -112,21 +95,23 @@ def approx_cm(y_hat, y) -> ApproxCM:
     yh, split = split_outputs(y_hat, y)
     fn, tp = positive_cells(yh[split.pos])
     fp = float(np.add.reduce(yh)) - tp
-    return ApproxCM(tn_apx=split.m0 - fp, fp_apx=fp, fn_apx=fn, tp_apx=tp)
+    return ConfusionMatrix(tn=split.m0 - fp, fp=fp, fn=fn, tp=tp)
 
 
-def counting_cm(pred_labels, y) -> CountCM:
+def counting_cm(pred_labels, y) -> ConfusionMatrix:
     """The ACM of 0/1 predictions against 0/1 targets `y` or their ClassSplit,
     as int.  Other predictions raise: the ACM would count a 2 as two."""
     p = np.asarray(pred_labels)
     if not ((p == 0) | (p == 1)).all():
         raise ValueError("predictions must be 0 or 1")
-    return CountCM(*map(int, _cells(approx_cm(p, y))))
+    return ConfusionMatrix(*map(int, astuple(approx_cm(p, y))))
 
 
-def mcc(cm: CountCM | ApproxCM) -> float:
-    """Matthews correlation coefficient; 0 if any denominator factor is zero."""
-    tn, fp, fn, tp = _cells(cm)
+def mcc(cm: ConfusionMatrix) -> float:
+    """Matthews correlation coefficient; 0 if any denominator factor is zero.
+    Int cells are taken as floats, as an ACM's are: exact int products past
+    2**53 would round differently."""
+    tn, fp, fn, tp = float(cm.tn), float(cm.fp), float(cm.fn), float(cm.tp)
     num = tp * tn - fp * fn
     f1 = tp + fp
     f2 = tp + fn
@@ -137,28 +122,17 @@ def mcc(cm: CountCM | ApproxCM) -> float:
     return num / math.sqrt(f1 * f2 * f3 * f4)
 
 
-def g_mean(cm: CountCM | ApproxCM) -> float:
+def g_mean(cm: ConfusionMatrix) -> float:
     """Geometric mean of sensitivity and specificity."""
     r = rates(cm)
     return math.sqrt(r.tpr * r.tnr)
 
 
-def _cells(cm: CountCM | ApproxCM):
-    if isinstance(cm, ApproxCM):
-        return cm.tn_apx, cm.fp_apx, cm.fn_apx, cm.tp_apx
-    return float(cm.tn), float(cm.fp), float(cm.fn), float(cm.tp)
-
-
-def rates(cm: CountCM | ApproxCM) -> Rates:
-    """TPR/TNR/FPR/FNR (approximated variants for an ApproxCM)."""
-    tn, fp, fn, tp = _cells(cm)
+def rates(cm: ConfusionMatrix) -> Rates:
+    """TPR/TNR/FPR/FNR (approximated variants for an ACM)."""
+    tn, fp, fn, tp = float(cm.tn), float(cm.fp), float(cm.fn), float(cm.tp)
     m1 = tp + fn
     m0 = tn + fp
     if m1 <= 0 or m0 <= 0:
         raise ValueError("rates need at least one example of each class")
     return Rates(tpr=tp / m1, tnr=tn / m0, fpr=fp / m0, fnr=fn / m1)
-
-
-def e_ratio(acm: ApproxCM) -> float:
-    """FNR_apx / FPR_apx: Rates.e_ratio of the approximated rates."""
-    return rates(acm).e_ratio

@@ -30,7 +30,7 @@ from .activation import (  # noqa: F401
     z_transform_backward,
 )
 from .losses import LossKind, loss_and_grad
-from .metrics import ApproxCM
+from .metrics import ConfusionMatrix
 
 LEAKY_SLOPE = 0.3
 
@@ -117,9 +117,6 @@ class Mlp:
     @b2.setter
     def b2(self, value: float) -> None:
         self.theta[-1] = value
-
-    def params(self) -> dict:
-        return dict(zip(PARAM_NAMES, param_views(self.theta, self.n_h, self.n_x)))
 
     def copy(self) -> "Mlp":
         ap = self.astra
@@ -250,7 +247,7 @@ def _adam_step(theta: np.ndarray, st: AdamState, eta: float) -> None:
 
 def backward_and_step(model: Mlp, adam: AdamState, trace: ForwardTrace, y,
                       kind: LossKind, eta: float, eta_b: float,
-                      acm: ApproxCM | None = None):
+                      acm: ConfusionMatrix | None = None):
     """One full-batch training step, for 0/1 targets `y` or their ClassSplit.
 
     Backpropagates the chosen loss through the z-transform and the output

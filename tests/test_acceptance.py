@@ -29,7 +29,7 @@ from astra.activation import (
 )
 from astra.data import fold_split, parse_sparse, standardize, stratified_folds, write_sparse
 from astra.losses import ALL_KINDS, LossKind, bce_grad, bce_loss, gmn_grad, gmn_loss, loss_and_grad
-from astra.metrics import CountCM, counting_cm, g_mean
+from astra.metrics import counting_cm, g_mean
 from astra.network import forward, init_mlp, predict_labels
 from astra.trainer import TrainConfig, train
 from test_experiment import enumeration_p_value

@@ -373,6 +373,17 @@ class TestErrorPaths:
         assert "seed must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_undersample_rejects_negative_seed(self, tmp_path, sparse_dataset,
+                                               capsys):
+        # numpy rejected it as "expected non-negative integer".
+        out = tmp_path / "us"
+        rc = cli.main(["undersample", "--dataset", str(sparse_dataset),
+                       "--out", str(out), "--keep-positives", "5",
+                       "--seed", "-1"])
+        assert rc == 4
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_cv_rejects_keeping_more_positives_than_exist(
             self, tmp_path, sparse_dataset, capsys):
         # The undersample of the first rotation raised this, after the manifest.
@@ -431,6 +442,24 @@ class TestErrorPaths:
     def test_missing_out_flag(self, sparse_dataset):
         with pytest.raises(SystemExit):
             cli.main(["train", "--dataset", str(sparse_dataset)])
+
+    @pytest.mark.parametrize("command, option, others", [
+        ("train", "--dataset", []),
+        ("cv", "--dataset", []),
+        ("undersample", "--dataset", ["--keep-positives", "5"]),
+        ("undersample", "--keep-positives", ["--dataset", "DATA"]),
+        ("report", "--runs", []),
+    ])
+    def test_missing_required_option(self, tmp_path, sparse_dataset, capsys,
+                                     command, option, others):
+        # A bare KeyError printed "invalid configuration: 'dataset'", exit 4.
+        out = tmp_path / "o"
+        others = [str(sparse_dataset) if a == "DATA" else a for a in others]
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--out", str(out), *others])
+        assert exc.value.code == 2
+        assert f"{option} is required" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestConfigFile:

@@ -509,7 +509,7 @@ class TestStratifiedFolds:
         ds = Dataset(X=rng.normal(size=(105, 2)), y=np.array([0] * 100 + [1] * 5))
         plan = stratified_folds(ds, 5, seed=0)
         for f in range(5):
-            assert np.sum(ds.y[plan.fold_indices(f)] == 1) == 1
+            assert np.sum(ds.y[np.flatnonzero(plan == f)] == 1) == 1
 
     def test_fold_sizes_balanced_per_class(self):
         rng = np.random.default_rng(3)
@@ -517,19 +517,19 @@ class TestStratifiedFolds:
                      y=(rng.random(83) < 0.3).astype(int))
         plan = stratified_folds(ds, 5, seed=1)
         for cls in (0, 1):
-            counts = [np.sum(ds.y[plan.fold_indices(f)] == cls) for f in range(5)]
+            counts = [np.sum(ds.y[np.flatnonzero(plan == f)] == cls) for f in range(5)]
             assert max(counts) - min(counts) <= 1
 
     def test_deterministic(self):
         ds = Dataset(X=np.zeros((20, 1)), y=np.array([0] * 15 + [1] * 5))
         a = stratified_folds(ds, 5, seed=7)
         b = stratified_folds(ds, 5, seed=7)
-        assert np.array_equal(a.assignments, b.assignments)
+        assert np.array_equal(a, b)
 
     def test_partition(self):
         ds = Dataset(X=np.zeros((37, 1)), y=np.array([0] * 30 + [1] * 7))
         plan = stratified_folds(ds, 5, seed=3)
-        all_idx = np.concatenate([plan.fold_indices(f) for f in range(5)])
+        all_idx = np.concatenate([np.flatnonzero(plan == f) for f in range(5)])
         assert sorted(all_idx) == list(range(37))
 
     def test_errors(self):
@@ -560,8 +560,8 @@ class TestFoldSplit:
         plan = stratified_folds(ds, k, seed=k)
         for test_fold in range(k):
             for val_fold in set(range(k)) - {test_fold}:
-                test_idx = plan.fold_indices(test_fold)
-                val_idx = plan.fold_indices(val_fold)
+                test_idx = np.flatnonzero(plan == test_fold)
+                val_idx = np.flatnonzero(plan == val_fold)
                 mask = ~np.isin(np.arange(m), np.concatenate([test_idx, val_idx]))
                 want = (np.flatnonzero(mask), val_idx, test_idx)
                 got = fold_split(ds, plan, test_fold, val_fold)

@@ -30,7 +30,7 @@ from astra.experiment import (
     write_run_csv,
 )
 from astra.losses import ALL_KINDS, LossKind
-from astra.metrics import CountCM
+from astra.metrics import ConfusionMatrix
 from astra.trainer import TrainConfig, train
 
 
@@ -295,7 +295,7 @@ class TestRunCv:
         from astra.metrics import g_mean as gm, mcc as mc
         _, _, _, results = small_cv_results
         for r in results:
-            cm = CountCM(r.tn, r.fp, r.fn, r.tp)
+            cm = ConfusionMatrix(r.tn, r.fp, r.fn, r.tp)
             if cm.tp + cm.fn > 0 and cm.tn + cm.fp > 0:
                 assert r.g_mean == pytest.approx(gm(cm), abs=1e-12)
             assert r.mcc == pytest.approx(mc(cm), abs=1e-12)

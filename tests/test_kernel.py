@@ -47,6 +47,7 @@ from astra.network import (
     backward_and_step,
     forward,
     init_mlp,
+    param_views,
 )
 from astra.trainer import _val_fnr_apx
 
@@ -90,8 +91,13 @@ def fresh_adam(model):
     return AdamState(model)
 
 
+def named_params(model) -> dict:
+    """The model's parameter views, by name."""
+    return dict(zip(PARAM_NAMES, param_views(model.theta, model.n_h, model.n_x)))
+
+
 def reference_adam(model):
-    params = model.params()
+    params = named_params(model)
     return ReferenceAdam(m={k: np.zeros_like(p) for k, p in params.items()},
                          v={k: np.zeros_like(p) for k, p in params.items()})
 
@@ -148,7 +154,7 @@ def reference_step(model, st, X, y, kind, eta, eta_b, hold=np.asfortranarray):
         grad_beta = 0.0
 
     st.t += 1
-    params = model.params()
+    params = named_params(model)
     for k, g in grads.items():
         st.m[k] = ADAM_BETA1 * st.m[k] + (1 - ADAM_BETA1) * g
         st.v[k] = ADAM_BETA2 * st.v[k] + (1 - ADAM_BETA2) * g * g

@@ -13,7 +13,7 @@ from astra.losses import (
     gmn_loss,
     loss_and_grad,
 )
-from astra.metrics import CountCM, approx_cm, class_split, g_mean
+from astra.metrics import ConfusionMatrix, approx_cm, class_split, g_mean
 
 
 def reference_bce(z, y):
@@ -31,9 +31,9 @@ def reference_gmn(y_hat, y):
     m1 = int(np.sum(t))
     m0 = len(t) - m1
     cm = approx_cm(np.asarray(y_hat, dtype=float), t)
-    g_apx = np.sqrt(cm.tn_apx * cm.tp_apx / (m0 * m1))
-    tp = max(cm.tp_apx, 1e-12)
-    tn = max(cm.tn_apx, 1e-12)
+    g_apx = np.sqrt(cm.tn * cm.tp / (m0 * m1))
+    tp = max(cm.tp, 1e-12)
+    tn = max(cm.tn, 1e-12)
     return 1.0 - g_apx, (t / tp - (1.0 - t) / tn) * (-0.5 * g_apx)
 
 
@@ -193,7 +193,7 @@ class TestGmn:
             # keep TP and TN nonzero so the output clamp to [1e-7, 1 - 1e-7]
             # stays a negligible perturbation under the square root
             preds[0], preds[1] = 0, 1
-            cm = CountCM(
+            cm = ConfusionMatrix(
                 tn=int(np.sum((preds == 0) & (y == 0))),
                 fp=int(np.sum((preds == 1) & (y == 0))),
                 fn=int(np.sum((preds == 0) & (y == 1))),

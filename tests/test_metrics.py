@@ -5,12 +5,10 @@ import pytest
 
 from astra.activation import EPS
 from astra.metrics import (
-    ApproxCM,
-    CountCM,
+    ConfusionMatrix,
     approx_cm,
     class_split,
     counting_cm,
-    e_ratio,
     g_mean,
     mcc,
     rates,
@@ -19,15 +17,15 @@ from astra.metrics import (
 ULP = np.finfo(float).eps
 
 
-def reference_approx_cm(y_hat, y) -> ApproxCM:
+def reference_approx_cm(y_hat, y) -> ConfusionMatrix:
     """The four-product ACM the per-class form replaced: each cell sums, over
     all rows, the outputs or their complements times the targets or theirs."""
     yh = np.asarray(y_hat, dtype=float)
     t = np.asarray(y, dtype=float)
-    return ApproxCM(tn_apx=float(np.sum((1.0 - yh) * (1.0 - t))),
-                    fp_apx=float(np.sum(yh * (1.0 - t))),
-                    fn_apx=float(np.sum((1.0 - yh) * t)),
-                    tp_apx=float(np.sum(yh * t)))
+    return ConfusionMatrix(tn=float(np.sum((1.0 - yh) * (1.0 - t))),
+                           fp=float(np.sum(yh * (1.0 - t))),
+                           fn=float(np.sum((1.0 - yh) * t)),
+                           tp=float(np.sum(yh * t)))
 
 
 def assert_near_reference(y_hat, y):
@@ -37,8 +35,8 @@ def assert_near_reference(y_hat, y):
     got, want = approx_cm(y_hat, y), reference_approx_cm(y_hat, y)
     m1 = int(np.sum(y))
     total = float(np.sum(y_hat))
-    for cell, scale in (("tp_apx", m1), ("fn_apx", m1), ("fp_apx", total),
-                        ("tn_apx", total + len(y) - m1)):
+    for cell, scale in (("tp", m1), ("fn", m1), ("fp", total),
+                        ("tn", total + len(y) - m1)):
         assert abs(getattr(got, cell) - getattr(want, cell)) <= 8 * ULP * scale, cell
 
 
@@ -90,7 +88,7 @@ class TestCountingCm:
                 tally[("t" if p == t else "f") + ("p" if p == 1 else "n")] += 1
             cm = counting_cm(np.array(preds, dtype=dtype),
                              class_split(y) if as_split else y)
-            assert cm == CountCM(**tally)
+            assert cm == ConfusionMatrix(**tally)
             assert all(type(v) is int for v in vars(cm).values())
 
         check()
@@ -110,27 +108,27 @@ class TestApproxCm:
         y = rng.integers(0, 2, 50)
         acm = approx_cm(preds.astype(float), y)
         cm = counting_cm(preds, y)
-        assert (acm.tn_apx, acm.fp_apx, acm.fn_apx, acm.tp_apx) == \
+        assert (acm.tn, acm.fp, acm.fn, acm.tp) == \
             (cm.tn, cm.fp, cm.fn, cm.tp)
 
     def test_all_half(self):
         acm = approx_cm([0.5] * 4, [0, 0, 1, 1])
-        assert (acm.tn_apx, acm.fp_apx, acm.fn_apx, acm.tp_apx) == (1, 1, 1, 1)
+        assert (acm.tn, acm.fp, acm.fn, acm.tp) == (1, 1, 1, 1)
 
     def test_direct_sums(self):
         acm = approx_cm([0.9, 0.2], [1, 0])
-        assert acm.tp_apx == pytest.approx(0.9)
-        assert acm.fn_apx == pytest.approx(0.1)
-        assert acm.tn_apx == pytest.approx(0.8)
-        assert acm.fp_apx == pytest.approx(0.2)
+        assert acm.tp == pytest.approx(0.9)
+        assert acm.fn == pytest.approx(0.1)
+        assert acm.tn == pytest.approx(0.8)
+        assert acm.fp == pytest.approx(0.2)
 
     def test_row_sums_exact(self):
         rng = np.random.default_rng(3)
         y_hat = rng.uniform(0, 1, 200)
         y = rng.integers(0, 2, 200)
         acm = approx_cm(y_hat, y)
-        assert acm.m0 == pytest.approx(np.sum(y == 0), rel=1e-9)
-        assert acm.m1 == pytest.approx(np.sum(y == 1), rel=1e-9)
+        assert acm.tn + acm.fp == pytest.approx(np.sum(y == 0), rel=1e-9)
+        assert acm.fn + acm.tp == pytest.approx(np.sum(y == 1), rel=1e-9)
 
 
 class TestPerClassAcm:
@@ -195,41 +193,48 @@ class TestPerClassAcm:
 
 class TestMcc:
     def test_perfect(self):
-        assert mcc(CountCM(tn=5, fp=0, fn=0, tp=5)) == 1.0
+        assert mcc(ConfusionMatrix(tn=5, fp=0, fn=0, tp=5)) == 1.0
 
     def test_collapsed_predictor_degenerate(self):
-        assert mcc(CountCM(tn=99, fp=0, fn=1, tp=0)) == 0.0
+        assert mcc(ConfusionMatrix(tn=99, fp=0, fn=1, tp=0)) == 0.0
 
     def test_known_value(self):
         expected = (1 * 99 - 1 * 0) / math.sqrt(2 * 1 * 100 * 99)
-        assert mcc(CountCM(tn=99, fp=1, fn=0, tp=1)) == pytest.approx(expected, rel=1e-12)
+        assert mcc(ConfusionMatrix(tn=99, fp=1, fn=0, tp=1)) == pytest.approx(expected, rel=1e-12)
 
     def test_bounds_and_label_swap_antisymmetry(self):
         rng = np.random.default_rng(4)
         for _ in range(200):
             tn, fp, fn, tp = rng.integers(0, 50, 4)
-            v = mcc(CountCM(tn=tn, fp=fp, fn=fn, tp=tp))
+            v = mcc(ConfusionMatrix(tn=tn, fp=fp, fn=fn, tp=tp))
             assert -1.0 <= v <= 1.0
-            swapped = mcc(CountCM(tn=fp, fp=tn, fn=tp, tp=fn))
+            swapped = mcc(ConfusionMatrix(tn=fp, fp=tn, fn=tp, tp=fn))
             if abs(v) > 0 and abs(swapped) > 0:
                 assert swapped == pytest.approx(-v, rel=1e-9)
 
     def test_approx_binary_matches_counting(self):
-        cm = CountCM(tn=10, fp=2, fn=1, tp=3)
-        acm = ApproxCM(tn_apx=10.0, fp_apx=2.0, fn_apx=1.0, tp_apx=3.0)
+        cm = ConfusionMatrix(tn=10, fp=2, fn=1, tp=3)
+        acm = ConfusionMatrix(tn=10.0, fp=2.0, fn=1.0, tp=3.0)
         assert mcc(acm) == pytest.approx(mcc(cm), rel=1e-12)
         assert g_mean(acm) == pytest.approx(g_mean(cm), rel=1e-12)
+
+    def test_int_cells_give_the_float_bits(self):
+        # Exact int products pass 2**53 here and would round 2 ulp away.
+        cells = (341044727, 360010378, 155952614, 273222599)
+        cm, acm = ConfusionMatrix(*cells), ConfusionMatrix(*map(float, cells))
+        assert mcc(cm) == mcc(acm)
+        assert rates(cm) == rates(acm)
 
 
 class TestGMean:
     def test_perfect(self):
-        assert g_mean(CountCM(tn=5, fp=0, fn=0, tp=5)) == 1.0
+        assert g_mean(ConfusionMatrix(tn=5, fp=0, fn=0, tp=5)) == 1.0
 
     def test_zero_tp(self):
-        assert g_mean(CountCM(tn=5, fp=0, fn=2, tp=0)) == 0.0
+        assert g_mean(ConfusionMatrix(tn=5, fp=0, fn=2, tp=0)) == 0.0
 
     def test_known_value(self):
-        assert g_mean(CountCM(tn=99, fp=1, fn=0, tp=1)) == \
+        assert g_mean(ConfusionMatrix(tn=99, fp=1, fn=0, tp=1)) == \
             pytest.approx(math.sqrt(0.99), rel=1e-12)
 
     def test_bounds(self):
@@ -238,20 +243,20 @@ class TestGMean:
             tn, fp, fn, tp = rng.integers(0, 50, 4)
             if tn + fp == 0 or fn + tp == 0:
                 continue
-            assert 0.0 <= g_mean(CountCM(tn=tn, fp=fp, fn=fn, tp=tp)) <= 1.0
+            assert 0.0 <= g_mean(ConfusionMatrix(tn=tn, fp=fp, fn=fn, tp=tp)) <= 1.0
 
     def test_empty_class_error(self):
         with pytest.raises(ValueError):
-            g_mean(CountCM(tn=3, fp=1, fn=0, tp=0))
+            g_mean(ConfusionMatrix(tn=3, fp=1, fn=0, tp=0))
 
 
 class TestRates:
     def test_all_negative(self):
-        r = rates(CountCM(tn=2, fp=0, fn=1, tp=0))
+        r = rates(ConfusionMatrix(tn=2, fp=0, fn=1, tp=0))
         assert r.fnr == 1.0 and r.tnr == 1.0
 
     def test_approx_rates(self):
-        r = rates(ApproxCM(tn_apx=0.8, fp_apx=0.2, fn_apx=0.1, tp_apx=0.9))
+        r = rates(ConfusionMatrix(tn=0.8, fp=0.2, fn=0.1, tp=0.9))
         assert r.fnr == pytest.approx(0.1)
         assert r.fpr == pytest.approx(0.2)
 
@@ -259,21 +264,21 @@ class TestRates:
         rng = np.random.default_rng(6)
         for _ in range(50):
             tn, fp, fn, tp = rng.integers(1, 50, 4)
-            r = rates(CountCM(tn=tn, fp=fp, fn=fn, tp=tp))
+            r = rates(ConfusionMatrix(tn=tn, fp=fp, fn=fn, tp=tp))
             assert r.tpr + r.fnr == pytest.approx(1.0)
             assert r.tnr + r.fpr == pytest.approx(1.0)
 
 
 class TestERatio:
     def test_symmetric_is_one(self):
-        assert e_ratio(ApproxCM(tn_apx=0.9, fp_apx=0.1, fn_apx=0.1, tp_apx=0.9)) == \
+        assert rates(ConfusionMatrix(tn=0.9, fp=0.1, fn=0.1, tp=0.9)).e_ratio == \
             pytest.approx(1.0)
 
     def test_direct_ratio(self):
-        acm = ApproxCM(tn_apx=0.95, fp_apx=0.05, fn_apx=0.5, tp_apx=0.5)
-        assert e_ratio(acm) == pytest.approx(10.0)
+        acm = ConfusionMatrix(tn=0.95, fp=0.05, fn=0.5, tp=0.5)
+        assert rates(acm).e_ratio == pytest.approx(10.0)
 
     def test_zero_fpr_guard(self):
-        acm = ApproxCM(tn_apx=1.0, fp_apx=0.0, fn_apx=0.5, tp_apx=0.5)
-        v = e_ratio(acm)
+        acm = ConfusionMatrix(tn=1.0, fp=0.0, fn=0.5, tp=0.5)
+        v = rates(acm).e_ratio
         assert np.isfinite(v) and v > 1e6
