@@ -144,17 +144,9 @@ def beta_from_slope(b: float) -> float:
 
 @cache
 def slope_from_tau(tau: float) -> float:
-    """Solve astra_threshold(b) == tau for b by bisection, once per tau.
-
-    tau must lie in (astra_threshold(B_MAX), 0.5].
-    """
-    if not 0.0 < tau <= 0.5:
-        raise ValueError(f"threshold must be in (0, 0.5], got {tau}")
+    """Solve astra_threshold(b) == tau for b by bisection, once per tau in
+    the open range AstraParams.from_tau_init checks."""
     lo, hi = B_MIN, B_MAX
-    if tau >= astra_threshold(lo):
-        return lo
-    if tau <= astra_threshold(hi):
-        raise ValueError(f"threshold {tau} below the stable range (~0.05)")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if astra_threshold(mid) > tau:

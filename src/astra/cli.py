@@ -26,7 +26,7 @@ from .data import (
     orient_labels,
     parse_csv,
     parse_sparse,
-    undersample_minority,
+    read_records,
     write_sparse,
 )
 # Unused here (experiment.split splits); bench/spans.py traces these names.
@@ -76,8 +76,8 @@ def _resolve(args: argparse.Namespace) -> dict:
     """Merge config file values under CLI flags (flags win).  A config file
     may set only what a flag of the command or, for train and cv, a
     TrainConfig field names.  Each value is checked against its CHOICES,
-    checked to be a string (a path) or cast to its type in TYPES; a null
-    one is dropped, leaving the default."""
+    checked to be a string (a path) or cast from its text to its type in
+    TYPES, as its flag is; a null one is dropped, leaving the default."""
     flags = {k: v for k, v in vars(args).items()
              if k not in ("config", "func", "command")}
     cfg = {}
@@ -106,8 +106,8 @@ def _resolve(args: argparse.Namespace) -> dict:
         if kind is str and not isinstance(value, str):
             raise ValueError(f"{key} must be a path string, got {value!r}")
         try:
-            cfg[key] = kind(value)
-        except (TypeError, ValueError):
+            cfg[key] = kind(str(value))
+        except ValueError:
             raise ValueError(f"{key} must be {kind.__name__}, "
                              f"got {value!r}") from None
     return cfg
@@ -205,8 +205,7 @@ def cmd_undersample(cfg: dict) -> int:
     if seed < 0:        # as TrainConfig rejects it for train and cv
         raise ValueError(f"seed must be >= 0, got {seed}")
     ds = _load_dataset(cfg["dataset"])
-    keep = cfg["keep_positives"]
-    reduced, kept_idx = undersample_minority(ds, keep, seed=[seed, 0, 101])
+    reduced, kept_idx = experiment.undersample(ds, cfg["keep_positives"], seed, 0)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "manifest.json", {"command": "undersample",
                                         "environment": environment(), **cfg})
@@ -221,7 +220,7 @@ def cmd_undersample(cfg: dict) -> int:
 
 
 def cmd_report(cfg: dict) -> int:
-    results = experiment.read_run_csv(cfg["runs"])
+    results = read_records(experiment.RunResult, cfg["runs"])
     return _report(results, Path(cfg["out"]), cfg["runs"], show=True)
 
 

@@ -3,15 +3,15 @@ planning and minority undersampling.
 
 Input formats: a sparse text format (``<label> <index>:<value> ...`` with
 1-based ascending indices) and a plain CSV (``label,f1,...,fn``), both read
-in blocks of lines.  Datasets are dense in memory; the largest set
-targeted here is ~20k x 22.  Records (runs, epochs) are CSV, a dataclass's fields.
+in blocks of lines.  Datasets are dense in memory; the largest targeted here
+is Skin's 245,057 x 3.  Records (runs, epochs) are CSV, a dataclass's fields.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 from itertools import chain, islice
 from typing import get_args, get_type_hints
 
@@ -20,6 +20,8 @@ import numpy as np
 # Lines the readers convert at a time: one block's tokens and arrays are all
 # they hold besides the blocks already converted.
 BLOCK_LINES = 256
+# The widest row of a dense float matrix: its bytes must fit in an intp.
+MAX_WIDTH = np.iinfo(np.intp).max // 8
 
 
 class DataFormatError(ValueError):
@@ -78,7 +80,7 @@ def parse_sparse(source) -> RawData:
     whitespace: the label and the values as ``float()`` reads them, each
     index as ``int()`` does, strictly ascending from 1.  Lines are those of
     ``str.splitlines``.  Omitted indices read as 0; the feature width is the
-    largest index seen.  Malformed lines are reported with their line number.
+    largest index seen.  Malformed and too-wide lines are reported by number.
 
     The source is read and converted BLOCK_LINES lines at a time, so the
     peak memory is about twice the result (the converted blocks, then X)
@@ -143,19 +145,19 @@ def _line_blocks(fh):
 
 def _sparse_block(lines, lineno: int, width):
     """The labels and the dense rows of a block of sparse lines, of any
-    width: by _convert_block, or by _scan_block where that raises."""
+    width, by _convert_block; where that raises, _scan_block names the line."""
     try:
         return _convert_block(lines)
     except (ValueError, OverflowError):
-        return _scan_block(lines, lineno)
+        _scan_block(lines, lineno)
 
 
 def _convert_block(lines):
     """The labels and the dense rows of a block, each kind of token
     converted in one call.
 
-    Raises ValueError or OverflowError (an index beyond int64) if any line
-    is not in the format; _scan_block then finds the line.
+    Raises ValueError or OverflowError if any line is not in the format or
+    the block is too wide for a dense matrix; _scan_block then finds the line.
     """
     rows = [tokens for tokens in map(str.split, lines) if tokens]
     labels = np.array([tokens[0] for tokens in rows], dtype=float)
@@ -187,16 +189,16 @@ def _convert_block(lines):
 
 
 def _scan_block(lines, lineno: int):
-    """_convert_block line by line, ``lines[0]`` being line ``lineno``:
-    raises the DataFormatError of the first malformed line.  A block with
-    none (an index beyond int64) is converted here."""
-    labels, rows, cols, vals = [], [], [], []
+    """Raise the DataFormatError of a block's first line (``lines[0]`` being
+    line ``lineno``) that is malformed or wider than MAX_WIDTH, else of its
+    widest line.  numpy's int64 parse reads what int() reads below 2^63."""
+    widest, where = 0, lineno
     for lineno, line in enumerate(lines, start=lineno):
         tokens = line.split()
         if not tokens:
             continue
         try:
-            labels.append(float(tokens[0]))
+            float(tokens[0])
         except ValueError:
             raise DataFormatError(f"line {lineno}: bad label {tokens[0]!r}")
         prev = 0
@@ -204,19 +206,19 @@ def _scan_block(lines, lineno: int):
             try:
                 idx_s, val_s = tok.split(":")
                 idx = int(idx_s)
-                val = float(val_s)
+                float(val_s)
             except ValueError:
                 raise DataFormatError(f"line {lineno}: bad feature token {tok!r}")
             if idx <= prev:
                 raise DataFormatError(
                     f"line {lineno}: indices must be ascending and 1-based")
             prev = idx
-            rows.append(len(labels) - 1)
-            cols.append(idx - 1)
-            vals.append(val)
-    block = np.zeros((len(labels), max(cols, default=-1) + 1))
-    block[rows, cols] = vals
-    return np.array(labels, dtype=float), block
+        if prev > widest:
+            widest, where = prev, lineno
+        if widest > MAX_WIDTH:      # the first such line, whatever the blocks
+            break
+    raise DataFormatError(f"line {where}: feature index {widest} is too large "
+                          "for a dense matrix")
 
 
 def _csv_block(lines, lineno: int, width):
@@ -332,9 +334,9 @@ def orient_labels(raw: RawData) -> Dataset:
 def standardize(train: Dataset, others: list[Dataset] | None = None):
     """Center/scale every feature by train-fold statistics.
 
-    Zero-variance features are centered only.  Returns the scaled train set,
-    the scaled other sets, and the (mean, std) used.  The scaled X are
-    feature-major (Fortran-ordered), the layout network.forward is fast in.
+    Zero-variance features are centered only.  Returns the scaled train set
+    and the scaled other sets.  The scaled X are feature-major
+    (Fortran-ordered), the layout network.forward is fast in.
     """
     mean = train.X.mean(axis=0)
     std = train.X.std(axis=0)
@@ -344,7 +346,7 @@ def standardize(train: Dataset, others: list[Dataset] | None = None):
         X = np.subtract(ds.X, mean, order="F")
         X /= std                                  # (ds.X - mean) / std
         scaled.append(Dataset(X=X, y=ds.y.copy()))
-    return scaled[0], scaled[1:], mean, std
+    return scaled[0], scaled[1:]
 
 
 def stratified_folds(ds: Dataset, k: int, seed) -> np.ndarray:

@@ -19,8 +19,8 @@ from functools import partial
 
 import numpy as np
 
-from .data import (Dataset, fold_split, read_records, standardize,
-                   stratified_folds, undersample_minority, write_records)
+from .data import (Dataset, fold_split, standardize, stratified_folds,
+                   undersample_minority, write_records)
 from .losses import LossKind
 from .metrics import counting_cm, g_mean, mcc
 from .network import predict_labels
@@ -30,7 +30,7 @@ log = logging.getLogger(__name__)
 
 P_THRESHOLD = 0.05
 MIN_PAIRS = 5        # fewest paired observations compare() accepts
-EXACT_MAX = 62       # most differences whose 2^n sign assignments fit int64
+EXACT_LIMIT = 50     # exact p up to 10 x 5-fold CV's pairs; int64 counts fit 62
 FOLDS = 5            # the paper's protocol: 10 repeats of 5-fold CV
 REPEATS = 10
 METRICS = {"g_mean": "G-Mean", "mcc": "MCC"}   # RunResult score -> table label
@@ -72,15 +72,13 @@ def _midranks(values: np.ndarray) -> np.ndarray:
     return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
 
 
-def wilcoxon_signed_rank(diffs, exact_limit: int = 50) -> float:
+def wilcoxon_signed_rank(diffs) -> float:
     """Two-sided paired Wilcoxon signed-rank p-value.
 
     Zero differences are dropped (all-zero input gives p = 1).  Exact null
     distribution (shift-convolution over signed midranks) for up to
-    ``exact_limit`` non-zero differences, normal approximation with tie
-    correction and continuity correction above.  The default covers the
-    50 pairs of 10 x 5-fold CV; the exact counts are int64, so at most 62
-    differences take the exact path whatever the limit.
+    EXACT_LIMIT non-zero differences, normal approximation with tie
+    correction and continuity correction above.
     """
     d = np.asarray(diffs, dtype=float)
     d = d[d != 0.0]
@@ -90,7 +88,7 @@ def wilcoxon_signed_rank(diffs, exact_limit: int = 50) -> float:
     ranks = _midranks(np.abs(d))
     w_pos = float(np.sum(ranks[d > 0]))
 
-    if n <= min(exact_limit, EXACT_MAX):
+    if n <= EXACT_LIMIT:
         # Distribution of 2*W+ over all 2^n sign assignments; no count
         # exceeds 2^n.
         r2 = np.rint(2 * ranks).astype(np.int64)
@@ -167,8 +165,14 @@ def split(ds: Dataset, k: int, seed: int, repeat: int, fold: int):
     all three standardized by the train set's statistics."""
     plan = stratified_folds(ds, k, seed=[seed, repeat, 202])
     train_ds, val_ds, test_ds = fold_split(ds, plan, fold, (fold + 1) % k)
-    train_ds, (val_ds, test_ds), _, _ = standardize(train_ds, [val_ds, test_ds])
+    train_ds, (val_ds, test_ds) = standardize(train_ds, [val_ds, test_ds])
     return train_ds, val_ds, test_ds
+
+
+def undersample(ds: Dataset, keep: int, seed: int, repeat: int):
+    """(reduced dataset, kept positive rows) of repeat `repeat`: `keep` of
+    the positives of `ds`, drawn from the seed [seed, repeat, 101]."""
+    return undersample_minority(ds, keep, seed=[seed, repeat, 101])
 
 
 def _run_rotation(ds: Dataset, cfg: TrainConfig, methods, k, keep_positives, key):
@@ -177,7 +181,7 @@ def _run_rotation(ds: Dataset, cfg: TrainConfig, methods, k, keep_positives, key
     split, then each method trained from the seed [cfg.seed, repeat, fold]."""
     repeat, fold = key
     if keep_positives is not None:
-        ds, _ = undersample_minority(ds, keep_positives, seed=[cfg.seed, repeat, 101])
+        ds, _ = undersample(ds, keep_positives, cfg.seed, repeat)
     train_ds, val_ds, test_ds = split(ds, k, cfg.seed, repeat, fold)
     results = []
     for kind in methods:
@@ -252,24 +256,20 @@ def _mean_sd(v: np.ndarray) -> dict:
     return {"mean": float(v.mean()), "sd": float(v.std(ddof=1)) if len(v) > 1 else 0.0}
 
 
-def aggregate(results: list[RunResult]) -> dict:
-    """method -> metric -> {"mean", "sd"}: the mean and sample standard
-    deviation of each method's scores."""
-    return {method: {metric: _mean_sd(v) for metric, v in by_metric.items()}
-            for method, by_metric in _scores(results).items()}
-
-
 def determine_winners(results: list[RunResult]) -> dict:
-    """The report, as report.json holds it: `methods` (sorted), `stats` (as
-    `aggregate`), `p_values` (metric -> "a|b" -> paired Wilcoxon p of each
-    pair a < b) and `winners` (metric -> method -> "winner" | "tie" | "").
+    """The report, as report.json holds it: `methods` (sorted), `stats`
+    (method -> metric -> the "mean" and sample "sd" of its scores),
+    `p_values` (metric -> "a|b" -> paired Wilcoxon p of each pair a < b)
+    and `winners` (metric -> method -> "winner" | "tie" | "").
 
     A method is a sole winner when its mean is highest and every pairwise
     comparison against it has p <= 0.05; methods not separable from the best
     are co-flagged as ties.  With fewer than MIN_PAIRS (repeat, fold) keys
     free of failed runs every p is None and no method is flagged.
     """
-    scores, stats = _scores(results), aggregate(results)
+    scores = _scores(results)
+    stats = {method: {metric: _mean_sd(v) for metric, v in by_metric.items()}
+             for method, by_metric in scores.items()}
     methods = list(scores)
     testable = len(scores[methods[0]]["g_mean"]) >= MIN_PAIRS
     p_values: dict = {}
@@ -293,10 +293,6 @@ def determine_winners(results: list[RunResult]) -> dict:
 
 def write_run_csv(results: list[RunResult], path) -> None:
     write_records(results, RunResult, path)
-
-
-def read_run_csv(path) -> list[RunResult]:
-    return read_records(RunResult, path)
 
 
 def render_table(report: dict) -> str:

@@ -38,9 +38,9 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-def hidden_width(n_x: int, n_y: int = 1) -> int:
-    """Architecture rule: n_h = ceil((n_x + n_y) / 2)."""
-    return math.ceil((n_x + n_y) / 2)
+def hidden_width(n_x: int) -> int:
+    """Architecture rule: n_h = ceil((n_x + 1) / 2), for one output unit."""
+    return math.ceil((n_x + 1) / 2)
 
 
 PARAM_NAMES = ("w1", "b1", "w2", "b2")
@@ -92,10 +92,9 @@ class Mlp:
 
     def __init__(self, theta: np.ndarray, n_x: int, n_h: int,
                  astra: AstraParams, seed):
-        w1, b1, w2, _ = param_views(theta, n_h, n_x)
-        # Bound past __setattr__: a copy makes eight fewer calls.
-        vars(self).update(theta=theta, n_x=n_x, n_h=n_h, w1=w1, b1=b1, w2=w2,
-                          astra=astra, seed=seed)
+        self.theta, self.n_x, self.n_h, self.astra = theta, n_x, n_h, astra
+        self.w1, self.b1, self.w2, _ = param_views(theta, n_h, n_x)
+        self.seed = seed
 
     @classmethod
     def from_arrays(cls, w1, b1, w2, b2: float, astra: AstraParams,

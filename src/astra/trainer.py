@@ -140,8 +140,7 @@ def train(cfg: TrainConfig, train_set: Dataset, val_set: Dataset):
     # NonFiniteError reports a divergence; numpy's warning would crash under -W error.
     with np.errstate(over="ignore", invalid="ignore"):
         forward(model, X_train, trace)
-        # Its own copy of the initial model, built again from the seed.
-        snapshot = Snapshot(epoch=0, model=build_model(cfg, train_set.n_x),
+        snapshot = Snapshot(epoch=0, model=model.copy(),
                             val_fnr_apx=_val_fnr_apx(trace))
         for epoch in range(1, cfg.epochs + 1):
             try:

@@ -30,7 +30,7 @@ def separable_toy() -> tuple[Dataset, Dataset]:
     Xp = rng.normal(5.0, 0.3, (2, 2))
     ds = Dataset(X=np.vstack([Xn, Xp]), y=np.array([0] * 38 + [1] * 2))
     val = Dataset(X=Xp.copy(), y=np.array([1, 1]))
-    train_ds, (val_ds,), _, _ = standardize(ds, [val])
+    train_ds, (val_ds,) = standardize(ds, [val])
     return train_ds, val_ds
 
 

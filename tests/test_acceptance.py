@@ -6,9 +6,7 @@ one reference configuration frozen after a screening run; criterion 7 needs
 the real skin dataset and is skipped unless SKIN588_PATH points at it.
 """
 
-import itertools
 import json
-import math
 import os
 
 import numpy as np
@@ -204,7 +202,7 @@ def _reference_run(seed: int, kind: LossKind):
     ds = gaussian_imbalance(REFERENCE_BASE, seed)
     plan = stratified_folds(ds, 5, seed=[REFERENCE_BASE, seed, 202])
     tr, val, te = fold_split(ds, plan, 0, 1)
-    tr, (val, te), _, _ = standardize(tr, [val, te])
+    tr, (val, te) = standardize(tr, [val, te])
     cfg = TrainConfig(epochs=2000, loss=kind, seed=[REFERENCE_BASE, seed, 1])
     snapshot, records = train(cfg, tr, val)
     labels = predict_labels(snapshot.model, te.X)

@@ -13,7 +13,7 @@ import pytest
 
 from astra import cli, experiment
 from astra.activation import B_MAX, astra_threshold
-from astra.data import parse_sparse, write_sparse
+from astra.data import parse_sparse, read_records, write_sparse
 from astra.losses import ALL_KINDS
 from astra.trainer import TrainConfig
 
@@ -331,6 +331,17 @@ class TestErrorPaths:
         assert "line 2: expected 3 values, got 2" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("index", [2 ** 63 - 1, 2 ** 64])
+    def test_index_too_wide_for_a_dense_matrix(self, tmp_path, capsys, index):
+        bad = tmp_path / "wide.txt"
+        bad.write_text(f"1 1:1\n0 {index}:1\n")
+        rc = cli.main(["train", "--dataset", str(bad),
+                       "--out", str(tmp_path / "o"), "--epochs", "1"])
+        assert rc == 2
+        assert (f"parse error: line 2: feature index {index} is too large for "
+                "a dense matrix") in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_invalid_config_value(self, tmp_path, sparse_dataset, capsys):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"tau_init": 0.01}))
@@ -540,6 +551,12 @@ class TestConfigFile:
         ("train", '{"folds": [5]}'),
         ("undersample", '{"keep_positives": [6]}'),
         ("undersample", '{"seed": "zero"}'),
+        # Cast from their text, as flags are: none is truncated.
+        ("cv", '{"epochs": 2.7}'),
+        ("train", '{"n_h": 2.9}'),
+        ("undersample", '{"seed": -0.5}'),
+        ("cv", '{"epochs": true}'),
+        ("train", '{"epochs": 3.0}'),
     ])
     def test_integer_option_rejected(self, tmp_path, sparse_dataset, capsys,
                                      command, content):
@@ -550,6 +567,21 @@ class TestConfigFile:
         assert cli.main([command, "--dataset", str(sparse_dataset), "--config",
                          str(config), "--out", str(out)]) == 4
         assert f"invalid configuration: {key} must be int" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, content", [
+        ("train", '{"eta": true}'),
+        ("cv", '{"eta_b_max": false}'),
+    ])
+    def test_float_option_rejected(self, tmp_path, sparse_dataset, capsys,
+                                   command, content):
+        config = tmp_path / "cfg.json"
+        config.write_text(content)
+        out = tmp_path / "o"
+        key = next(iter(json.loads(content)))
+        assert cli.main([command, "--dataset", str(sparse_dataset), "--config",
+                         str(config), "--out", str(out)]) == 4
+        assert f"invalid configuration: {key} must be float" in capsys.readouterr().err
         assert not out.exists()
 
     def test_integer_options_cast(self, tmp_path, sparse_dataset):
@@ -737,7 +769,7 @@ class TestDivergence:
                              str(config), "--out", str(out), "--loss", "gmn",
                              "--astra", "on", "--epochs", "3", "--repeats",
                              "1", "--folds", "5"]) == 0
-        runs = experiment.read_run_csv(out / "runs.csv")
+        runs = read_records(experiment.RunResult, out / "runs.csv")
         assert len(runs) == 5
         for run in runs:
             assert run.diverged is True and run.error is None
@@ -804,7 +836,7 @@ class TestDivergenceUnderWarningsAsErrors:
     def test_cv(self, tmp_path, sparse_dataset):
         rc, out = self._main(tmp_path, sparse_dataset, "cv", "--repeats", "1")
         assert rc == 0
-        runs = experiment.read_run_csv(out / "runs.csv")
+        runs = read_records(experiment.RunResult, out / "runs.csv")
         assert len(runs) == 4 * 5
         assert {(run.diverged, run.error) for run in runs} == {(True, None)}
 

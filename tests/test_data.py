@@ -64,7 +64,9 @@ class TestParseSparse:
 
 def reference_parse_sparse(source) -> RawData:
     """The sparse reader as a per-line loop over ``read().splitlines()``
-    with a dict per row: the behaviour parse_sparse keeps."""
+    with a dict per row: the behaviour parse_sparse keeps.  A file too wide
+    for a dense matrix names its first line wider than a float64 row can
+    be, else its widest line."""
     if hasattr(source, "read"):
         lines = source.read().splitlines()
     else:
@@ -72,7 +74,7 @@ def reference_parse_sparse(source) -> RawData:
             lines = fh.read().splitlines()
     rows = []
     labels = []
-    n_x = 0
+    n_x, widest_line = 0, 0
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
@@ -96,11 +98,18 @@ def reference_parse_sparse(source) -> RawData:
                     f"line {lineno}: indices must be ascending and 1-based")
             prev = idx
             row[idx] = val
-            n_x = max(n_x, idx)
+        if prev > n_x:
+            n_x, widest_line = prev, lineno
         rows.append(row)
+        if n_x > np.iinfo(np.intp).max // 8:    # np.zeros below raises
+            break
     if not rows:
         raise DataFormatError("empty file")
-    X = np.zeros((len(rows), n_x))
+    try:
+        X = np.zeros((len(rows), n_x))
+    except ValueError:
+        raise DataFormatError(f"line {widest_line}: feature index {n_x} is "
+                              "too large for a dense matrix")
     for i, row in enumerate(rows):
         for idx, val in row.items():
             X[i, idx - 1] = val
@@ -158,6 +167,8 @@ EDGE_CORPUS = {
     "no-final-newline": "1 1:2\n-1 3:4",
     "varying-width": "1 5:1\n-1 1:2\n1\n-1 2:3 9:4\n",
     "index-beyond-int64": "1 18446744073709551616:1\n",
+    "index-at-int64-max": "1 9223372036854775807:1\n",
+    "wide-index-then-bad-line": "1 1:1\n1 9223372036854775807:1\n1 2:1 1:1\n",
     "empty": "",
     "blank-lines-only": "\n  \n\t\n",
 }
@@ -484,7 +495,7 @@ class TestStandardize:
     def test_train_moments(self):
         rng = np.random.default_rng(1)
         ds = Dataset(X=rng.normal(5, 3, (50, 4)), y=np.array([0] * 49 + [1]))
-        scaled, _, _, _ = standardize(ds)
+        scaled, _ = standardize(ds)
         assert np.allclose(scaled.X.mean(axis=0), 0, atol=1e-9)
         assert np.allclose(scaled.X.std(axis=0), 1, atol=1e-9)
 
@@ -492,14 +503,15 @@ class TestStandardize:
         X = np.ones((10, 2))
         X[:, 1] = np.arange(10)
         ds = Dataset(X=X, y=np.array([0] * 9 + [1]))
-        scaled, _, _, _ = standardize(ds)
+        scaled, _ = standardize(ds)
         assert np.allclose(scaled.X[:, 0], 0)
 
     def test_others_use_train_statistics(self):
         train = Dataset(X=np.array([[0.0], [2.0]]), y=np.array([0, 1]))
         test = Dataset(X=np.array([[10.0]]), y=np.array([1]))
-        _, (scaled_test,), mean, std = standardize(train, [test])
-        assert mean[0] == 1.0 and std[0] == 1.0
+        scaled_train, (scaled_test,) = standardize(train, [test])
+        # The train mean is 1 and its standard deviation 1.
+        assert scaled_train.X[:, 0].tolist() == [-1.0, 1.0]
         assert scaled_test.X[0, 0] == 9.0
 
 

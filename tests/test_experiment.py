@@ -1,4 +1,5 @@
 import itertools
+import math
 import multiprocessing
 import os
 import subprocess
@@ -11,17 +12,16 @@ import pytest
 
 import astra
 from astra import cli, experiment
-from astra.data import (DataFormatError, Dataset, fold_split, standardize,
-                        stratified_folds, undersample_minority, write_sparse)
+from astra.data import (DataFormatError, Dataset, fold_split, read_records,
+                        standardize, stratified_folds, undersample_minority,
+                        write_sparse)
 from astra.experiment import (
     MIN_PAIRS,
     RunResult,
     _midranks,
-    aggregate,
     check_protocol,
     compare,
     determine_winners,
-    read_run_csv,
     render_table,
     run_cv,
     score,
@@ -102,11 +102,13 @@ class TestWilcoxon:
         d = [8.0, 7.0, 6.0, 5.0, 4.0, 3.0, -2.0, -1.0]
         assert wilcoxon_signed_rank(d) == pytest.approx(enumeration_p_value(d))
 
-    def test_normal_approximation_reasonable(self):
+    def test_normal_approximation_reasonable(self, monkeypatch):
         rng = np.random.default_rng(9)
         d = rng.normal(0.5, 1.0, 60)
-        p_exact_style = wilcoxon_signed_rank(d, exact_limit=100)
-        p_normal = wilcoxon_signed_rank(d, exact_limit=25)
+        p_normal = wilcoxon_signed_rank(d)
+        # The exact counts of 60 differences still fit int64.
+        monkeypatch.setattr(experiment, "EXACT_LIMIT", 60)
+        p_exact_style = wilcoxon_signed_rank(d)
         assert p_normal == pytest.approx(p_exact_style, abs=0.01)
 
     @pytest.mark.parametrize("n", range(5, 51))
@@ -124,13 +126,10 @@ class TestWilcoxon:
         # The normal approximation gives about 7.8e-10.
         assert wilcoxon_signed_rank(np.arange(1.0, 51.0)) == 2.0 / 2 ** 50
 
-    def test_exact_counts_stay_within_int64(self):
-        d = np.random.default_rng(10).normal(0.3, 1.0, 80)
-        p_exact = wilcoxon_signed_rank(d[:62], exact_limit=100)
-        assert p_exact == pytest.approx(
-            wilcoxon_signed_rank(d[:62], exact_limit=61), abs=0.01)
-        assert wilcoxon_signed_rank(d, exact_limit=100) == \
-            wilcoxon_signed_rank(d, exact_limit=62)
+    def test_fifty_one_pairs_take_the_normal_path(self):
+        # W+ = 51*52/2 lies 663 above its mean, with variance 51*52*103/24.
+        assert wilcoxon_signed_rank(np.arange(1.0, 52.0)) == pytest.approx(
+            math.erfc(662.5 / math.sqrt(2 * 51 * 52 * 103 / 24)), rel=1e-12)
 
     def test_tie_heavy_normal_path_matches_scipy(self):
         stats = pytest.importorskip("scipy.stats")
@@ -170,17 +169,17 @@ class TestAggregate:
                 for i, v in enumerate(values)]
 
     def test_mean_and_sample_sd(self):
-        stats = aggregate(self._results([1.0, 1.0, 0.0, 0.0]))
+        stats = determine_winners(self._results([1.0, 1.0, 0.0, 0.0]))["stats"]
         assert stats["bce"]["g_mean"]["mean"] == pytest.approx(0.5)
         assert stats["bce"]["g_mean"]["sd"] == pytest.approx(0.5773502691896257)
 
     def test_equal_values_zero_sd(self):
-        stats = aggregate(self._results([0.7, 0.7, 0.7]))
+        stats = determine_winners(self._results([0.7, 0.7, 0.7]))["stats"]
         assert stats["bce"]["g_mean"]["sd"] == pytest.approx(0.0, abs=1e-12)
 
     def test_empty_error(self):
         with pytest.raises(ValueError):
-            aggregate([])
+            determine_winners([])
 
 
 class TestDetermineWinners:
@@ -237,9 +236,11 @@ class TestDetermineWinners:
         rng = np.random.default_rng(13)
         n = 25
         per = {m: rng.uniform(0, 1, n) for m in ("w", "x", "y", "z")}
-        r1 = determine_winners(self._paired_results(per))
+        results = self._paired_results(per)
+        r1 = determine_winners(results)
         r2 = determine_winners(self._paired_results(dict(reversed(per.items()))))
-        assert r1["winners"] == r2["winners"]
+        r3 = determine_winners([results[i] for i in rng.permutation(len(results))])
+        assert r1 == r2 == r3
 
     def test_too_few_clean_pairs_gives_null_p(self):
         per = {"a": [0.9] * 6, "b": [0.1] * 6}
@@ -308,7 +309,7 @@ class TestRunCv:
         plan = stratified_folds(ds, 5, seed=[4, 1, 202])
         for fold in range(5):
             tr, va, te = fold_split(ds, plan, fold, (fold + 1) % 5)
-            tr, (va, te), _, _ = standardize(tr, [va, te])
+            tr, (va, te) = standardize(tr, [va, te])
             for got, want in zip(split(ds, 5, 4, 1, fold), (tr, va, te)):
                 assert got.X.tobytes() == want.X.tobytes()
                 assert np.array_equal(got.y, want.y)
@@ -568,12 +569,11 @@ class TestFailedRuns:
         assert [r for r in failed if r.error is None] == \
             [r for r in results if (r.method, r.repeat, r.fold) != ("gmn-astra", 1, 2)]
         kept = [r for r in results if (r.repeat, r.fold) != (1, 2)]
-        assert aggregate(failed) == aggregate(kept)
         assert determine_winners(failed) == determine_winners(kept)
 
         path = tmp_path / "runs.csv"
         write_run_csv(failed, path)
-        assert read_run_csv(path) == failed
+        assert read_records(RunResult, path) == failed
         line = path.read_text().split("\ngmn-astra,1,2,")[1]
         assert line.startswith("," * 11 + '"RuntimeError: ')   # 11 empty cells
 
@@ -596,14 +596,14 @@ class TestRunCsv:
         _, _, _, results = small_cv_results
         path = tmp_path / "runs.csv"
         write_run_csv(results, path)
-        assert read_run_csv(path) == results
+        assert read_records(RunResult, path) == results
 
     def test_scoreless_run_without_error_rejected(self, tmp_path):
         path = tmp_path / "runs.csv"
         write_run_csv([RunResult("bce", 0, 0, error="x")], path)
         path.write_text(path.read_text().replace(",x\n", ",\n"))
         with pytest.raises(DataFormatError, match="line 2: a run without an error"):
-            read_run_csv(path)
+            read_records(RunResult, path)
 
     def test_report_render(self, small_cv_results):
         _, _, _, results = small_cv_results

@@ -5,7 +5,6 @@ import pytest
 
 from astra.activation import (
     AstraParams,
-    astra_forward,
     astra_threshold,
     slope_from_beta,
 )
