@@ -11,14 +11,14 @@ for BCE and any confusion-matrix-derived loss when b > 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from typing import NamedTuple
 
 import numpy as np
 
-# Hard floor / soft ceiling for the slope.  b = 60 corresponds to a threshold
-# of roughly 0.05, the lowest value that is numerically workable.
+# Floor and cap of the slope (AstraParams.set_beta).  b = 60 corresponds to a
+# threshold of about 0.066, the lowest value that is numerically workable.
 B_MIN = 1.0
 B_MAX = 60.0
 
@@ -314,22 +314,32 @@ def logistic_backward(terms: LogisticTerms):
 
 @dataclass
 class AstraParams:
-    """Learnable slope state: beta and the derived slope b and threshold tau.
+    """Learnable slope state: beta and trainable, from which set_beta derives
+    the slope b in [B_MIN, B_MAX] and the threshold tau in (0, 0.5].
 
     When ``trainable`` is False the slope is frozen at b = 1 (standard
-    logistic, threshold 0.5) and beta is ignored; the network then takes
-    the logistic path, so no other frozen state is accepted.
+    logistic, threshold 0.5) whatever beta is; the network then takes the
+    logistic path.
     """
 
     beta: float
-    b: float
-    tau: float
+    b: float = field(init=False)
+    tau: float = field(init=False)
     trainable: bool = True
 
     def __post_init__(self):
-        if not self.trainable and (self.b, self.tau) != (B_MIN, 0.5):
-            raise ValueError(f"a frozen slope has b = 1 and tau = 0.5, got "
-                             f"b = {self.b}, tau = {self.tau}")
+        self.set_beta(self.beta)
+
+    def set_beta(self, beta: float) -> None:
+        """The one writer of beta, b and tau: b = slope_from_beta(beta), 1 if
+        frozen, capped at B_MAX (where beta becomes beta_from_slope(B_MAX)),
+        and tau = astra_threshold(b).  A non-finite beta raises ValueError."""
+        b = slope_from_beta(beta)
+        if not self.trainable:
+            b = B_MIN
+        elif b > B_MAX:
+            b, beta = B_MAX, beta_from_slope(B_MAX)
+        self.beta, self.b, self.tau = beta, b, astra_threshold(b)
 
     @classmethod
     def from_tau_init(cls, tau_init: float) -> "AstraParams":
@@ -344,22 +354,14 @@ class AstraParams:
         if not lo < tau_init < hi:
             raise ValueError(f"tau_init must be in ({lo!r}, {hi!r}), "
                              f"got {tau_init!r}")
-        b = slope_from_tau(tau_init)
-        return cls(beta=beta_from_slope(b), b=b, tau=astra_threshold(b))
+        return cls(beta_from_slope(slope_from_tau(tau_init)))
 
     @classmethod
     def frozen(cls) -> "AstraParams":
         """Slope fixed at 1: plain logistic output, threshold 0.5."""
-        return cls(beta=0.0, b=1.0, tau=0.5, trainable=False)
+        return cls(0.0, trainable=False)
 
     def step_beta(self, grad_beta: float, eta_b: float) -> None:
-        """One gradient step on beta, clamping b into [B_MIN, B_MAX]."""
-        if not self.trainable:
-            return
-        self.beta -= eta_b * grad_beta
-        b = slope_from_beta(self.beta)
-        if b > B_MAX:
-            b = B_MAX
-            self.beta = beta_from_slope(B_MAX)
-        self.b = b
-        self.tau = astra_threshold(b)
+        """One gradient step on beta; a frozen slope does not move."""
+        if self.trainable:
+            self.set_beta(self.beta - eta_b * grad_beta)

@@ -121,7 +121,12 @@ def _parse_blocks(fh, convert) -> RawData:
     n = sum(map(len, labels))
     if not n:
         raise DataFormatError("empty file")
-    X = np.zeros((n, max(block.shape[1] for block in blocks)))
+    width = max(block.shape[1] for block in blocks)
+    try:
+        X = np.zeros((n, width))
+    except MemoryError:
+        raise DataFormatError(f"the {n} x {width} dense matrix does not fit "
+                              "in memory") from None
     row = 0
     for block in blocks:
         X[row:row + len(block), :block.shape[1]] = block
@@ -148,7 +153,7 @@ def _sparse_block(lines, lineno: int, width):
     width, by _convert_block; where that raises, _scan_block names the line."""
     try:
         return _convert_block(lines)
-    except (ValueError, OverflowError):
+    except (ValueError, OverflowError, MemoryError):
         _scan_block(lines, lineno)
 
 
@@ -156,8 +161,8 @@ def _convert_block(lines):
     """The labels and the dense rows of a block, each kind of token
     converted in one call.
 
-    Raises ValueError or OverflowError if any line is not in the format or
-    the block is too wide for a dense matrix; _scan_block then finds the line.
+    Raises ValueError, OverflowError or MemoryError if a line is not in the
+    format or the block is too wide for memory; _scan_block finds the line.
     """
     rows = [tokens for tokens in map(str.split, lines) if tokens]
     labels = np.array([tokens[0] for tokens in rows], dtype=float)

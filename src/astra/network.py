@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 
@@ -120,7 +121,7 @@ class Mlp:
     def copy(self) -> "Mlp":
         ap = self.astra
         return Mlp(self.theta.copy(), self.n_x, self.n_h,
-                   AstraParams(ap.beta, ap.b, ap.tau, ap.trainable), self.seed)
+                   AstraParams(ap.beta, ap.trainable), self.seed)
 
 
 def init_mlp(n_x: int, n_h: int, seed: int,
@@ -310,7 +311,6 @@ def predict_labels(model: Mlp, X: np.ndarray) -> np.ndarray:
 def to_checkpoint(model: Mlp) -> dict:
     """Self-describing, bit-exact checkpoint payload: the parameters only,
     no optimizer state."""
-    ap = model.astra
     return {
         "n_x": model.n_x,
         "n_h": model.n_h,
@@ -319,18 +319,23 @@ def to_checkpoint(model: Mlp) -> dict:
         "b1": model.b1.tolist(),
         "w2": model.w2.tolist(),
         "b2": model.b2,
-        "astra": {"beta": ap.beta, "b": ap.b, "tau": ap.tau,
-                  "trainable": ap.trainable},
+        "astra": asdict(model.astra),
     }
 
 
 def from_checkpoint(payload: dict) -> Mlp:
+    """The model of a to_checkpoint payload, its slope rebuilt from `beta`
+    and `trainable`: ValueError unless the saved slope is the rebuilt one."""
+    saved = payload["astra"]
+    astra = AstraParams(saved["beta"], trainable=saved["trainable"])
+    if asdict(astra) != saved:
+        raise ValueError(f"checkpoint slope {saved} is not {asdict(astra)}")
     return Mlp.from_arrays(
         w1=np.array(payload["w1"], dtype=float),
         b1=np.array(payload["b1"], dtype=float),
         w2=np.array(payload["w2"], dtype=float),
         b2=float(payload["b2"]),
-        astra=AstraParams(**payload["astra"]),
+        astra=astra,
         seed=payload["seed"],
     )
 

@@ -161,7 +161,7 @@ def train(cfg: TrainConfig, train_set: Dataset, val_set: Dataset):
                 b=model.astra.b, tau=model.astra.tau, eta_b=eta_b))
             if val_fnr < snapshot.val_fnr_apx:
                 np.copyto(snapshot.model.theta, model.theta)
-                vars(snapshot.model.astra).update(vars(model.astra))
+                snapshot.model.astra.set_beta(model.astra.beta)
                 snapshot.epoch, snapshot.val_fnr_apx = epoch, val_fnr
     return snapshot, records
 

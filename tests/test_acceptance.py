@@ -20,7 +20,6 @@ from astra.activation import (
     astra_forward,
     astra_threshold,
     misorder_band_upper,
-    slope_from_beta,
     threshold_grad_b,
     z_transform,
     z_transform_backward,
@@ -130,17 +129,12 @@ def test_criterion_2_gradients():
             grad_beta = float(np.sum(dj_dz * (dz_dy * dy_db
                                               + dz_dtau * threshold_grad_b(ap.b))))
 
-            def set_beta(beta):
-                ap.beta = beta
-                ap.b = slope_from_beta(beta)
-                ap.tau = astra_threshold(ap.b)
-
             old = ap.beta
-            set_beta(old + h)
+            ap.set_beta(old + h)
             lp = loss_at()
-            set_beta(old - h)
+            ap.set_beta(old - h)
             lm = loss_at()
-            set_beta(old)
+            ap.set_beta(old)
             worst = max(worst, rel(grad_beta, (lp - lm) / (2 * h)))
 
     check(2, f"gradient suite, worst rel err {worst:.2e}", worst < 1e-5)

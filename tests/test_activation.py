@@ -250,10 +250,23 @@ class TestAstraParams:
         p.step_beta(10.0, 0.5)
         assert p.b == 1.0
 
-    def test_frozen_only_at_one(self):
-        # The network takes the logistic path for every frozen slope.
-        with pytest.raises(ValueError, match="frozen slope"):
-            AstraParams(beta=0.0, b=2.0, tau=astra_threshold(2.0), trainable=False)
+    def test_slope_is_derived_not_given(self):
+        # b and tau follow from beta and trainable: no other state is built.
+        with pytest.raises(TypeError):
+            AstraParams(beta=1.0, b=-3.0, tau=2.0)
+        with pytest.raises(TypeError):
+            AstraParams(0.0, 2.0, astra_threshold(2.0), False)
+        p = AstraParams(5.0, trainable=False)
+        assert (p.beta, p.b, p.tau) == (5.0, 1.0, 0.5)
+
+    def test_tau_init_slope_is_slope_from_tau(self):
+        # from_tau_init derives b from beta_from_slope(slope_from_tau(t)):
+        # the round trip moves no bit of slope_from_tau's b.
+        lo = astra_threshold(60.0)
+        grid = np.concatenate([np.linspace(lo, 0.5, 2002)[1:-1],
+                               0.5 - np.logspace(-16, -4, 50)])
+        for t in map(float, grid):
+            assert AstraParams.from_tau_init(t).b == slope_from_tau(t)
 
     def test_step_clamps_ceiling(self):
         p = AstraParams.from_tau_init(0.25)

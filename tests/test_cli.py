@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from astra import cli, experiment
+from astra import cli, data, experiment
 from astra.activation import B_MAX, astra_threshold
 from astra.data import parse_sparse, read_records, write_sparse
 from astra.losses import ALL_KINDS
@@ -331,7 +331,8 @@ class TestErrorPaths:
         assert "line 2: expected 3 values, got 2" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("index", [2 ** 63 - 1, 2 ** 64])
+    # 2^59 fits an intp's byte count but not memory: 2^62 bytes a row.
+    @pytest.mark.parametrize("index", [2 ** 63 - 1, 2 ** 64, 2 ** 59])
     def test_index_too_wide_for_a_dense_matrix(self, tmp_path, capsys, index):
         bad = tmp_path / "wide.txt"
         bad.write_text(f"1 1:1\n0 {index}:1\n")
@@ -340,6 +341,26 @@ class TestErrorPaths:
         assert rc == 2
         assert (f"parse error: line 2: feature index {index} is too large for "
                 "a dense matrix") in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_matrix_too_large_for_memory(self, tmp_path, capsys, monkeypatch):
+        # Each one-line block fits; the whole file's matrix is refused.
+        zeros = np.zeros
+
+        def refuse_whole(shape, *args, **kwargs):
+            if shape == (3, 2):
+                raise MemoryError
+            return zeros(shape, *args, **kwargs)
+
+        monkeypatch.setattr(data, "BLOCK_LINES", 1)
+        monkeypatch.setattr(data.np, "zeros", refuse_whole)
+        path = tmp_path / "d.txt"
+        path.write_text("1 1:1\n0 2:1\n0 1:1\n")
+        rc = cli.main(["train", "--dataset", str(path),
+                       "--out", str(tmp_path / "o"), "--epochs", "1"])
+        assert rc == 2
+        assert ("parse error: the 3 x 2 dense matrix does not fit in memory"
+                in capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
 
     def test_invalid_config_value(self, tmp_path, sparse_dataset, capsys):
@@ -727,6 +748,25 @@ class TestOptionTable:
         for key, pattern in shown.items():
             assert bool(re.search(pattern, text)) == (
                 key in ("config", *COMMAND_OPTIONS[command])), key
+
+    def test_readme_table_matches_train_config(self):
+        """README's `| key | default | meaning |` table lists every
+        TrainConfig field at its default (the loss as its loss/astra
+        options), and only TrainConfig fields and option-table keys."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("| key | default | meaning |\n")[1].split("\n\n")[0]
+        rows = [line.split("|")[1:3] for line in table.splitlines()[1:]]
+        shown = {}
+        for keys, defaults in rows:
+            shown.update(zip(re.findall(r"`(\w+)`", keys),
+                             [d.strip(" `") for d in defaults.split(",")],
+                             strict=True))
+        loss = TrainConfig.loss
+        want = {f.name: json.dumps(f.default) for f in fields(TrainConfig)
+                if f.name != "loss"}
+        want.update(loss=loss.variant, astra="on" if loss.use_astra else "off")
+        assert {key: shown.get(key) for key in want} == want
+        assert set(shown) <= set(want) | set(cli.TYPES)
 
     def test_loss_choices_are_the_loss_variants(self):
         assert cli.CHOICES["loss"] == ("bce", "gmn")

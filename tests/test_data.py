@@ -107,7 +107,7 @@ def reference_parse_sparse(source) -> RawData:
         raise DataFormatError("empty file")
     try:
         X = np.zeros((len(rows), n_x))
-    except ValueError:
+    except (ValueError, MemoryError):
         raise DataFormatError(f"line {widest_line}: feature index {n_x} is "
                               "too large for a dense matrix")
     for i, row in enumerate(rows):
@@ -169,6 +169,7 @@ EDGE_CORPUS = {
     "index-beyond-int64": "1 18446744073709551616:1\n",
     "index-at-int64-max": "1 9223372036854775807:1\n",
     "wide-index-then-bad-line": "1 1:1\n1 9223372036854775807:1\n1 2:1 1:1\n",
+    "index-too-wide-for-memory": "1 576460752303423488:1\n1 1:1\n",
     "empty": "",
     "blank-lines-only": "\n  \n\t\n",
 }

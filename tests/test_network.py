@@ -3,11 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from astra.activation import (
-    AstraParams,
-    astra_threshold,
-    slope_from_beta,
-)
+from astra.activation import AstraParams
 from astra.losses import ALL_KINDS, LossKind, loss_and_grad
 from astra.network import (
     AdamState,
@@ -159,17 +155,12 @@ class TestBackward:
             dj_db = float(np.sum(dj_dz * (dz_dy * dy_db + dz_dtau * threshold_grad_b(ap.b))))
             grad_beta = dj_db  # linear branch: db/dbeta = 1
 
-            def set_beta(beta):
-                ap.beta = beta
-                ap.b = slope_from_beta(beta)
-                ap.tau = astra_threshold(ap.b)
-
             old = ap.beta
-            set_beta(old + h)
+            ap.set_beta(old + h)
             lp = end_to_end_loss(model, X, y, kind)
-            set_beta(old - h)
+            ap.set_beta(old - h)
             lm = end_to_end_loss(model, X, y, kind)
-            set_beta(old)
+            ap.set_beta(old)
             assert grad_beta == pytest.approx((lp - lm) / (2 * h), rel=1e-5)
 
     def test_zero_rates_leave_parameters(self, toy_batch):
@@ -260,3 +251,18 @@ class TestCheckpoint:
         assert set(payload) == {"n_x", "n_h", "seed", "w1", "b1", "w2", "b2",
                                 "astra"}
         assert set(payload["astra"]) == {"beta", "b", "tau", "trainable"}
+
+    @pytest.mark.parametrize("edit", [{"b": 100.0, "tau": 0.9},
+                                      {"beta": math.nan},
+                                      {"beta": 70.0},
+                                      {"trainable": False}],
+                             ids=["b-and-tau", "nan-beta", "beta-past-cap",
+                                  "frozen"])
+    def test_slope_must_follow_from_beta(self, edit):
+        # b and tau are written for readers; beta and trainable are the
+        # state, so a file where they disagree is rejected.
+        payload = to_checkpoint(init_mlp(3, 2, seed=0,
+                                         astra=AstraParams.from_tau_init(0.25)))
+        payload["astra"].update(edit)
+        with pytest.raises(ValueError):
+            from_checkpoint(payload)

@@ -24,7 +24,13 @@ from astra.activation import (  # noqa: E402
     z_transform,
 )
 from astra.metrics import approx_cm, counting_cm, rates  # noqa: E402
-from astra.network import ForwardTrace, forward, init_mlp  # noqa: E402
+from astra.network import (  # noqa: E402
+    ForwardTrace,
+    forward,
+    from_checkpoint,
+    init_mlp,
+    to_checkpoint,
+)
 from astra.trainer import _val_fnr_apx  # noqa: E402
 
 # 200 examples per property keep the file at a few seconds.
@@ -104,6 +110,35 @@ def test_acm_on_labels_is_counting_matrix(case):
 @given(st.floats(-10.0, B_MAX - 2.0))
 def test_beta_slope_round_trip(beta):
     assert beta_from_slope(slope_from_beta(beta)) == pytest.approx(beta, abs=1e-9)
+
+
+def assert_slope_state(p):
+    """b and tau follow from beta as AstraParams.set_beta states."""
+    if not p.trainable:
+        assert (p.b, p.tau) == (1.0, 0.5)
+    elif p.b < B_MAX:
+        assert p.b == slope_from_beta(p.beta)
+    else:
+        assert (p.b, p.beta) == (B_MAX, beta_from_slope(B_MAX))
+    assert B_MIN <= p.b <= B_MAX
+    assert p.tau == astra_threshold(p.b)
+
+
+# Any finite beta, then steps no larger than 1e6 (eta_b is at most 0.5 in
+# training), so beta stays finite.
+@CHECK
+@given(st.floats(allow_nan=False, allow_infinity=False), st.booleans(),
+       st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(0.0, 1.0)), max_size=20))
+def test_slope_state_follows_beta(beta, trainable, steps):
+    p = AstraParams(beta, trainable=trainable)
+    assert_slope_state(p)
+    for grad_beta, eta_b in steps:
+        before = p.beta
+        p.step_beta(grad_beta, eta_b)
+        assert_slope_state(p)
+        assert trainable or p.beta == before
+    model = init_mlp(1, 1, 0, astra=p)
+    assert from_checkpoint(to_checkpoint(model)).astra == model.astra
 
 
 @CHECK
