@@ -321,19 +321,15 @@ def read_records(cls, path) -> list:
 def orient_labels(raw: RawData) -> Dataset:
     """Map the rarer raw label to 1 and the commoner to 0.
 
-    Ties are broken by mapping the numerically larger raw label to 1.
+    Ties are broken by mapping the numerically larger raw label to 1, the
+    later of np.unique's sorted values.
     """
     values, counts = np.unique(raw.labels, return_counts=True)
     if len(values) != 2:
         raise ValueError(f"expected exactly two distinct labels, got {values}")
-    if counts[0] < counts[1]:
-        minority = values[0]
-    elif counts[1] < counts[0]:
-        minority = values[1]
-    else:
-        minority = max(values)
+    minority = values[0] if counts[0] < counts[1] else values[1]
     y = (raw.labels == minority).astype(int)
-    return Dataset(X=raw.X.copy(), y=y)
+    return Dataset(X=raw.X, y=y)
 
 
 def standardize(train: Dataset, others: list[Dataset] | None = None):
@@ -350,7 +346,7 @@ def standardize(train: Dataset, others: list[Dataset] | None = None):
     for ds in [train] + list(others or []):
         X = np.subtract(ds.X, mean, order="F")
         X /= std                                  # (ds.X - mean) / std
-        scaled.append(Dataset(X=X, y=ds.y.copy()))
+        scaled.append(Dataset(X=X, y=ds.y))
     return scaled[0], scaled[1:]
 
 

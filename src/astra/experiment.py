@@ -103,13 +103,11 @@ def wilcoxon_signed_rank(diffs) -> float:
 
     mean = n * (n + 1) / 4.0
     var = n * (n + 1) * (2 * n + 1) / 24.0
-    # Tie correction on the midranks.
+    # Tie correction on the midranks; all n tied still leave n(n+1)^2/16.
     _, tie_counts = np.unique(ranks, return_counts=True)
     var -= np.sum(tie_counts ** 3 - tie_counts) / 48.0
-    if var <= 0:
-        return 1.0
     z = (abs(w_pos - mean) - 0.5) / math.sqrt(var)
-    return min(1.0, 2.0 * 0.5 * math.erfc(max(z, 0.0) / math.sqrt(2.0)))
+    return math.erfc(max(z, 0.0) / math.sqrt(2.0))     # 2 * P(Z >= z)
 
 
 def compare(a, b) -> float:

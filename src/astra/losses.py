@@ -66,15 +66,11 @@ def bce_loss(z, y) -> float:
     return loss_and_grad(LossKind("bce", False), zc, y)[0]
 
 
-def bce_grad(z, y) -> np.ndarray:
-    """Per-example d(mean BCE)/dz, of `z` clamped into [EPS, 1 - EPS]."""
-    zc = clamp_unit(np.asarray(z, dtype=float))
-    return loss_and_grad(LossKind("bce", False), zc, y)[1]
-
-
 def _gmn(z: np.ndarray, split: ClassSplit, acm: ConfusionMatrix | None, g: np.ndarray):
     """(loss, d loss/dz) of the approximated-G-Mean loss, the gradient in
-    `g`; `acm`, if given, is approx_cm(z, split)."""
+    `g`; `acm`, if given, is approx_cm(z, split).  d loss/dz_i is
+    -(G_apx/2) * (y_i/TP_apx - (1-y_i)/TN_apx): negative on the positives,
+    positive on the negatives, which couple only through TP_apx and TN_apx."""
     if split.m0 < 1 or split.m1 < 1:
         raise ValueError("GMN needs at least one example of each class")
     # No clamp here: the loss has no logs, and unclamped inputs make the
@@ -100,22 +96,13 @@ def gmn_loss(y_hat, y) -> float:
     return loss_and_grad(LossKind("gmn", False), y_hat, y)[0]
 
 
-def gmn_grad(y_hat, y) -> np.ndarray:
-    """dJ_GMN/dy_hat_i = -(G_apx/2) * (y_i/TP_apx - (1-y_i)/TN_apx).
-
-    Negative on positive-class examples, positive on negative-class ones;
-    examples couple only through the set-level sums TP_apx and TN_apx.
-    """
-    return loss_and_grad(LossKind("gmn", False), y_hat, y)[1]
-
-
 def loss_and_grad(kind: LossKind, z, y, acm: ConfusionMatrix | None = None,
                   out: np.ndarray | None = None):
     """Loss value and gradient with respect to the (z-transformed) outputs
     `z`, for 0/1 targets `y` or their ClassSplit.
 
     `z` is taken as given: BCE needs it clamped into [EPS, 1 - EPS], as
-    network.forward returns it (bce_loss and bce_grad clamp).  `acm`, if
+    network.forward returns it (bce_loss clamps).  `acm`, if
     given, is approx_cm(z, y), which the GMN loss then does not rebuild.  The
     gradient is written into `out`, a fresh array without it.
     """

@@ -172,8 +172,6 @@ class ForwardTrace:
         self.hidden_act, self.leak, self.out_pre = (
             self.hidden_all[:n], self.leak_all[:n], self.pre[:n])
         self.y_hat, self.z, self.val_z = self.out.y_hat, self.out.z, self.out_all.z[n:]
-        # forward checks the rows it alone reads: backward_and_step a run's.
-        self.checked = self.pre[n:] if len(self.val_inputs) else self.pre
         self.dj_dz, self.dj_dx = np.empty(n), np.empty(n)
 
 
@@ -216,7 +214,7 @@ def forward(model: Mlp, X: np.ndarray,
     np.matmul(hidden[:n], model.w2, out=trace.out_pre)
     np.matmul(hidden[n:], model.w2, out=trace.pre[n:])
     trace.pre += model.b2
-    if not _all_finite(trace.checked):
+    if not _all_finite(trace.pre):
         raise NonFiniteError("preactivation must be finite")
     if ap.trainable:
         output_forward(trace.pre, ap.b, ap.tau, trace.out_all)
@@ -258,8 +256,6 @@ def backward_and_step(model: Mlp, adam: AdamState, trace: ForwardTrace, y,
     Returns (pre-step loss value, grad wrt beta).
     """
     ap = model.astra
-    if not _all_finite(trace.out_pre):
-        raise NonFiniteError("preactivation must be finite")
     loss_value, dj_dz = loss_and_grad(kind, trace.z, y, acm, trace.dj_dz)
     if not math.isfinite(loss_value):
         raise NonFiniteError("non-finite loss")

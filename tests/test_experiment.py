@@ -126,6 +126,18 @@ class TestWilcoxon:
         # The normal approximation gives about 7.8e-10.
         assert wilcoxon_signed_rank(np.arange(1.0, 51.0)) == 2.0 / 2 ** 50
 
+    @pytest.mark.parametrize("n_neg", [0, 20, 30])
+    def test_all_tied_magnitudes_match_scipy(self, n_neg):
+        # 60 equal |d| take the largest tie correction: var falls to its
+        # floor n(n+1)^2/16, and a 30/30 split sits at the mean, p = 1.
+        # scipy agrees within 1.1e-14 relative (all 60 positive).
+        stats = pytest.importorskip("scipy.stats")
+        d = np.array([-1.0] * n_neg + [1.0] * (60 - n_neg))
+        p = wilcoxon_signed_rank(d)
+        assert p == pytest.approx(stats.wilcoxon(
+            d, correction=True, method="approx").pvalue, rel=2e-14, abs=0)
+        assert (p == 1.0) == (n_neg == 30)
+
     def test_fifty_one_pairs_take_the_normal_path(self):
         # W+ = 51*52/2 lies 663 above its mean, with variance 51*52*103/24.
         assert wilcoxon_signed_rank(np.arange(1.0, 52.0)) == pytest.approx(

@@ -339,7 +339,7 @@ class TestRunState:
         assert sum(a.nbytes for a in owners.values()) <= limit_kib * 1024
 
     def run_to_divergence(self, monkeypatch, kind, tr, val, eta=0.01,
-                          inject=None):
+                          inject=None, epochs=30):
         """(snapshot, records, the stop message, the X of the forward that
         raised or None, the number of forwards); `inject(model, trace)` runs
         before epoch 4's step.  Every forward is on tr.X."""
@@ -364,27 +364,47 @@ class TestRunState:
         monkeypatch.setattr(trainer, "backward_and_step", injecting_step)
         monkeypatch.setattr(trainer.log, "warning",
                             lambda fmt, *a: messages.append(fmt % a))
-        snapshot, records = train(TrainConfig(epochs=30, eta=eta, loss=kind,
+        snapshot, records = train(TrainConfig(epochs=epochs, eta=eta, loss=kind,
                                               seed=2), tr, val)
         assert snapshot.diverged and len(messages) == 1
         assert all(X is tr.X for X in seen)
         return snapshot, records, messages[0], (raised_on or [None])[0], len(seen)
 
-    @pytest.mark.parametrize("kind, good_epochs", [
+    @pytest.mark.parametrize("kind, stop", [
         (LossKind("bce", False), 20), (LossKind("gmn", False), 8)])
-    def test_train_preactivation_stops_the_run(self, monkeypatch, kind,
-                                               good_epochs):
+    def test_train_preactivation_stops_the_run(self, monkeypatch, kind, stop):
         # Features of 1e300 overflow the train rows' output preactivation.
         tr = fortran(Dataset(shaped(400, 3, 0).X * 1e300, shaped(400, 3, 0).y))
         val = fortran(Dataset(shaped(200, 3, 1).X * 1e300, shaped(200, 3, 1).y))
         snapshot, records, message, raised_on, forwards = self.run_to_divergence(
             monkeypatch, kind, tr, val, eta=1e3)
-        # The forward after epoch good_epochs gave its validation FNR_apx;
-        # the step of the next epoch found its train rows non-finite.
-        assert raised_on is None and forwards == good_epochs + 1
-        assert message.startswith(f"epoch {good_epochs + 1}: preactivation "
-                                  "must be finite")
-        assert (snapshot.epoch, len(records)) == (1, good_epochs)
+        # The step of epoch `stop` made a train row non-finite, and the
+        # forward after it raised, before that epoch's record.
+        assert raised_on is tr.X and forwards == stop + 1
+        assert message.startswith(f"epoch {stop}: preactivation must be finite")
+        assert (snapshot.epoch, len(records)) == (1, stop - 1)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.name)
+    def test_last_step_overflow_marks_the_run_diverged(self, monkeypatch, kind):
+        # w1 scaled by 1e200 before the last step overflows only the train
+        # row with a feature of 1e150: the validation rows stay finite.
+        tr = shaped(400, 3, 0)
+        X = tr.X.copy()
+        X[0, 0] = 1e150
+        tr = fortran(Dataset(X, tr.y))
+        val = fortran(shaped(200, 3, 1))
+
+        def inject(model, trace):
+            model.w1 = model.w1 * 1e200
+
+        snapshot, records, message, raised_on, forwards = self.run_to_divergence(
+            monkeypatch, kind, tr, val, inject=inject, epochs=4)
+        assert raised_on is tr.X and forwards == 5
+        assert message.startswith("epoch 4: preactivation must be finite")
+        assert len(records) == 3
+        clean, _ = train(TrainConfig(epochs=3, eta=0.01, loss=kind, seed=2),
+                         tr, val)
+        assert snapshot_bits(snapshot) == snapshot_bits(clean)
 
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.name)
     def test_validation_forward_stops_the_run(self, monkeypatch, kind):
@@ -393,8 +413,7 @@ class TestRunState:
         tr, val = fortran(shaped(400, 3, 0)), fortran(shaped(200, 3, 1))
         snapshot, records, message, raised_on, forwards = self.run_to_divergence(
             monkeypatch, kind, tr, val, eta=1e200)
-        # The forward after the first step raised on the validation rows,
-        # which it alone checks.
+        # The forward after the first step raised on the validation rows.
         assert raised_on is tr.X and forwards == 2
         assert message.startswith("epoch 1: preactivation must be finite")
         assert (snapshot.epoch, len(records)) == (0, 0)
