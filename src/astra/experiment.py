@@ -57,8 +57,12 @@ class RunResult:
     error: str | None = None
 
     def __post_init__(self):
-        if self.error is None and None in (self.g_mean, self.mcc):
+        scores = (self.g_mean, self.mcc)
+        if self.error is None and None in scores:
             raise ValueError("a run without an error needs g_mean and mcc")
+        if not all(s is None or math.isfinite(s) for s in scores):
+            raise ValueError(f"scores must be finite: g_mean {self.g_mean}, "
+                             f"mcc {self.mcc}")
 
 
 # ---------------------------------------------------------------------------

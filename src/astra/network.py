@@ -87,26 +87,25 @@ class AdamState:
 class Mlp:
     """The network's parameters, in one flat vector `theta`: w1 (row by
     row), b1, w2 and b2, the layout of the gradient and of Adam's moments,
-    so one subtraction steps them all.  w1, b1 and w2 are views of theta,
-    and assigning one writes into it; b2 reads and writes its last element.
+    so one subtraction steps them all.  A model is built with every
+    parameter 0.  w1, b1 and w2 are views of theta, and assigning one writes
+    into it, refusing another shape; b2 reads and writes its last element.
     """
 
-    def __init__(self, theta: np.ndarray, n_x: int, n_h: int,
-                 astra: AstraParams, seed):
-        self.theta, self.n_x, self.n_h, self.astra = theta, n_x, n_h, astra
-        self.w1, self.b1, self.w2, _ = param_views(theta, n_h, n_x)
+    def __init__(self, n_x: int, n_h: int, astra: AstraParams, seed):
+        if n_x < 1 or n_h < 1:
+            raise ValueError("layer sizes must be >= 1")
+        self.theta, self.n_x, self.n_h, self.astra = (
+            np.zeros(n_h * n_x + 2 * n_h + 1), n_x, n_h, astra)
+        self.w1, self.b1, self.w2, _ = param_views(self.theta, n_h, n_x)
         self.seed = seed
-
-    @classmethod
-    def from_arrays(cls, w1, b1, w2, b2: float, astra: AstraParams,
-                    seed) -> "Mlp":
-        n_h, n_x = np.shape(w1)
-        theta = np.concatenate([np.ravel(w1), b1, w2, [b2]], dtype=float)
-        return cls(theta, n_x, n_h, astra, seed)
 
     def __setattr__(self, name, value):
         if name in PARAM_NAMES[:3] and name in self.__dict__:
-            self.__dict__[name][...] = value
+            view = self.__dict__[name]
+            if np.shape(value) != view.shape:
+                raise ValueError(f"{name} has shape {np.shape(value)}, not {view.shape}")
+            view[...] = value
         else:
             super().__setattr__(name, value)
 
@@ -120,8 +119,9 @@ class Mlp:
 
     def copy(self) -> "Mlp":
         ap = self.astra
-        return Mlp(self.theta.copy(), self.n_x, self.n_h,
-                   AstraParams(ap.beta, ap.trainable), self.seed)
+        twin = Mlp(self.n_x, self.n_h, AstraParams(ap.beta, ap.trainable), self.seed)
+        np.copyto(twin.theta, self.theta)
+        return twin
 
 
 def init_mlp(n_x: int, n_h: int, seed: int,
@@ -130,20 +130,13 @@ def init_mlp(n_x: int, n_h: int, seed: int,
 
     Deterministic for a given seed.
     """
-    if n_x < 1 or n_h < 1:
-        raise ValueError("layer sizes must be >= 1")
+    model = Mlp(n_x, n_h, astra if astra is not None else AstraParams.frozen(),
+                int(seed) if np.isscalar(seed) else list(seed))
     rng = np.random.default_rng(seed)
-    w1 = rng.normal(0.0, math.sqrt(2.0 / n_x), size=(n_h, n_x))
+    model.w1 = rng.normal(0.0, math.sqrt(2.0 / n_x), size=(n_h, n_x))
     limit = math.sqrt(6.0 / (n_h + 1))
-    w2 = rng.uniform(-limit, limit, size=n_h)
-    return Mlp.from_arrays(
-        w1=w1,
-        b1=np.zeros(n_h),
-        w2=w2,
-        b2=0.0,
-        astra=astra if astra is not None else AstraParams.frozen(),
-        seed=int(seed) if np.isscalar(seed) else list(seed),
-    )
+    model.w2 = rng.uniform(-limit, limit, size=n_h)
+    return model
 
 
 class ForwardTrace:
@@ -311,29 +304,25 @@ def to_checkpoint(model: Mlp) -> dict:
         "n_x": model.n_x,
         "n_h": model.n_h,
         "seed": model.seed,
-        "w1": model.w1.tolist(),
-        "b1": model.b1.tolist(),
-        "w2": model.w2.tolist(),
+        **{k: getattr(model, k).tolist() for k in PARAM_NAMES[:3]},
         "b2": model.b2,
         "astra": asdict(model.astra),
     }
 
 
 def from_checkpoint(payload: dict) -> Mlp:
-    """The model of a to_checkpoint payload, its slope rebuilt from `beta`
-    and `trainable`: ValueError unless the saved slope is the rebuilt one."""
+    """The model of a to_checkpoint payload, sized by its `n_x` and `n_h`,
+    its slope rebuilt from `beta` and `trainable`: ValueError unless the
+    saved slope is the rebuilt one and each array has its parameter's shape."""
     saved = payload["astra"]
     astra = AstraParams(saved["beta"], trainable=saved["trainable"])
     if asdict(astra) != saved:
         raise ValueError(f"checkpoint slope {saved} is not {asdict(astra)}")
-    return Mlp.from_arrays(
-        w1=np.array(payload["w1"], dtype=float),
-        b1=np.array(payload["b1"], dtype=float),
-        w2=np.array(payload["w2"], dtype=float),
-        b2=float(payload["b2"]),
-        astra=astra,
-        seed=payload["seed"],
-    )
+    model = Mlp(payload["n_x"], payload["n_h"], astra, payload["seed"])
+    for k in PARAM_NAMES[:3]:
+        setattr(model, k, payload[k])
+    model.b2 = float(payload["b2"])
+    return model
 
 
 def save_checkpoint(model: Mlp, path) -> None:

@@ -239,8 +239,13 @@ class TestReportCommand:
         (lambda text: "method" + text[text.index("\n"):], "line 1: unexpected header"),
         (lambda text: text[:text.index("\n") + 1] + "\n", "no records"),
         (lambda text: text.replace("bce,1,4,", "bce,,4,"), "line 11: invalid literal"),
+        # The g_mean cell (the 8th) and the mcc cell (the 9th) of line 11.
+        (lambda text: re.sub(r"^(bce,1,4,(?:[^,]*,){4})[^,]*", r"\1nan", text,
+                             flags=re.M), "line 11: scores must be finite: g_mean nan"),
+        (lambda text: re.sub(r"^(bce,1,4,(?:[^,]*,){5})[^,]*", r"\1-inf", text,
+                             flags=re.M), "line 11: scores must be finite"),
     ], ids=["truncated-last-line", "short-line", "bad-cell", "wrong-header",
-            "header-only", "empty-key"])
+            "header-only", "empty-key", "nan-g-mean", "infinite-mcc"])
     def test_malformed_runs_csv(self, tmp_path, sparse_dataset, capsys, edit,
                                 message):
         cv_out = tmp_path / "cv"

@@ -64,6 +64,17 @@ class TestInit:
         with pytest.raises(ValueError):
             init_mlp(0, 2, seed=0)
 
+    @pytest.mark.parametrize("name, value", [("w1", 0.5), ("b1", np.zeros(3)),
+                                             ("w2", np.zeros((2, 1)))],
+                             ids=["scalar-w1", "long-b1", "column-w2"])
+    def test_parameters_keep_their_shape(self, name, value):
+        # Each is a view of theta: another shape would broadcast into it.
+        model = init_mlp(3, 2, seed=0)
+        theta = model.theta.copy()
+        with pytest.raises(ValueError, match=f"{name} has shape"):
+            setattr(model, name, value)
+        assert np.array_equal(model.theta, theta)
+
 
 class TestForward:
     def test_zero_weights_b1(self):
@@ -101,6 +112,16 @@ class TestForward:
         model = init_mlp(3, 2, seed=0)
         with pytest.raises(ValueError):
             forward(model, np.zeros((4, 2)))
+
+    @pytest.mark.parametrize("X, model", [
+        (np.zeros((5, 3)), init_mlp(3, 2, seed=0)),
+        (np.zeros((4, 3)), init_mlp(3, 3, seed=0)),
+        (np.zeros((4, 3)), init_mlp(3, 2, seed=0, astra=AstraParams.from_tau_init(0.25))),
+    ], ids=["rows", "n_h", "trainable"])
+    def test_trace_made_for_something_else(self, X, model):
+        trace = forward(init_mlp(3, 2, seed=0), np.zeros((4, 3)))
+        with pytest.raises(ValueError, match="a trace made for"):
+            forward(model, X, trace)
 
 
 class TestBackward:
@@ -265,4 +286,17 @@ class TestCheckpoint:
                                          astra=AstraParams.from_tau_init(0.25)))
         payload["astra"].update(edit)
         with pytest.raises(ValueError):
+            from_checkpoint(payload)
+
+    @pytest.mark.parametrize("edit, name", [
+        (lambda p: p.update(b1=p["b1"] + [0.5], w2=p["w2"][:-1]), "b1"),
+        (lambda p: p.update(w1=np.transpose(p["w1"]).tolist()), "w1"),
+        (lambda p: p.update(n_x=2, n_h=3), "w1"),
+    ], ids=["b1-takes-a-w2-entry", "transposed-w1", "sizes-disagree"])
+    def test_arrays_must_fit_the_sizes(self, edit, name):
+        # Each array is written through its own view of theta, so one entry
+        # too many in b1 cannot shift into w2.
+        payload = to_checkpoint(init_mlp(3, 2, seed=0))
+        edit(payload)
+        with pytest.raises(ValueError, match=f"{name} has shape"):
             from_checkpoint(payload)
