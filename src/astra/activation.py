@@ -31,7 +31,7 @@ _LOG_SWITCH = 35.0
 
 
 class NonFiniteError(ValueError):
-    """A preactivation, loss, gradient or parameter went non-finite: in
+    """A preactivation, gradient, parameter or beta went non-finite: in
     training, the run has diverged."""
 
 
@@ -120,7 +120,7 @@ def slope_from_beta(beta: float) -> float:
     otherwise; continuous at beta = 0 (both give 2).
     """
     if not math.isfinite(beta):
-        raise ValueError("beta must be finite")
+        raise NonFiniteError("beta must be finite")
     if beta > 0:
         return 2.0 + beta
     return 1.0 + math.exp(beta)
@@ -333,7 +333,7 @@ class AstraParams:
     def set_beta(self, beta: float) -> None:
         """The one writer of beta, b and tau: b = slope_from_beta(beta), 1 if
         frozen, capped at B_MAX (where beta becomes beta_from_slope(B_MAX)),
-        and tau = astra_threshold(b).  A non-finite beta raises ValueError."""
+        and tau = astra_threshold(b).  A non-finite beta raises NonFiniteError."""
         b = slope_from_beta(beta)
         if not self.trainable:
             b = B_MIN

@@ -326,7 +326,7 @@ def orient_labels(raw: RawData) -> Dataset:
     """
     values, counts = np.unique(raw.labels, return_counts=True)
     if len(values) != 2:
-        raise ValueError(f"expected exactly two distinct labels, got {values}")
+        raise DataFormatError(f"expected exactly two distinct labels, got {values}")
     minority = values[0] if counts[0] < counts[1] else values[1]
     y = (raw.labels == minority).astype(int)
     return Dataset(X=raw.X, y=y)

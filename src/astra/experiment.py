@@ -265,9 +265,9 @@ def determine_winners(results: list[RunResult]) -> dict:
     and `winners` (metric -> method -> "winner" | "tie" | "").
 
     A method is a sole winner when its mean is highest and every pairwise
-    comparison against it has p <= 0.05; methods not separable from the best
-    are co-flagged as ties.  With fewer than MIN_PAIRS (repeat, fold) keys
-    free of failed runs every p is None and no method is flagged.
+    comparison against it has p <= P_THRESHOLD; methods not separable from
+    the best are co-flagged as ties.  With fewer than MIN_PAIRS (repeat,
+    fold) keys free of failed runs every p is None and no method is flagged.
     """
     scores = _scores(results)
     stats = {method: {metric: _mean_sd(v) for metric, v in by_metric.items()}
@@ -310,6 +310,6 @@ def render_table(report: dict) -> str:
             cell = "n/a" if s["mean"] is None else f"{s['mean']:.3f} ({s['sd']:.3f})"
             cells.append((cell + marker[report["winners"][metric][m]]).ljust(width))
         lines.append(label.ljust(8) + "".join(cells))
-    lines += ["", "* winner (outperforms every competitor at p <= 0.05)",
-              "= tie (not separable from the best at p <= 0.05)"]
+    lines += ["", f"* winner (outperforms every competitor at p <= {P_THRESHOLD})",
+              f"= tie (not separable from the best at p <= {P_THRESHOLD})"]
     return "\n".join(lines) + "\n"

@@ -11,15 +11,11 @@ from dataclasses import asdict
 
 import numpy as np
 
-# The unused helpers stay bound here: bench/spans.py trace points wrap them
-# in astra.network.
-from .activation import (  # noqa: F401
+from .activation import (
     AstraParams,
     LogisticTerms,
     NonFiniteError,
     OutputTerms,
-    astra_backward,
-    astra_forward,
     empty_terms,
     logistic_backward,
     logistic_forward,
@@ -27,6 +23,11 @@ from .activation import (  # noqa: F401
     output_forward,
     slope_grad_beta,
     threshold_grad_b,
+)
+# Unused here: bench/spans.py trace points wrap them in astra.network.
+from .activation import (  # noqa: F401
+    astra_backward,
+    astra_forward,
     z_transform,
     z_transform_backward,
 )
@@ -152,8 +153,10 @@ class ForwardTrace:
     """
 
     def __init__(self, X: np.ndarray, model: Mlp, X_val: np.ndarray | None = None):
+        if X.ndim != 2 or X.shape[1] != model.n_x:
+            raise ValueError(f"expected shape (*, {model.n_x}), got {X.shape}")
         n, trainable = len(X), model.astra.trainable
-        self.key = (X.shape, model.n_h, trainable)
+        self.key = (model.n_x, model.n_h, trainable)
         self.inputs = X
         self.val_inputs = np.empty((0, model.n_x)) if X_val is None else X_val
         rows = n + len(self.val_inputs)
@@ -172,21 +175,18 @@ def forward(model: Mlp, X: np.ndarray,
             trace: ForwardTrace | None = None) -> ForwardTrace:
     """Full-batch forward pass through hidden layer, activation and z-transform.
 
-    Given a `trace` made for this model and X's shape, the pass rewrites it
-    over X and its validation rows and returns it, as a training loop does
-    every epoch; without one the trace gets fresh arrays.  X is fastest
-    feature-major (Fortran-ordered), as data.standardize writes it.
+    Given a `trace` made for this model and for X itself, the pass
+    rewrites it over X and its validation rows and returns it, as a training
+    loop does every epoch; without one the trace gets fresh arrays.  X is
+    fastest feature-major (Fortran-ordered), as data.standardize writes it.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != model.n_x:
-        raise ValueError(f"expected shape (*, {model.n_x}), got {X.shape}")
     ap = model.astra
     if trace is None:
-        trace = ForwardTrace(X, model)
-    elif trace.key != (X.shape, model.n_h, ap.trainable):
-        raise ValueError(f"a trace made for {trace.key} cannot hold "
-                         f"{(X.shape, model.n_h, ap.trainable)}")
-    trace.inputs = X
+        trace = ForwardTrace(np.asarray(X, dtype=float), model)
+    elif X is not trace.inputs or trace.key != (model.n_x, model.n_h, ap.trainable):
+        raise ValueError(f"a trace made for {trace.key} and its own X cannot "
+                         f"hold {(model.n_x, model.n_h, ap.trainable)} and this X")
+    X = trace.inputs
     n, hidden, leak = len(X), trace.hidden_all, trace.leak_all
     # Column-major hidden arrays: each per-unit pass runs over a contiguous
     # column of all rows, not over rows of only n_h elements.  With X
@@ -250,8 +250,6 @@ def backward_and_step(model: Mlp, adam: AdamState, trace: ForwardTrace, y,
     """
     ap = model.astra
     loss_value, dj_dz = loss_and_grad(kind, trace.z, y, acm, trace.dj_dz)
-    if not math.isfinite(loss_value):
-        raise NonFiniteError("non-finite loss")
     dj_dx = trace.dj_dx
     if ap.trainable:
         dy_dx, dz_dy, dy_db, dz_dtau = output_backward(trace.out, ap.b, ap.tau,
@@ -279,11 +277,8 @@ def backward_and_step(model: Mlp, adam: AdamState, trace: ForwardTrace, y,
     np.add.reduce(dhidden, axis=0, out=adam.grad_b1)
 
     _check_finite(model, adam.grad, "non-finite gradient in {}")
-    if not math.isfinite(grad_beta):
-        raise NonFiniteError("non-finite gradient in beta")
-
+    ap.step_beta(grad_beta, eta_b)      # NonFiniteError on a non-finite beta
     _adam_step(model.theta, adam, eta)
-    ap.step_beta(grad_beta, eta_b)
     _check_finite(model, model.theta, "non-finite parameter {} after update")
     return float(loss_value), grad_beta
 

@@ -5,6 +5,7 @@ import pytest
 
 from astra.activation import (
     AstraParams,
+    NonFiniteError,
     astra_backward,
     astra_forward,
     astra_threshold,
@@ -105,6 +106,12 @@ class TestSlopeFromBeta:
     def test_roundtrip(self):
         for b in (1.2, 1.9, 2.5, 7.396, 59.0):
             assert slope_from_beta(beta_from_slope(b)) == pytest.approx(b, rel=1e-12)
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_beta_is_a_divergence(self, beta):
+        # The error a training run stops on, not a plain ValueError.
+        with pytest.raises(NonFiniteError, match="beta must be finite"):
+            slope_from_beta(beta)
 
 
 class TestBackward:

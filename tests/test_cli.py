@@ -368,6 +368,21 @@ class TestErrorPaths:
                 in capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command, flags", [
+        ("train", ["--epochs", "1"]), ("undersample", ["--keep-positives", "4"])])
+    @pytest.mark.parametrize("labels", [[1.0], [1.0, 2.0, 3.0]], ids=["one", "three"])
+    def test_labels_other_than_two(self, tmp_path, sparse_dataset, capsys,
+                                   command, flags, labels):
+        raw = parse_sparse(sparse_dataset)
+        path = tmp_path / "labels.txt"
+        write_sparse(path, raw.X, np.resize(labels, len(raw.labels)))
+        out = tmp_path / "o"
+        assert cli.main([command, "--dataset", str(path), "--out", str(out),
+                         *flags]) == 2
+        assert ("parse error: expected exactly two distinct labels"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_invalid_config_value(self, tmp_path, sparse_dataset, capsys):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"tau_init": 0.01}))

@@ -274,6 +274,14 @@ class TestDetermineWinners:
         assert report["stats"]["a"]["mcc"] == {"mean": None, "sd": None}
         assert "n/a" in render_table(report)
 
+    def test_legend_states_the_threshold(self, monkeypatch):
+        results = [RunResult(m, 0, f, error="x") for m in "ab" for f in range(5)]
+        report = determine_winners(results)
+        assert render_table(report).count("at p <= 0.05)") == 2
+        monkeypatch.setattr(experiment, "P_THRESHOLD", 0.01)
+        table = render_table(report)
+        assert table.count("at p <= 0.01)") == 2 and "0.05" not in table
+
 
 @pytest.fixture(scope="module")
 def small_cv_results():

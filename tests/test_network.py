@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from astra.activation import AstraParams
+from astra.activation import B_MAX, AstraParams, NonFiniteError, beta_from_slope
 from astra.losses import ALL_KINDS, LossKind, loss_and_grad
 from astra.network import (
+    LEAKY_SLOPE,
     AdamState,
     backward_and_step,
     forward,
@@ -113,15 +114,20 @@ class TestForward:
         with pytest.raises(ValueError):
             forward(model, np.zeros((4, 2)))
 
+    # X None is the trace's own X; a trace holds that array and no other,
+    # a same-shape copy included.
     @pytest.mark.parametrize("X, model", [
         (np.zeros((5, 3)), init_mlp(3, 2, seed=0)),
-        (np.zeros((4, 3)), init_mlp(3, 3, seed=0)),
-        (np.zeros((4, 3)), init_mlp(3, 2, seed=0, astra=AstraParams.from_tau_init(0.25))),
-    ], ids=["rows", "n_h", "trainable"])
+        (None, init_mlp(3, 3, seed=0)),
+        (None, init_mlp(3, 2, seed=0, astra=AstraParams.from_tau_init(0.25))),
+        (np.zeros((4, 3)), init_mlp(3, 2, seed=0)),
+    ], ids=["rows", "n_h", "trainable", "copy"])
     def test_trace_made_for_something_else(self, X, model):
-        trace = forward(init_mlp(3, 2, seed=0), np.zeros((4, 3)))
+        own = np.zeros((4, 3))
+        trace = forward(init_mlp(3, 2, seed=0), own)
+        assert forward(init_mlp(3, 2, seed=1), own, trace) is trace
         with pytest.raises(ValueError, match="a trace made for"):
-            forward(model, X, trace)
+            forward(model, own if X is None else X, trace)
 
 
 class TestBackward:
@@ -219,6 +225,27 @@ class TestBackward:
             return to_checkpoint(model)
 
         assert one_step() == one_step()
+
+
+    @pytest.mark.parametrize("kind", [LossKind("bce", True), LossKind("gmn", True)],
+                             ids=lambda k: k.name)
+    def test_slope_gradient_overflow_raises_non_finite(self, kind):
+        # At b = 60, b*x overflows for a finite preactivation x above about
+        # 1.8e308 / 60, and dj/db comes out NaN: the step raises the error a
+        # run stops on, and leaves the model as it was.
+        x = np.r_[np.linspace(-3.0, 3.0, 38), 1e307, -1e307]
+        y = np.zeros(len(x), int)
+        y[::8] = 1
+        model = init_mlp(1, 1, 0, astra=AstraParams(beta_from_slope(B_MAX)))
+        model.w1, model.w2 = np.ones((1, 1)), np.ones(1)
+        X = np.asfortranarray(np.where(x < 0, x / LEAKY_SLOPE, x)[:, None])
+        with np.errstate(over="ignore", invalid="ignore"):
+            trace = forward(model, X)
+            assert trace.out_pre[-2:] == pytest.approx([1e307, -1e307])
+            theta, beta = model.theta.copy(), model.astra.beta
+            with pytest.raises(NonFiniteError, match="beta"):
+                backward_and_step(model, fresh_adam(model), trace, y, kind, 1e-3, 1e-2)
+        assert model.theta.tolist() == theta.tolist() and model.astra.beta == beta
 
 
 class TestPredictLabels:

@@ -1,9 +1,10 @@
 """The output path's forward and backward, the ACM, both losses and the
-backward's chain to dj/dx and dj/db against a 60-digit decimal reference.
+backward's chain to dj/dx and dj/db against a 60-digit decimal reference,
+and whole training steps against the same steps in np.longdouble.
 
 The reference evaluates the true functions at the same float inputs (x, b
 and tau taken exactly), clamping as the kernel does, so each error below is
-the kernel's own rounding, in ulp of the true value.
+the kernel's own rounding, in ulp of the true value unless stated.
 """
 
 import dataclasses
@@ -16,6 +17,7 @@ import pytest
 
 from astra.activation import (
     _LOG_SWITCH,
+    B_MAX,
     EPS,
     AstraParams,
     astra_threshold,
@@ -26,8 +28,18 @@ from astra.activation import (
     output_forward,
 )
 from astra.losses import LossKind, loss_and_grad
-from astra.metrics import approx_cm
-from astra.network import LEAKY_SLOPE, AdamState, backward_and_step, forward, init_mlp
+from astra.metrics import approx_cm, class_split
+from astra.network import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    LEAKY_SLOPE,
+    AdamState,
+    backward_and_step,
+    forward,
+    init_mlp,
+    param_views,
+)
 
 # b near 1, the bulk, and the slope cap B_MAX.
 SLOPES = [1 + 1e-7, 1.5, 4.0, 30.0, 60.0]
@@ -39,23 +51,27 @@ LO, HI = Decimal(EPS), Decimal(1.0 - EPS)
 MAX_ULP_ASTRA = 9.0
 MAX_ULP_LOGISTIC = 2.0
 
-# The backward's worst errors on the same grids, measured the same way, in
-# the bulk (b*x <= _LOG_SWITCH) and the tail (b*x above it), over true
-# values of at least TINY_VALUE:
-# - dy/dx 48.7 ulp in the bulk (b = 1 + 1e-7, x = 34.77), where -u/b
-#   carries u's rounding into exp, and 79.7 in the tail (b = 30);
-# - dy/db 94.3 in the bulk and 1,273 in the tail (b = 4, x = 100), where
-#   r*(1 + b*x) - u cancels;
-# - dz/dy 4.6 and dz/dtau 5.2 (b = 1.5), the logistic's dy/dx 2.7.
+# The backward's partials on the grids above and on chain_step's rows,
+# measured the same way, each against the rounding it carries.  The
+# rounding of -u/b goes into exp(-u/b) and that of b*x into s, a relative
+# error of up to about (u/b + |b*x|/(1 + s)) eps: call that sum the growth.
+# - dy/dx 1.61 ulp * (1 + growth) (b = 1.5, x = 24.7); in plain ulp it
+#   read 55.2 (b = 1 + 1e-7, x = 34.07) and 36.7 (b = 1.5, x = -100).
+# - dy/db = exp(-u/b) * (r*(1 + b*x) - u) / b^2 changes sign where
+#   r*(1 + b*x) = u, so no ulp bound holds near that root (it read 195.8
+#   ulp at b = 1.5, x = 0.708, and 1,273 at b = 4, x = 100).  Its error
+#   read 0.66 eps * (1 + growth) (b = 60, x = -0.0069) times
+#   exp(-u/b) * (r*(1 + |b*x|) + u) / b^2, the size of the terms it
+#   cancels; with 1 + b*x in place of 1 + |b*x| that size cancels too, near
+#   b*x = -2, and the error read 410.6 times it.
+# - dz/dy 4.60 ulp and dz/dtau 5.97 (b = 1.5), the logistic's dy/dx 2.7.
 # Every smaller true value was within 4.2e-217 absolute.
-MAX_ULP_BACKWARD = {  # name: (bulk, tail)
-    "dy_dx": (50.0, 85.0),
-    "dz_dy": (6.0, 6.0),
-    "dy_db": (100.0, 1300.0),
-    "dz_dtau": (6.0, 6.0),
-}
+MAX_ULP_DY_DX = 2.0               # times (1 + growth)
+MAX_EPS_DY_DB = 1                 # times (1 + growth) and the terms' size
+MAX_ULP_DZ_DY, MAX_ULP_DZ_DTAU = 6.0, 7.0
 MAX_ULP_LOGISTIC_BACKWARD = 3.0
 TINY_VALUE, MAX_ABS_TINY = Decimal("1e-200"), Decimal("1e-216")
+EPS64 = Decimal(2) ** -52
 
 
 def clamp(v: Decimal) -> Decimal:
@@ -75,7 +91,8 @@ def reference_output(x: float, b: float, tau: float):
 
 def reference_output_backward(x: float, b: float, tau: float, y_hat: float):
     """(dy/dx, dz/dy, dy/db, dz/dtau) of output_backward at 60 digits, the
-    z-transform's at the kernel's own clamped y_hat."""
+    z-transform's at the kernel's own clamped y_hat, then the growth and
+    the size of dy/db's terms that MAX_ULP_DY_DX and MAX_EPS_DY_DB scale."""
     with localcontext() as ctx:
         ctx.prec = 60
         X, B, T, Y = Decimal(x), Decimal(b), Decimal(tau), Decimal(y_hat)
@@ -87,7 +104,8 @@ def reference_output_backward(x: float, b: float, tau: float, y_hat: float):
         one_my = (-u / B).exp()
         den2 = (Y * (1 - T) + (1 - Y) * T) ** 2
         return (r * one_my, T * (1 - T) / den2,
-                one_my * (r * (1 + bx) - u) / (B * B), -Y * (1 - Y) / den2)
+                one_my * (r * (1 + bx) - u) / (B * B), -Y * (1 - Y) / den2,
+                u / B + abs(bx) / (1 + s), one_my * (r * (1 + abs(bx)) + u) / (B * B))
 
 
 def reference_logistic(x: float) -> Decimal:
@@ -145,16 +163,19 @@ def test_logistic_forward_within_ulp_of_reference():
 
 @pytest.mark.parametrize("b", SLOPES)
 def test_output_backward_within_ulp_of_reference(b):
-    tau = astra_threshold(b)
-    x = grid(b)
-    t = output_forward(x.copy(), b, tau)
-    y_hat = t.y_hat.copy()     # output_backward writes dz/dtau over it
-    got = output_backward(t, b, tau, np.empty(len(x)))
-    for i, xi in enumerate(x):
-        refs = reference_output_backward(float(xi), b, tau, float(y_hat[i]))
-        tail = int(b * xi > _LOG_SWITCH)
-        for (name, bounds), g, ref in zip(MAX_ULP_BACKWARD.items(), got, refs):
-            assert within(g[i], ref, bounds[tail]), (name, float(xi))
+    # dy/db is bounded against its terms' size, not in ulp.
+    for rows in ("grid", "chain"):
+        x, slope, tau, refs = backward_rows(b, rows)
+        got = output_backward(output_forward(x.copy(), slope, tau), slope, tau,
+                              np.empty(len(x)))
+        for xi, dy_dx, dz_dy, dy_db, dz_dtau, ref in zip(x.tolist(), *got, refs):
+            k = 1 + ref[4]      # 1 + growth
+            assert within(dy_dx, ref[0], MAX_ULP_DY_DX * float(k)), (rows, "dy_dx", xi)
+            assert within(dz_dy, ref[1], MAX_ULP_DZ_DY), (rows, "dz_dy", xi)
+            assert within(dz_dtau, ref[3], MAX_ULP_DZ_DTAU), (rows, "dz_dtau", xi)
+            bound = (MAX_ABS_TINY if ref[5] < TINY_VALUE
+                     else MAX_EPS_DY_DB * EPS64 * k * ref[5])
+            assert abs(Decimal(float(dy_db)) - ref[2]) <= bound, (rows, "dy_db", xi)
 
 
 def test_logistic_backward_within_ulp_of_reference():
@@ -174,7 +195,6 @@ def test_logistic_backward_within_ulp_of_reference():
 
 M0 = 20_000
 REGIONS = ["bulk", "floor", "ceiling", "clamps"]
-EPS64 = Decimal(2) ** -52
 
 # Worst errors measured on these cases before any kernel change (numpy
 # 2.4.6, x86-64):
@@ -317,12 +337,18 @@ def chain_step(b: float, variant: str):
 
 
 @cache
-def reference_partials(b: float) -> tuple:
-    """reference_output_backward of every chain row at slope b; the rows
-    and their y_hat are the same for both losses."""
-    x, y_hat, slope, *_ = chain_step(b, "bce")
-    return tuple(reference_output_backward(float(xi), slope.b, slope.tau, float(yi))
-                 for xi, yi in zip(x, y_hat))
+def backward_rows(b: float, rows: str) -> tuple:
+    """(x, slope, tau, reference_output_backward of each row) of the rows
+    grid(b) at slope b, or of chain_step's rows at its slope; chain_step's
+    rows and their y_hat are the same for both losses."""
+    if rows == "grid":
+        x, slope, tau = grid(b), b, astra_threshold(b)
+        y_hat = output_forward(x.copy(), b, tau).y_hat
+    else:
+        x, y_hat, astra, *_ = chain_step(b, "bce")
+        slope, tau = astra.b, astra.tau
+    return x, slope, tau, tuple(reference_output_backward(xi, slope, tau, yi)
+                                for xi, yi in zip(x.tolist(), y_hat.tolist()))
 
 
 @pytest.mark.parametrize("variant", ["bce", "gmn"])
@@ -333,8 +359,8 @@ def test_chain_within_reference(b, variant):
         ctx.prec = 60
         tau_grad = reference_tau_grad(slope.b)
         terms = []     # of dj/db: dj/dz * (dz/dy * dy/db + dz/dtau * dtau/db)
-        for xi, g, got, (dy_dx, dz_dy, dy_db, dz_dtau) in zip(
-                x, dj_dz.tolist(), dj_dx, reference_partials(b)):
+        for xi, g, got, (dy_dx, dz_dy, dy_db, dz_dtau, *_) in zip(
+                x, dj_dz.tolist(), dj_dx, backward_rows(b, "chain")[3]):
             g = Decimal(g)
             tail = int(slope.b * xi > _LOG_SWITCH)
             assert within(got, g * dz_dy * dy_dx, MAX_ULP_DJ_DX[tail]), float(xi)
@@ -354,3 +380,118 @@ def test_logistic_chain_within_ulp_of_reference(variant):
         for xi, g, got in zip(x.tolist(), dj_dz.tolist(), dj_dx):
             e = (-Decimal(xi)).exp()     # dj/dx = dj/dz * e/(1 + e)**2
             assert within(got, Decimal(g) * e / (1 + e) ** 2, MAX_ULP_LOGISTIC_DJ_DX), xi
+
+
+# ---------------------------------------------------------------------------
+# End to end: STEPS training steps of forward, approx_cm and
+# backward_and_step against the same steps in np.longdouble, written out
+# below, on a 400 x 3 batch with 12 positives at n_h = 2.
+
+LD = np.longdouble
+STEPS, ETA, ETA_B = 20, 0.01, 0.1
+
+
+def step_batch():
+    """The batch shape of test_kernel.py: 388 negatives, 12 positives
+    shifted by 1.5, X feature-major."""
+    rng = np.random.default_rng([0, 3, 5])
+    X = np.vstack([rng.normal(0.0, 1.0, (388, 3)), rng.normal(1.5, 0.8, (12, 3))])
+    return np.asfortranarray(X), np.r_[np.zeros(388, int), np.ones(12, int)]
+
+
+def ld_slope(beta):
+    """(beta, b, tau, db/dbeta, dtau/db) of AstraParams.set_beta's rule."""
+    b = 2 + beta if beta > 0 else 1 + np.exp(beta)
+    if b > B_MAX:
+        b, beta = LD(B_MAX), LD(beta_from_slope(B_MAX))
+    g = np.exp(-np.log1p(b) / b)                     # (1 + b)**(-1/b)
+    return (beta, b, 1 - g, LD(1) if beta > 0 else np.exp(beta),
+            g * (1 / (b * (1 + b)) - np.log1p(b) / (b * b)))
+
+
+def longdouble_steps(kind: LossKind, X, y, theta, beta):
+    """theta and beta after each of STEPS steps from the given ones, every
+    value held in np.longdouble: the kernel's formulas, clamps included,
+    without its float64 shortcuts (the cap of s, the logistic's floor)."""
+    X, theta, beta = X.astype(LD), theta.astype(LD), LD(beta)
+    n_h = (len(theta) - 1) // (X.shape[1] + 2)
+    lo, hi = LD(EPS), 1 - LD(EPS)
+    pos, m1 = y == 1, int(y.sum())
+    m0, n = len(y) - m1, len(y)
+    m, v, out = np.zeros_like(theta), np.zeros_like(theta), []
+    for t in range(1, STEPS + 1):
+        w1, b1, w2, b2 = param_views(theta, n_h, X.shape[1])
+        beta, b, tau, db_dbeta, dtau_db = ld_slope(beta)
+        # Hidden layer and Leaky ReLU, then the output preactivation.
+        h = X @ w1.T + b1
+        leak = np.where(h > 0, LD(1), LD(LEAKY_SLOPE))
+        act = h * leak
+        pre = act @ w2 + b2
+        if kind.use_astra:      # the asymmetric sigmoid and the z-transform
+            s = b * np.exp(b * pre)
+            u = np.log1p(s)
+            y_hat = np.clip(1 - np.exp(-u / b), lo, hi)
+            den = y_hat * (1 - tau) + (1 - y_hat) * tau
+            z = np.clip(y_hat * (1 - tau) / den, lo, hi)
+        else:                   # the logistic
+            y_raw = 1 / (1 + np.exp(-pre))
+            z = np.clip(y_raw, lo, hi)
+        # The ACM's TP and TN, and each loss's gradient wrt z.
+        tp, tn = z[pos].sum(), m0 - z[~pos].sum()
+        if kind.variant == "bce":
+            dj_dz = np.where(pos, -1 / (n * z), 1 / (n * (1 - z)))
+        else:
+            g_apx = np.sqrt(tn * tp / (m0 * m1))
+            dj_dz = np.where(pos, -g_apx / (2 * tp), g_apx / (2 * tn))
+        # The chain to dj/dx and, for a trainable slope, dj/db.
+        if kind.use_astra:
+            r, one_my = s / (1 + s), np.exp(-u / b)
+            den2 = den * den
+            dz_dy = tau * (1 - tau) / den2
+            dy_db = one_my * (r * (1 + b * pre) - u) / (b * b)
+            dz_dtau = -y_hat * (1 - y_hat) / den2
+            dj_dx = dj_dz * dz_dy * r * one_my
+            grad_beta = (dj_dz * (dz_dy * dy_db + dz_dtau * dtau_db)).sum() * db_dbeta
+        else:
+            dj_dx = dj_dz * y_raw * (1 - y_raw)
+            grad_beta = LD(0)
+        # The hidden backward, in theta's layout.
+        d_hidden = np.outer(dj_dx, w2) * leak
+        grad = np.concatenate([(d_hidden.T @ X).ravel(), d_hidden.sum(axis=0),
+                               act.T @ dj_dx, [dj_dx.sum()]])
+        # Adam on theta, a plain step on beta.
+        m = ADAM_BETA1 * m + (1 - LD(ADAM_BETA1)) * grad
+        v = ADAM_BETA2 * v + (1 - LD(ADAM_BETA2)) * grad * grad
+        m_hat, v_hat = m / (1 - LD(ADAM_BETA1) ** t), v / (1 - LD(ADAM_BETA2) ** t)
+        theta = theta - ETA * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        if kind.use_astra:
+            beta = ld_slope(beta - ETA_B * grad_beta)[0]
+        out.append((theta, beta))
+    return out
+
+
+# Worst error over the 20 steps, relative to theta's largest element and
+# to |beta|, measured on x86-64 (80-bit np.longdouble, numpy 2.4.6) at one
+# and two BLAS threads: theta 5.33e-16 (bce-astra), 4.63e-16 (gmn-astra)
+# and 4.94e-16 (gmn); beta 2.8e-16 (bce-astra).  Element by element theta
+# read up to 3.97e-13, where one element crossed zero (2.2e-4 at step 4).
+MAX_REL_STEP = 2e-15
+
+
+@pytest.mark.skipif(np.finfo(LD).eps == np.finfo(float).eps,
+                    reason="np.longdouble is float64 here: no wider reference")
+@pytest.mark.parametrize("kind", [LossKind("bce", True), LossKind("gmn", True),
+                                  LossKind("gmn", False)], ids=lambda k: k.name)
+def test_steps_within_longdouble_reference(kind):
+    X, y = step_batch()
+    astra = AstraParams.from_tau_init(0.25) if kind.use_astra else AstraParams.frozen()
+    model = init_mlp(3, 2, 0, astra)
+    want = longdouble_steps(kind, X, y, model.theta, astra.beta)
+    adam, split, trace = AdamState(model), class_split(y), None
+    for step, (theta, beta) in enumerate(want, 1):
+        trace = forward(model, X, trace)
+        backward_and_step(model, adam, trace, split, kind, ETA, ETA_B,
+                          approx_cm(trace.z, split))
+        err = np.abs(model.theta - theta).max() / np.abs(theta).max()
+        assert err <= MAX_REL_STEP, (step, float(err))
+        assert abs(model.astra.beta - beta) <= MAX_REL_STEP * abs(beta), step

@@ -1,6 +1,8 @@
 """Property tests of the math identities the activation, the z-transform,
 the approximated confusion matrix and the validation criterion rest on."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -20,9 +22,12 @@ from astra.activation import (  # noqa: E402
     astra_threshold,
     beta_from_slope,
     empty_terms,
+    logistic_forward,
+    output_forward,
     slope_from_beta,
     z_transform,
 )
+from astra.losses import LossKind, loss_and_grad  # noqa: E402
 from astra.metrics import approx_cm, counting_cm, rates  # noqa: E402
 from astra.network import (  # noqa: E402
     ForwardTrace,
@@ -196,3 +201,20 @@ def test_nan_feature_raises(n_x, n, data):
     X[data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n_x - 1))] = np.nan
     with pytest.raises(ValueError, match="preactivation must be finite"):
         forward(init_mlp(n_x, 3, n), np.asfortranarray(X))
+
+
+# The forward rejects a non-finite preactivation and both output paths clamp
+# z into [EPS, 1 - EPS], so BCE's logs and GMN's square root stay finite:
+# backward_and_step does not check the loss.  b None is the logistic path.
+@CHECK
+@given(st.integers(1, 20).flatmap(lambda m1: st.tuples(st.just(m1), st.lists(
+           st.floats(-1.7e308, 1.7e308), min_size=m1 + 1, max_size=60))),
+       st.one_of(st.none(), slopes), st.sampled_from(["bce", "gmn"]))
+def test_loss_of_finite_preactivations_is_finite(positives, b, variant):
+    m1, x = positives
+    x = np.array(x)
+    y = np.r_[np.ones(m1, int), np.zeros(len(x) - m1, int)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = (logistic_forward(x) if b is None
+             else output_forward(x, b, astra_threshold(b))).z
+    assert math.isfinite(loss_and_grad(LossKind(variant, b is not None), z, y)[0])

@@ -11,7 +11,7 @@ from astra.activation import B_MAX, astra_threshold
 from astra.data import Dataset, read_records
 from astra.losses import ALL_KINDS, LossKind
 from astra.metrics import ClassSplit
-from astra.network import forward, predict_labels
+from astra.network import backward_and_step, forward, predict_labels
 from astra.trainer import (
     EpochRecord,
     TrainConfig,
@@ -404,6 +404,44 @@ class TestRunState:
         assert len(records) == 3
         clean, _ = train(TrainConfig(epochs=3, eta=0.01, loss=kind, seed=2),
                          tr, val)
+        assert snapshot_bits(snapshot) == snapshot_bits(clean)
+
+    @pytest.mark.parametrize("kind", [LossKind("bce", True), LossKind("gmn", True)],
+                             ids=lambda k: k.name)
+    def test_slope_gradient_overflow_stops_the_run(self, monkeypatch, kind):
+        # Before epoch 4's step, w1 of 1e158 on the feature of 1e150 in train
+        # row 0 and w2 = [1, 0]: the forward after it gives that row a
+        # finite preactivation near 1e308, b times it overflows, and epoch
+        # 5's dj/db is NaN.  Every other row stays below 1e160.
+        tr = shaped(400, 3, 0)
+        X = tr.X.copy()
+        X[0, 0] = 1e150
+        tr = fortran(Dataset(X, tr.y))
+        val = fortran(shaped(200, 3, 1))
+
+        def inject(model, trace):
+            w1 = np.zeros((model.n_h, model.n_x))
+            w1[0, 0] = 1e158
+            model.w1, model.b1, model.w2 = w1, np.zeros(model.n_h), np.eye(model.n_h)[0]
+            model.b2 = 0.0
+
+        snapshot, records, message, raised_on, forwards = self.run_to_divergence(
+            monkeypatch, kind, tr, val, inject=inject, epochs=5)
+        assert raised_on is None and forwards == 5
+        assert message.startswith("epoch 5: ") and "beta" in message
+        # The run keeps the records and snapshot of the same four epochs.
+        steps = []
+
+        def injecting_step(model, adam, trace, *args):
+            steps.append(None)
+            if len(steps) == 4:
+                inject(model, trace)
+            return backward_and_step(model, adam, trace, *args)
+
+        monkeypatch.setattr(trainer, "backward_and_step", injecting_step)
+        clean, clean_records = train(
+            TrainConfig(epochs=4, eta=0.01, loss=kind, seed=2), tr, val)
+        assert not clean.diverged and records == clean_records
         assert snapshot_bits(snapshot) == snapshot_bits(clean)
 
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.name)
