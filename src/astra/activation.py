@@ -135,8 +135,6 @@ def slope_grad_beta(beta: float) -> float:
 
 def beta_from_slope(b: float) -> float:
     """Inverse of slope_from_beta (b > 1)."""
-    if b <= 1.0:
-        raise ValueError(f"slope must be > 1, got {b}")
     if b > 2.0:
         return b - 2.0
     return math.log(b - 1.0)
@@ -170,7 +168,6 @@ def astra_backward(x, b: float):
 
 def threshold_grad_b(b: float) -> float:
     """d tau / d b for astra_threshold."""
-    _check_slope(b)
     g = math.exp(-math.log1p(b) / b)   # (1+b)**(-1/b)
     return g * (1.0 / (b * (1.0 + b)) - math.log1p(b) / (b * b))
 
@@ -268,6 +265,20 @@ def output_backward(terms: OutputTerms, b: float, tau: float, r: np.ndarray):
     return dy_dx, dz_dy, dy_db, dz_dtau
 
 
+def output_chain(terms: OutputTerms, slope: AstraParams, dj_dz, dj_dx) -> float:
+    """dj/dbeta through a trainable `slope`'s output_forward `terms`, spent as
+    output_backward says; dj/dx = dj_dz * dz/dy * dy/dx goes into `dj_dx`."""
+    dy_dx, dz_dy, dy_db, dz_dtau = output_backward(terms, slope.b, slope.tau, dj_dx)
+    np.multiply(dj_dz, dz_dy, out=dj_dx)
+    dj_dx *= dy_dx                                # (n,)
+    # dj_dz * (dz_dy*dy_db + dz_dtau*dtau_db), in the buffer of dy_db
+    dj_db = np.multiply(dz_dy, dy_db, out=dy_db)
+    dz_dtau *= threshold_grad_b(slope.b)
+    dj_db += dz_dtau
+    dj_db *= dj_dz
+    return float(np.add.reduce(dj_db)) * slope_grad_beta(slope.beta)
+
+
 # exp(700) is finite, and below x = -700 the logistic is under 1e-304, which
 # the clamp raises to EPS anyway.
 _LOGISTIC_FLOOR = -700.0
@@ -328,6 +339,8 @@ class AstraParams:
     trainable: bool = True
 
     def __post_init__(self):
+        if type(self.trainable) is not bool:
+            raise ValueError(f"trainable must be a bool, got {self.trainable!r}")
         self.set_beta(self.beta)
 
     def set_beta(self, beta: float) -> None:

@@ -19,10 +19,8 @@ from .activation import (
     empty_terms,
     logistic_backward,
     logistic_forward,
-    output_backward,
+    output_chain,
     output_forward,
-    slope_grad_beta,
-    threshold_grad_b,
 )
 # Unused here: bench/spans.py trace points wrap them in astra.network.
 from .activation import (  # noqa: F401
@@ -94,8 +92,8 @@ class Mlp:
     """
 
     def __init__(self, n_x: int, n_h: int, astra: AstraParams, seed):
-        if n_x < 1 or n_h < 1:
-            raise ValueError("layer sizes must be >= 1")
+        if type(n_x) is not int or type(n_h) is not int or n_x < 1 or n_h < 1:
+            raise ValueError(f"n_x and n_h must be ints >= 1, got {n_x!r}, {n_h!r}")
         self.theta, self.n_x, self.n_h, self.astra = (
             np.zeros(n_h * n_x + 2 * n_h + 1), n_x, n_h, astra)
         self.w1, self.b1, self.w2, _ = param_views(self.theta, n_h, n_x)
@@ -252,16 +250,7 @@ def backward_and_step(model: Mlp, adam: AdamState, trace: ForwardTrace, y,
     loss_value, dj_dz = loss_and_grad(kind, trace.z, y, acm, trace.dj_dz)
     dj_dx = trace.dj_dx
     if ap.trainable:
-        dy_dx, dz_dy, dy_db, dz_dtau = output_backward(trace.out, ap.b, ap.tau,
-                                                       dj_dx)
-        np.multiply(dj_dz, dz_dy, out=dj_dx)
-        dj_dx *= dy_dx                                # (n,)
-        # dj_dz * (dz_dy*dy_db + dz_dtau*dtau_db), in the buffer of dy_db
-        dj_db = np.multiply(dz_dy, dy_db, out=dy_db)
-        dz_dtau *= threshold_grad_b(ap.b)
-        dj_db += dz_dtau
-        dj_db *= dj_dz
-        grad_beta = float(np.add.reduce(dj_db)) * slope_grad_beta(ap.beta)
+        grad_beta = output_chain(trace.out, ap, dj_dz, dj_dx)
     else:   # dz/dy = 1
         np.multiply(dj_dz, logistic_backward(trace.out), out=dj_dx)
         grad_beta = 0.0

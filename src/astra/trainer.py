@@ -52,10 +52,13 @@ class TrainConfig:
             raise ValueError(f"eta must be finite and > 0, got {self.eta}")
         if self.n_h is not None and self.n_h < 1:
             raise ValueError(f"n_h must be >= 1, got {self.n_h}")
-        if not 0 < self.eta_b_min <= self.eta_b_max:
-            raise ValueError("need 0 < eta_b_min <= eta_b_max")
-        if self.k_mult <= 1 or not 0 < self.k_dec < 1:
-            raise ValueError("need k_mult > 1 and 0 < k_dec < 1")
+        if not 0 < self.eta_b_min <= self.eta_b_max < np.inf:
+            raise ValueError("eta_b_min and eta_b_max must be finite with 0 < min"
+                             f" <= max, got {self.eta_b_min}, {self.eta_b_max}")
+        if not 1 < self.k_mult < np.inf:
+            raise ValueError(f"k_mult must be finite and > 1, got {self.k_mult}")
+        if not 0 < self.k_dec < 1:
+            raise ValueError(f"k_dec must be in (0, 1), got {self.k_dec}")
         AstraParams.from_tau_init(self.tau_init)    # checks its range
 
 

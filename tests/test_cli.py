@@ -552,8 +552,12 @@ class TestConfigFile:
         ('{"eta": NaN}', "eta"),
         ('{"eta": Infinity}', "eta"),
         ('{"n_h": 0}', "n_h"),
+        ('{"eta_b_max": Infinity}', "eta_b_min and eta_b_max"),
+        ('{"k_mult": NaN}', "k_mult"),
+        ('{"k_mult": Infinity}', "k_mult"),
     ], ids=["negative-epochs", "negative-eta", "zero-eta", "nan-eta",
-            "infinite-eta", "zero-n-h"])
+            "infinite-eta", "zero-n-h", "infinite-eta-b-max", "nan-k-mult",
+            "infinite-k-mult"])
     def test_bad_train_setting_rejected(self, tmp_path, sparse_dataset, capsys,
                                         command, content, field):
         # Rejected before the manifest is written, in both commands.

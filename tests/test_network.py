@@ -303,9 +303,12 @@ class TestCheckpoint:
     @pytest.mark.parametrize("edit", [{"b": 100.0, "tau": 0.9},
                                       {"beta": math.nan},
                                       {"beta": 70.0},
-                                      {"trainable": False}],
+                                      {"trainable": False},
+                                      {"trainable": "yes"},
+                                      {"trainable": 1}],
                              ids=["b-and-tau", "nan-beta", "beta-past-cap",
-                                  "frozen"])
+                                  "frozen", "trainable-a-string",
+                                  "trainable-an-int"])
     def test_slope_must_follow_from_beta(self, edit):
         # b and tau are written for readers; beta and trainable are the
         # state, so a file where they disagree is rejected.
@@ -313,6 +316,17 @@ class TestCheckpoint:
                                          astra=AstraParams.from_tau_init(0.25)))
         payload["astra"].update(edit)
         with pytest.raises(ValueError):
+            from_checkpoint(payload)
+
+    @pytest.mark.parametrize("edit", [{"n_x": 3.0}, {"n_h": 2.0}, {"n_x": "3"},
+                                      {"n_h": True}],
+                             ids=["float-n-x", "float-n-h", "string-n-x",
+                                  "bool-n-h"])
+    def test_sizes_must_be_ints(self, edit):
+        # JSON gives 3.0 and "3" as readily as 3; a bool is no size.
+        payload = to_checkpoint(init_mlp(3, 2, seed=0))
+        payload.update(edit)
+        with pytest.raises(ValueError, match="n_x and n_h must be ints"):
             from_checkpoint(payload)
 
     @pytest.mark.parametrize("edit, name", [

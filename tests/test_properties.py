@@ -18,14 +18,19 @@ from astra.activation import (  # noqa: E402
     EPS,
     OutputTerms,
     _astra_terms,
+    astra_backward,
     astra_forward,
     astra_threshold,
     beta_from_slope,
     empty_terms,
     logistic_forward,
+    output_chain,
     output_forward,
     slope_from_beta,
+    slope_grad_beta,
+    threshold_grad_b,
     z_transform,
+    z_transform_backward,
 )
 from astra.losses import LossKind, loss_and_grad  # noqa: E402
 from astra.metrics import approx_cm, counting_cm, rates  # noqa: E402
@@ -201,6 +206,28 @@ def test_nan_feature_raises(n_x, n, data):
     X[data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n_x - 1))] = np.nan
     with pytest.raises(ValueError, match="preactivation must be finite"):
         forward(init_mlp(n_x, 3, n), np.asfortranarray(X))
+
+
+# output_chain is the chain rule over the public partials, in the same numpy
+# calls and order, so it gives their bits, on rows that include the
+# asymptote tail (b*x > 35) and at the cap B_MAX.  |dj/dz| up to 1e300 keeps
+# every product finite: dz/dy <= (1 - tau)/tau, about 14 at B_MAX.
+@CHECK
+@given(st.floats(1.0 + 1e-7, B_MAX),
+       st.lists(st.floats(-700.0, 700.0), min_size=1, max_size=30),
+       st.floats(36.0, 700.0), st.data())
+def test_output_chain_is_the_chain_of_the_partials(b, bxs, tail, data):
+    slope = AstraParams(beta_from_slope(b))
+    b, tau = slope.b, slope.tau
+    x = np.array([*bxs, tail]) / b
+    dj_dz = arrays_of(data, st.floats(-1e300, 1e300), x.shape)
+    dj_dx = np.empty_like(x)
+    got = output_chain(output_forward(x, b, tau), slope, dj_dz, dj_dx)
+    dy_dx, dy_db = astra_backward(x, b)
+    dz_dy, dz_dtau = z_transform_backward(astra_forward(x, b), tau)
+    assert dj_dx.tobytes() == (dj_dz * dz_dy * dy_dx).tobytes()
+    dj_db = dj_dz * (dz_dy * dy_db + dz_dtau * threshold_grad_b(b))
+    assert got == float(np.add.reduce(dj_db)) * slope_grad_beta(slope.beta)
 
 
 # The forward rejects a non-finite preactivation and both output paths clamp

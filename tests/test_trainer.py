@@ -55,6 +55,11 @@ class TestEtaBUpdate:
         ({"eta": math.inf}, "eta"),
         ({"n_h": 0}, "n_h"),
         ({"seed": -1}, "seed"),
+        ({"eta_b_max": math.inf}, "eta_b_min and eta_b_max"),
+        ({"eta_b_min": math.nan}, "eta_b_min and eta_b_max"),
+        ({"k_mult": math.nan}, "k_mult"),
+        ({"k_mult": math.inf}, "k_mult"),
+        ({"k_dec": 1.0}, "k_dec"),
     ])
     def test_rejects_bad_epochs_eta_and_n_h(self, setting, field):
         with pytest.raises(ValueError, match=f"^{field} must be"):
