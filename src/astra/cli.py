@@ -56,14 +56,23 @@ def _load_dataset(path: str) -> Dataset:
 
 
 def environment() -> dict:
-    """The Python, numpy and BLAS a run used, the machine and its CPU count."""
+    """The Python, numpy and BLAS a run used, numpy's SIMD level (the
+    dispatch targets active here, which move the bits of `exp` and `log`),
+    the machine and its CPU count."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = f"{blas.get('name', 'unknown')} {blas.get('version', '')}".strip()
     except (TypeError, KeyError):
         blas = "unknown"
+    try:    # private names of numpy 2
+        from numpy._core._multiarray_umath import (__cpu_dispatch__,
+                                                   __cpu_features__)
+        simd = " ".join(t for t in __cpu_dispatch__ if __cpu_features__.get(t))
+    except (ImportError, AttributeError, TypeError):
+        simd = "unknown"
     return {"python": platform.python_version(), "numpy": np.__version__,
-            "blas": blas, "machine": platform.machine(), "cpus": os.cpu_count()}
+            "blas": blas, "simd": simd, "machine": platform.machine(),
+            "cpus": os.cpu_count()}
 
 
 def _write_json(path: Path, payload: dict) -> None:

@@ -3,8 +3,8 @@ planning and minority undersampling.
 
 Input formats: a sparse text format (``<label> <index>:<value> ...`` with
 1-based ascending indices) and a plain CSV (``label,f1,...,fn``), both read
-in blocks of lines.  Datasets are dense in memory; the largest targeted here
-is Skin's 245,057 x 3.  Records (runs, epochs) are CSV, a dataclass's fields.
+in blocks of lines.  Datasets are dense in memory; the paper's shape is
+20,034 x 3.  Records (runs, epochs) are CSV, a dataclass's fields.
 """
 
 from __future__ import annotations

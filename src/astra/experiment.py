@@ -30,7 +30,6 @@ log = logging.getLogger(__name__)
 
 P_THRESHOLD = 0.05
 MIN_PAIRS = 5        # fewest paired observations compare() accepts
-EXACT_LIMIT = 50     # exact p up to 10 x 5-fold CV's pairs; int64 counts fit 62
 FOLDS = 5            # the paper's protocol: 10 repeats of 5-fold CV
 REPEATS = 10
 METRICS = {"g_mean": "G-Mean", "mcc": "MCC"}   # RunResult score -> table label
@@ -77,41 +76,26 @@ def _midranks(values: np.ndarray) -> np.ndarray:
 
 
 def wilcoxon_signed_rank(diffs) -> float:
-    """Two-sided paired Wilcoxon signed-rank p-value.
+    """Two-sided paired Wilcoxon signed-rank p-value, exact at every n.
 
-    Zero differences are dropped (all-zero input gives p = 1).  Exact null
-    distribution (shift-convolution over signed midranks) for up to
-    EXACT_LIMIT non-zero differences, normal approximation with tie
-    correction and continuity correction above.
+    Zero differences are dropped (none left gives p = 1).  The null
+    distribution of 2*W+ over the 2^n sign assignments is a shift-convolution
+    over the doubled midranks, held as probabilities halved at each rank:
+    dyadic rationals, exact up to n = 53.  It is symmetric about half its
+    total, so p is twice the nearer tail, the only part built.  Cost: O(n^3).
     """
     d = np.asarray(diffs, dtype=float)
     d = d[d != 0.0]
-    n = len(d)
-    if n == 0:
-        return 1.0
-    ranks = _midranks(np.abs(d))
-    w_pos = float(np.sum(ranks[d > 0]))
-
-    if n <= EXACT_LIMIT:
-        # Distribution of 2*W+ over all 2^n sign assignments; no count
-        # exceeds 2^n.
-        r2 = np.rint(2 * ranks).astype(np.int64)
-        counts = np.zeros(r2.sum() + 1, dtype=np.int64)
-        counts[0] = 1
-        for r in r2:
-            counts[r:] = counts[r:] + counts[:len(counts) - r]
-        w2 = int(round(2 * w_pos))
-        p_le = int(counts[: w2 + 1].sum())
-        p_ge = int(counts[w2:].sum())
-        return min(1.0, 2.0 * min(p_le, p_ge) / 2 ** n)
-
-    mean = n * (n + 1) / 4.0
-    var = n * (n + 1) * (2 * n + 1) / 24.0
-    # Tie correction on the midranks; all n tied still leave n(n+1)^2/16.
-    _, tie_counts = np.unique(ranks, return_counts=True)
-    var -= np.sum(tie_counts ** 3 - tie_counts) / 48.0
-    z = (abs(w_pos - mean) - 0.5) / math.sqrt(var)
-    return math.erfc(max(z, 0.0) / math.sqrt(2.0))     # 2 * P(Z >= z)
+    r2 = np.rint(2 * _midranks(np.abs(d))).astype(np.int64)
+    w2 = int(r2[d > 0].sum())
+    m = min(w2, int(r2.sum()) - w2)
+    tail = np.zeros(m + 1)          # P(2*W+ = k) for k <= m
+    tail[0] = 1.0
+    for r in r2:
+        if r <= m:
+            tail[r:] += tail[:m + 1 - r]
+        tail *= 0.5
+    return min(1.0, 2.0 * float(tail.sum()))
 
 
 def compare(a, b) -> float:
@@ -122,6 +106,10 @@ def compare(a, b) -> float:
         raise ValueError("paired vectors must have equal length")
     if len(a) < MIN_PAIRS:
         raise ValueError(f"need at least {MIN_PAIRS} paired observations")
+    for name, v in (("a", a), ("b", b)):
+        if not np.isfinite(v).all():
+            raise ValueError(f"scores must be finite: {name} holds "
+                             f"{v[~np.isfinite(v)].tolist()}")
     return wilcoxon_signed_rank(a - b)
 
 

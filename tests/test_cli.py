@@ -64,7 +64,8 @@ class TestTrainCommand:
 
     def test_manifest_records_environment(self, tmp_path, sparse_dataset):
         env = cli.environment()
-        assert set(env) == {"python", "numpy", "blas", "machine", "cpus"}
+        assert set(env) == {"python", "numpy", "blas", "simd", "machine",
+                            "cpus"}
         assert env["numpy"] == np.__version__ and env["cpus"] >= 1
         runs = {"train": ["--epochs", "2"], "cv": ["--epochs", "2", "--repeats",
                                                   "1", "--loss", "bce"],

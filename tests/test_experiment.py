@@ -1,10 +1,12 @@
 import itertools
+import json
 import math
 import multiprocessing
 import os
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +71,43 @@ def enumeration_p_value(diffs):
     return min(1.0, 2.0 * min(le, ge) / 2 ** n)
 
 
+def int64_p_value(diffs):
+    """The shift-convolution over doubled midranks in int64 counts, which
+    fit up to 62 differences; the float64 probabilities must give its p
+    bit for bit up to 50 differences."""
+    d = np.asarray(diffs, dtype=float)
+    d = d[d != 0.0]
+    n = len(d)
+    if n == 0:
+        return 1.0
+    ranks = _midranks(np.abs(d))
+    r2 = np.rint(2 * ranks).astype(np.int64)
+    counts = np.zeros(r2.sum() + 1, dtype=np.int64)
+    counts[0] = 1
+    for r in r2:
+        counts[r:] = counts[r:] + counts[:len(counts) - r]
+    w2 = int(round(2 * float(np.sum(ranks[d > 0]))))
+    p_le = int(counts[: w2 + 1].sum())
+    p_ge = int(counts[w2:].sum())
+    return min(1.0, 2.0 * min(p_le, p_ge) / 2 ** n)
+
+
+def polynomial_p_value(diffs):
+    """Exact oracle at any n: the coefficients of prod_i (1 + x^(2 r_i)) over
+    the midranks r_i count the sign assignments by 2*W+, as Python ints."""
+    d = np.asarray(diffs, dtype=float)
+    d = d[d != 0]
+    ranks = reference_midranks(np.abs(d))
+    r2 = [int(2 * r) for r in ranks]
+    coeffs = [1] + [0] * sum(r2)
+    for r in r2:
+        coeffs = [c + (coeffs[k - r] if k >= r else 0)
+                  for k, c in enumerate(coeffs)]
+    w2 = int(2 * ranks[d > 0].sum())
+    tail = min(sum(coeffs[:w2 + 1]), sum(coeffs[w2:]))
+    return min(1.0, float(Fraction(2 * tail, 2 ** len(d))))
+
+
 class TestWilcoxon:
     def test_identical_vectors(self):
         assert compare([1.0] * 6, [1.0] * 6) == 1.0
@@ -102,14 +141,15 @@ class TestWilcoxon:
         d = [8.0, 7.0, 6.0, 5.0, 4.0, 3.0, -2.0, -1.0]
         assert wilcoxon_signed_rank(d) == pytest.approx(enumeration_p_value(d))
 
-    def test_normal_approximation_reasonable(self, monkeypatch):
+    def test_sixty_pairs_match_the_polynomial(self):
         rng = np.random.default_rng(9)
         d = rng.normal(0.5, 1.0, 60)
-        p_normal = wilcoxon_signed_rank(d)
-        # The exact counts of 60 differences still fit int64.
-        monkeypatch.setattr(experiment, "EXACT_LIMIT", 60)
-        p_exact_style = wilcoxon_signed_rank(d)
-        assert p_normal == pytest.approx(p_exact_style, abs=0.01)
+        p = wilcoxon_signed_rank(d)
+        assert p == pytest.approx(polynomial_p_value(d), rel=1e-12, abs=0)
+        # The normal approximation stays near the exact p here.
+        stats = pytest.importorskip("scipy.stats")
+        assert p == pytest.approx(stats.wilcoxon(
+            d, correction=True, method="approx").pvalue, abs=0.01)
 
     @pytest.mark.parametrize("n", range(5, 51))
     def test_exact_matches_scipy(self, n):
@@ -128,30 +168,58 @@ class TestWilcoxon:
 
     @pytest.mark.parametrize("n_neg", [0, 20, 30])
     def test_all_tied_magnitudes_match_scipy(self, n_neg):
-        # 60 equal |d| take the largest tie correction: var falls to its
-        # floor n(n+1)^2/16, and a 30/30 split sits at the mean, p = 1.
-        # scipy agrees within 1.1e-14 relative (all 60 positive).
+        # 60 equal |d|: W+ is 30.5 times a Binomial(60, 1/2) count, so p is
+        # the exact binomial test's, and a 30/30 split gives p = 1.
         stats = pytest.importorskip("scipy.stats")
         d = np.array([-1.0] * n_neg + [1.0] * (60 - n_neg))
         p = wilcoxon_signed_rank(d)
-        assert p == pytest.approx(stats.wilcoxon(
-            d, correction=True, method="approx").pvalue, rel=2e-14, abs=0)
+        assert p == pytest.approx(stats.binomtest(60 - n_neg, 60).pvalue,
+                                  rel=1e-12, abs=0)
         assert (p == 1.0) == (n_neg == 30)
 
-    def test_fifty_one_pairs_take_the_normal_path(self):
-        # W+ = 51*52/2 lies 663 above its mean, with variance 51*52*103/24.
-        assert wilcoxon_signed_rank(np.arange(1.0, 52.0)) == pytest.approx(
-            math.erfc(662.5 / math.sqrt(2 * 51 * 52 * 103 / 24)), rel=1e-12)
+    def test_fifty_one_pairs_are_exact(self):
+        assert wilcoxon_signed_rank(np.arange(1.0, 52.0)) == 2 / 2 ** 51
 
-    def test_tie_heavy_normal_path_matches_scipy(self):
-        stats = pytest.importorskip("scipy.stats")
+    def test_tie_heavy_eighty_pairs_match_the_polynomial(self):
         rng = np.random.default_rng(14)
         # 80 differences over 6 magnitudes: every rank is shared.
         d = rng.choice([0.25, 0.5, 1.0, 2.0, 3.0, 4.0], 80) * np.where(
             rng.random(80) < 0.35, -1.0, 1.0)
         assert wilcoxon_signed_rank(d) == pytest.approx(
-            stats.wilcoxon(d, method="approx", correction=True).pvalue,
-            rel=1e-12, abs=0)
+            polynomial_p_value(d), rel=1e-12, abs=0)
+
+    def test_up_to_fifty_pairs_match_the_int64_counts_bit_for_bit(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        # Small integers tie and give zeros; bounded floats are distinct.
+        values = st.one_of(st.integers(-4, 4).map(float),
+                           st.floats(-10.0, 10.0, allow_subnormal=False))
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(st.lists(values, min_size=1, max_size=50))
+        def check(d):
+            assert wilcoxon_signed_rank(d) == int64_p_value(d), d
+
+        check()
+
+    def test_report_over_fifty_five_pairs(self, tmp_path):
+        # 11 repeats x 5 folds: more pairs than the paper's protocol, with
+        # the few distinct G-Mean values of an extreme imbalance.
+        rng = np.random.default_rng(28)
+        scores = {m: (rng.choice([0.0, 0.5, 0.7, 1.0], 55), rng.normal(0, 0.2, 55))
+                  for m in ("bce", "gmn")}
+        runs = tmp_path / "runs.csv"
+        write_run_csv([RunResult(m, i // 5, i % 5, g_mean=float(g[i]),
+                                 mcc=float(c[i]))
+                       for m, (g, c) in scores.items() for i in range(55)], runs)
+        assert cli.main(["report", "--runs", str(runs), "--out",
+                         str(tmp_path / "rep")]) == 0
+        p_values = json.loads((tmp_path / "rep" / "report.json").read_text())[
+            "p_values"]
+        for i, metric in enumerate(("g_mean", "mcc")):
+            want = polynomial_p_value(scores["bce"][i] - scores["gmn"][i])
+            assert p_values[metric]["bce|gmn"] == pytest.approx(
+                want, rel=1e-12, abs=0), metric
 
     def test_midranks_match_the_loop_on_ties(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -171,6 +239,17 @@ class TestWilcoxon:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             compare([1, 2, 3, 4, 5], [1, 2, 3])
+
+    @pytest.mark.parametrize("a, b, message", [
+        # Unchecked, the NaN difference ranks as the largest negative one.
+        ([math.nan, 1, 2, 3, 4, 5], [0] * 6, r"a holds \[nan\]"),
+        # Unchecked, inf - inf warns before any test.
+        ([math.inf] * 6, [math.inf] * 6, r"a holds \[inf, inf"),
+        ([0] * 6, [1, 2, -math.inf, 3, 4, 5], r"b holds \[-inf\]"),
+    ], ids=["nan", "inf-minus-inf", "negative-inf"])
+    def test_non_finite_scores_rejected(self, a, b, message):
+        with pytest.raises(ValueError, match="scores must be finite: " + message):
+            compare(a, b)
 
 
 class TestAggregate:
