@@ -76,7 +76,9 @@ def _gmn(z: np.ndarray, split: ClassSplit, acm: ConfusionMatrix | None, g: np.nd
     # No clamp here: the loss has no logs, and unclamped inputs make the
     # reduction to the counting G-Mean exact on binary predictions.
     cm = approx_cm(z, split) if acm is None else acm
-    g_apx = np.sqrt(cm.tn * cm.tp / (split.m0 * split.m1))
+    # TN_apx = m0 - FP_apx rounds below 0 when the negatives' outputs are
+    # all 1; there the loss is 1, as at TN_apx = 0.
+    g_apx = np.sqrt(max(cm.tn, 0.0) * cm.tp / (split.m0 * split.m1))
     # Network outputs are clamped to (0, 1) upstream, so the approximated
     # cells stay positive there; the floor only guards raw binary input.
     tp = max(cm.tp, 1e-12)

@@ -29,16 +29,18 @@ from .network import (
 
 log = logging.getLogger(__name__)
 
+# The paper's adaptive slope learning rate: eta_b starts at ETA_B_MIN, stays
+# within [ETA_B_MIN, ETA_B_MAX], and is multiplied by K_MULT or K_DEC as the
+# train e-ratio is above or below 1.  A trainable slope starts at the
+# threshold TAU_INIT.
+ETA_B_MIN, ETA_B_MAX, K_MULT, K_DEC = 0.01, 0.5, 1.1, 0.99
+TAU_INIT = 0.25
+
 
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 10000
     eta: float = 0.001
-    eta_b_min: float = 0.01       # also the starting value of eta_b
-    eta_b_max: float = 0.5
-    k_mult: float = 1.1
-    k_dec: float = 0.99
-    tau_init: float = 0.25
     loss: LossKind = LossKind("bce", False)
     seed: int = 0
     n_h: int | None = None        # override of the ceil((n_x+1)/2) rule
@@ -52,14 +54,6 @@ class TrainConfig:
             raise ValueError(f"eta must be finite and > 0, got {self.eta}")
         if self.n_h is not None and self.n_h < 1:
             raise ValueError(f"n_h must be >= 1, got {self.n_h}")
-        if not 0 < self.eta_b_min <= self.eta_b_max < np.inf:
-            raise ValueError("eta_b_min and eta_b_max must be finite with 0 < min"
-                             f" <= max, got {self.eta_b_min}, {self.eta_b_max}")
-        if not 1 < self.k_mult < np.inf:
-            raise ValueError(f"k_mult must be finite and > 1, got {self.k_mult}")
-        if not 0 < self.k_dec < 1:
-            raise ValueError(f"k_dec must be in (0, 1), got {self.k_dec}")
-        AstraParams.from_tau_init(self.tau_init)    # checks its range
 
 
 @dataclass(frozen=True)
@@ -83,13 +77,14 @@ class Snapshot:
     diverged: bool = False
 
 
-def eta_b_update(eta_b: float, e_ratio_value: float, cfg: TrainConfig) -> float:
+def eta_b_update(eta_b: float, e_ratio_value: float) -> float:
     """Adaptive slope learning rate: speed up while positives are harder
-    than negatives (e-ratio > 1), decay otherwise, within [min, max]."""
+    than negatives (e-ratio > 1), decay otherwise, within
+    [ETA_B_MIN, ETA_B_MAX]."""
     if e_ratio_value > 1.0:
-        return min(cfg.k_mult * eta_b, cfg.eta_b_max)
+        return min(K_MULT * eta_b, ETA_B_MAX)
     if e_ratio_value < 1.0:
-        return max(cfg.k_dec * eta_b, cfg.eta_b_min)
+        return max(K_DEC * eta_b, ETA_B_MIN)
     return eta_b
 
 
@@ -107,7 +102,7 @@ def _val_fnr_apx(trace: ForwardTrace) -> float:
 def build_model(cfg: TrainConfig, n_x: int) -> Mlp:
     n_h = cfg.n_h if cfg.n_h is not None else hidden_width(n_x)
     if cfg.loss.use_astra:
-        astra = AstraParams.from_tau_init(cfg.tau_init)
+        astra = AstraParams.from_tau_init(TAU_INIT)
     else:
         astra = AstraParams.frozen()
     return init_mlp(n_x, n_h, cfg.seed, astra=astra)
@@ -137,7 +132,7 @@ def train(cfg: TrainConfig, train_set: Dataset, val_set: Dataset):
     # One trace per run, the validation positives after the train rows,
     # which every forward and backward_and_step rewrites.
     trace = ForwardTrace(X_train, model, np.asfortranarray(val_set.X[val_set.y == 1]))
-    eta_b = cfg.eta_b_min
+    eta_b = ETA_B_MIN
     records: list[EpochRecord] = []
 
     # NonFiniteError reports a divergence; numpy's warning would crash under -W error.
@@ -149,7 +144,7 @@ def train(cfg: TrainConfig, train_set: Dataset, val_set: Dataset):
             try:
                 acm = approx_cm(trace.z, split)
                 r = rates(acm)
-                eta_b = eta_b_update(eta_b, r.e_ratio, cfg)
+                eta_b = eta_b_update(eta_b, r.e_ratio)
                 loss_value, _ = backward_and_step(
                     model, adam, trace, split, cfg.loss, cfg.eta, eta_b, acm)
                 val_fnr = _val_fnr_apx(forward(model, X_train, trace))

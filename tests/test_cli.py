@@ -85,7 +85,7 @@ class TestTrainCommand:
 
     def test_rerun_from_manifest_byte_identical(self, tmp_path, sparse_dataset):
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"eta": 0.01, "tau_init": 0.3, "n_h": 3}))
+        config.write_text(json.dumps({"eta": 0.01, "n_h": 3}))
         first, again = tmp_path / "a", tmp_path / "b"
         assert cli.main(["train", "--dataset", str(sparse_dataset),
                          "--config", str(config), "--out", str(first),
@@ -385,13 +385,17 @@ class TestErrorPaths:
         assert not out.exists()
 
     def test_invalid_config_value(self, tmp_path, sparse_dataset, capsys):
+        # The starting threshold is a trainer constant, not a setting.
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"tau_init": 0.01}))
+        out = tmp_path / "o"
         rc = cli.main(["train", "--dataset", str(sparse_dataset),
-                       "--config", str(config), "--out", str(tmp_path / "o"),
+                       "--config", str(config), "--out", str(out),
                        "--epochs", "1"])
         assert rc == 4
-        assert "invalid configuration" in capsys.readouterr().err
+        assert ("invalid configuration: unknown config key(s): tau_init"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_cv_rejects_unsatisfiable_protocol(self, tmp_path, sparse_dataset,
                                                capsys):
@@ -525,10 +529,11 @@ class TestConfigFile:
         ('{"out": 5}', 4, "invalid configuration: out must be a path string"),
         ('{"dataset": ["x"]}', 4,
          "invalid configuration: dataset must be a path string"),
-        # The two ends of the thresholds a trainable slope starts from.
-        ('{"tau_init": 0.5}', 4, "invalid configuration: tau_init must be in"),
+        # Thresholds once outside the settable range, and any inside it, are
+        # refused alike: the starting threshold is a trainer constant.
+        ('{"tau_init": 0.5}', 4, "unknown config key(s): tau_init"),
         (json.dumps({"tau_init": astra_threshold(B_MAX)}), 4,
-         "invalid configuration: tau_init must be in"),
+         "unknown config key(s): tau_init"),
     ], ids=["not-an-object", "malformed", "bad-type", "bad-choice",
             "unknown-key", "out-not-a-string", "dataset-not-a-string",
             "tau-init-at-half", "tau-init-at-b-max"])
@@ -546,31 +551,49 @@ class TestConfigFile:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "cv"])
-    @pytest.mark.parametrize("content, field", [
-        ('{"epochs": -3}', "epochs"),
-        ('{"eta": -0.5}', "eta"),
-        ('{"eta": 0}', "eta"),
-        ('{"eta": NaN}', "eta"),
-        ('{"eta": Infinity}', "eta"),
-        ('{"n_h": 0}', "n_h"),
-        ('{"eta_b_max": Infinity}', "eta_b_min and eta_b_max"),
-        ('{"k_mult": NaN}', "k_mult"),
-        ('{"k_mult": Infinity}', "k_mult"),
+    @pytest.mark.parametrize("content, message", [
+        ('{"epochs": -3}', "epochs must be"),
+        ('{"eta": -0.5}', "eta must be"),
+        ('{"eta": 0}', "eta must be"),
+        ('{"eta": NaN}', "eta must be"),
+        ('{"eta": Infinity}', "eta must be"),
+        ('{"n_h": 0}', "n_h must be"),
+        # The slope schedule is made of trainer constants, not settings.
+        ('{"eta_b_max": Infinity}', "unknown config key(s): eta_b_max"),
+        ('{"k_mult": NaN}', "unknown config key(s): k_mult"),
+        ('{"k_mult": Infinity}', "unknown config key(s): k_mult"),
     ], ids=["negative-epochs", "negative-eta", "zero-eta", "nan-eta",
             "infinite-eta", "zero-n-h", "infinite-eta-b-max", "nan-k-mult",
             "infinite-k-mult"])
     def test_bad_train_setting_rejected(self, tmp_path, sparse_dataset, capsys,
-                                        command, content, field):
+                                        command, content, message):
         # Rejected before the manifest is written, in both commands.
         config = tmp_path / "cfg.json"
         config.write_text(content)
         out = tmp_path / "o"
         quick = ["--repeats", "1"] if command == "cv" else []
-        if field != "epochs":
+        if "epochs" not in content:
             quick += ["--epochs", "1"]
         assert cli.main([command, "--config", str(config), "--dataset",
                          str(sparse_dataset), "--out", str(out), *quick]) == 4
-        assert f"invalid configuration: {field} must be" in capsys.readouterr().err
+        assert f"invalid configuration: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "cv"])
+    def test_slope_schedule_keys_refused(self, tmp_path, sparse_dataset, capsys,
+                                         command):
+        # The slope schedule and the starting threshold are trainer
+        # constants; a manifest written while they were settings names them.
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"eta_b_min": 0.01, "eta_b_max": 0.5,
+                                      "k_mult": 1.1, "k_dec": 0.99,
+                                      "tau_init": 0.25}))
+        out = tmp_path / "o"
+        assert cli.main([command, "--config", str(config), "--dataset",
+                         str(sparse_dataset), "--out", str(out),
+                         "--epochs", "1"]) == 4
+        assert ("unknown config key(s): eta_b_max, eta_b_min, k_dec, k_mult, "
+                "tau_init" in capsys.readouterr().err)
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, value", [("--epochs", "-3"), ("--n-h", "0")])
@@ -617,7 +640,7 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("command, content", [
         ("train", '{"eta": true}'),
-        ("cv", '{"eta_b_max": false}'),
+        ("cv", '{"eta": false}'),
     ])
     def test_float_option_rejected(self, tmp_path, sparse_dataset, capsys,
                                    command, content):

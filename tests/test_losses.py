@@ -31,10 +31,15 @@ def reference_gmn(y_hat, y):
     m1 = int(np.sum(t))
     m0 = len(t) - m1
     cm = approx_cm(np.asarray(y_hat, dtype=float), t)
-    g_apx = np.sqrt(cm.tn * cm.tp / (m0 * m1))
+    g_apx = np.sqrt(max(cm.tn, 0.0) * cm.tp / (m0 * m1))
     tp = max(cm.tp, 1e-12)
     tn = max(cm.tn, 1e-12)
     return 1.0 - g_apx, (t / tp - (1.0 - t) / tn) * (-0.5 * g_apx)
+
+
+# approx_cm rounds TN_apx to -4.4e-16 here: the one negative's output is 1.
+NEGATIVE_TN_APX = [0, 1, 0.1, 0, 0, 0, 0.6336, 0.6336]
+NEGATIVE_TN_APX_Y = [1, 0, 1, 1, 1, 1, 1, 1]
 
 
 def same_bits(a, b) -> bool:
@@ -55,6 +60,7 @@ class TestPerClassMatchesPerRow:
                 lambda y: 0 in y and 1 in y)))
 
         @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.example((NEGATIVE_TN_APX, NEGATIVE_TN_APX_Y))
         @hypothesis.given(cases)
         def check(case):
             z, y = case
@@ -205,6 +211,14 @@ class TestGmn:
     def test_degenerate_class_error(self):
         with pytest.raises(ValueError):
             gmn_loss([0.5, 0.5], [1, 1])
+
+    def test_negative_tn_apx_is_zero(self):
+        # TN_apx rounds below 0: the loss is 1, as at TN_apx = 0, with no
+        # RuntimeWarning (an error in this suite) and a finite gradient.
+        assert approx_cm(NEGATIVE_TN_APX, NEGATIVE_TN_APX_Y).tn < 0
+        value, grad = loss_and_grad(GMN, NEGATIVE_TN_APX, NEGATIVE_TN_APX_Y)
+        assert value == 1.0
+        assert np.isfinite(grad).all()
 
 
 class TestThresholdConsistentOrdering:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from astra import trainer
-from astra.activation import B_MAX, astra_threshold
+from astra.activation import B_MAX, AstraParams, astra_threshold
 from astra.data import Dataset, read_records
 from astra.losses import ALL_KINDS, LossKind
 from astra.metrics import ClassSplit
@@ -15,7 +15,6 @@ from astra.network import backward_and_step, forward, predict_labels
 from astra.trainer import (
     EpochRecord,
     TrainConfig,
-    build_model,
     eta_b_update,
     train,
     write_epoch_csv,
@@ -24,28 +23,16 @@ from astra.trainer import (
 
 class TestEtaBUpdate:
     def test_multiplies_when_positives_harder(self):
-        cfg = TrainConfig()
-        assert eta_b_update(0.01, 5.0, cfg) == pytest.approx(0.011)
+        assert eta_b_update(0.01, 5.0) == pytest.approx(0.011)
 
     def test_capped(self):
-        cfg = TrainConfig()
-        assert eta_b_update(0.5, 5.0, cfg) == 0.5
+        assert eta_b_update(0.5, 5.0) == 0.5
 
     def test_floored(self):
-        cfg = TrainConfig()
-        assert eta_b_update(0.01, 0.5, cfg) == 0.01
+        assert eta_b_update(0.01, 0.5) == 0.01
 
     def test_unchanged_at_one(self):
-        cfg = TrainConfig()
-        assert eta_b_update(0.2, 1.0, cfg) == 0.2
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            TrainConfig(eta_b_min=0.5, eta_b_max=0.1)
-        with pytest.raises(ValueError):
-            TrainConfig(k_mult=0.9)
-        with pytest.raises(ValueError):
-            TrainConfig(tau_init=0.01)
+        assert eta_b_update(0.2, 1.0) == 0.2
 
     @pytest.mark.parametrize("setting, field", [
         ({"epochs": -1}, "epochs"),
@@ -55,11 +42,6 @@ class TestEtaBUpdate:
         ({"eta": math.inf}, "eta"),
         ({"n_h": 0}, "n_h"),
         ({"seed": -1}, "seed"),
-        ({"eta_b_max": math.inf}, "eta_b_min and eta_b_max"),
-        ({"eta_b_min": math.nan}, "eta_b_min and eta_b_max"),
-        ({"k_mult": math.nan}, "k_mult"),
-        ({"k_mult": math.inf}, "k_mult"),
-        ({"k_dec": 1.0}, "k_dec"),
     ])
     def test_rejects_bad_epochs_eta_and_n_h(self, setting, field):
         with pytest.raises(ValueError, match=f"^{field} must be"):
@@ -75,11 +57,9 @@ class TestEtaBUpdate:
         lo, hi = astra_threshold(B_MAX), 0.5
         for tau in (lo, hi, math.nextafter(lo, 0.0), math.nextafter(hi, 1.0)):
             with pytest.raises(ValueError, match="tau_init must be in"):
-                TrainConfig(tau_init=tau)
+                AstraParams.from_tau_init(tau)
         for tau in (math.nextafter(lo, 1.0), math.nextafter(hi, 0.0)):
-            assert TrainConfig(tau_init=tau).tau_init == tau
-            assert build_model(TrainConfig(tau_init=tau,
-                                           loss=LossKind("gmn", True)), 3).astra.trainable
+            assert AstraParams.from_tau_init(tau).trainable
 
 
 class TestTrain:
@@ -136,7 +116,7 @@ class TestTrain:
         cfg = TrainConfig(epochs=800, loss=LossKind("gmn", True), seed=5)
         _, records = train(cfg, tr, val)
         for r in records:
-            assert cfg.eta_b_min <= r.eta_b <= cfg.eta_b_max
+            assert trainer.ETA_B_MIN <= r.eta_b <= trainer.ETA_B_MAX
 
     def test_astra_start_point_and_tau_bounds(self, toy_sets):
         tr, val = toy_sets
