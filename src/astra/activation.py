@@ -265,9 +265,13 @@ def output_backward(terms: OutputTerms, b: float, tau: float, r: np.ndarray):
     return dy_dx, dz_dy, dy_db, dz_dtau
 
 
-def output_chain(terms: OutputTerms, slope: AstraParams, dj_dz, dj_dx) -> float:
-    """dj/dbeta through a trainable `slope`'s output_forward `terms`, spent as
-    output_backward says; dj/dx = dj_dz * dz/dy * dy/dx goes into `dj_dx`."""
+def output_chain(terms, slope: AstraParams, dj_dz, dj_dx) -> float:
+    """dj/dbeta through the `terms` of `slope.output`, spent as its path's
+    backward says; dj/dx = dj_dz * dz/dy * dy/dx goes into `dj_dx`.  A frozen
+    slope's logistic has dz/dy = 1 and dj/dbeta = 0."""
+    if not slope.trainable:
+        np.multiply(dj_dz, logistic_backward(terms), out=dj_dx)
+        return 0.0
     dy_dx, dz_dy, dy_db, dz_dtau = output_backward(terms, slope.b, slope.tau, dj_dx)
     np.multiply(dj_dz, dz_dy, out=dj_dx)
     dj_dx *= dy_dx                                # (n,)
@@ -329,8 +333,8 @@ class AstraParams:
     the slope b in [B_MIN, B_MAX] and the threshold tau in (0, 0.5].
 
     When ``trainable`` is False the slope is frozen at b = 1 (standard
-    logistic, threshold 0.5) whatever beta is; the network then takes the
-    logistic path.
+    logistic, threshold 0.5) whatever beta is; `terms`, `output` and
+    output_chain then take the logistic path.
     """
 
     beta: float
@@ -368,6 +372,18 @@ class AstraParams:
             raise ValueError(f"tau_init must be in ({lo!r}, {hi!r}), "
                              f"got {tau_init!r}")
         return cls(beta_from_slope(slope_from_tau(tau_init)))
+
+    def terms(self, x: np.ndarray):
+        """Fresh terms of this slope's output path over preactivations x."""
+        if self.trainable:
+            return empty_terms(OutputTerms, x.shape)._replace(x=x)
+        return empty_terms(LogisticTerms, x.shape)
+
+    def output(self, x: np.ndarray, t):
+        """This slope's output over finite x, into its terms `t`."""
+        if self.trainable:
+            return output_forward(x, self.b, self.tau, t)
+        return logistic_forward(x, t)     # b = 1, tau = 0.5: no z-transform
 
     @classmethod
     def frozen(cls) -> "AstraParams":

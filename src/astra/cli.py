@@ -45,7 +45,7 @@ def _load_dataset(path: str) -> Dataset:
     p = Path(path)
     if not p.exists():
         raise DataFormatError(f"dataset not found: {path}")
-    raw = parse_csv(p) if p.suffix == ".csv" else parse_sparse(p)
+    raw = parse_csv(p) if p.suffix.lower() == ".csv" else parse_sparse(p)
     # The parsers read nan and inf; no run can learn from them.
     for values, what in ((raw.labels[:, None], "label"), (raw.X, "feature value")):
         bad = np.flatnonzero(~np.isfinite(values).all(axis=1))

@@ -102,7 +102,7 @@ def parse_csv(source) -> RawData:
 def _parse(source, convert) -> RawData:
     if hasattr(source, "read"):
         return _parse_blocks(source, convert)
-    with open(source) as fh:
+    with open(source, encoding="utf-8-sig") as fh:   # drops a leading BOM
         return _parse_blocks(fh, convert)
 
 

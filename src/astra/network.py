@@ -11,17 +11,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .activation import (
-    AstraParams,
-    LogisticTerms,
-    NonFiniteError,
-    OutputTerms,
-    empty_terms,
-    logistic_backward,
-    logistic_forward,
-    output_chain,
-    output_forward,
-)
+from .activation import AstraParams, NonFiniteError, output_chain
 # Unused here: bench/spans.py trace points wrap them in astra.network.
 from .activation import (  # noqa: F401
     astra_backward,
@@ -153,15 +143,14 @@ class ForwardTrace:
     def __init__(self, X: np.ndarray, model: Mlp, X_val: np.ndarray | None = None):
         if X.ndim != 2 or X.shape[1] != model.n_x:
             raise ValueError(f"expected shape (*, {model.n_x}), got {X.shape}")
-        n, trainable = len(X), model.astra.trainable
-        self.key = (model.n_x, model.n_h, trainable)
+        n = len(X)
+        self.key = (model.n_x, model.n_h, model.astra.trainable)
         self.inputs = X
         self.val_inputs = np.empty((0, model.n_x)) if X_val is None else X_val
         rows = n + len(self.val_inputs)
         self.hidden_all, self.leak_all = (np.empty((model.n_h, rows)).T for _ in range(2))
         self.pre = np.empty(rows)
-        self.out_all = (empty_terms(OutputTerms, rows)._replace(x=self.pre)
-                        if trainable else empty_terms(LogisticTerms, rows))
+        self.out_all = model.astra.terms(self.pre)
         self.out = type(self.out_all)._make(a[:n] for a in self.out_all)
         self.hidden_act, self.leak, self.out_pre = (
             self.hidden_all[:n], self.leak_all[:n], self.pre[:n])
@@ -207,10 +196,7 @@ def forward(model: Mlp, X: np.ndarray,
     trace.pre += model.b2
     if not _all_finite(trace.pre):
         raise NonFiniteError("preactivation must be finite")
-    if ap.trainable:
-        output_forward(trace.pre, ap.b, ap.tau, trace.out_all)
-    else:   # b = 1 and tau = 0.5: the logistic, no z-transform
-        logistic_forward(trace.pre, trace.out_all)
+    ap.output(trace.pre, trace.out_all)
     return trace
 
 
@@ -249,11 +235,7 @@ def backward_and_step(model: Mlp, adam: AdamState, trace: ForwardTrace, y,
     ap = model.astra
     loss_value, dj_dz = loss_and_grad(kind, trace.z, y, acm, trace.dj_dz)
     dj_dx = trace.dj_dx
-    if ap.trainable:
-        grad_beta = output_chain(trace.out, ap, dj_dz, dj_dx)
-    else:   # dz/dy = 1
-        np.multiply(dj_dz, logistic_backward(trace.out), out=dj_dx)
-        grad_beta = 0.0
+    grad_beta = output_chain(trace.out, ap, dj_dz, dj_dx)
 
     # The gradient of every parameter, written through views into one flat
     # vector.  dhidden is written over hidden_act once w2's gradient is in.

@@ -337,6 +337,19 @@ class TestErrorPaths:
         assert "line 2: expected 3 values, got 2" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_csv_suffix_in_any_case(self, tmp_path, sparse_dataset):
+        # Read as sparse text, this file would fail at line 1: bad label.
+        raw = parse_sparse(sparse_dataset)
+        text = "".join(",".join(map(repr, map(float, row))) + "\n"
+                       for row in np.column_stack([raw.labels, raw.X]))
+        for name in ("tiny.csv", "TINY.CSV"):
+            (tmp_path / name).write_text(text)
+            assert cli.main(["train", "--dataset", str(tmp_path / name),
+                             "--out", str(tmp_path / f"out-{name}"),
+                             "--epochs", "2"]) == 0
+        assert ((tmp_path / "out-tiny.csv" / "checkpoint.json").read_bytes()
+                == (tmp_path / "out-TINY.CSV" / "checkpoint.json").read_bytes())
+
     # 2^59 fits an intp's byte count but not memory: 2^62 bytes a row.
     @pytest.mark.parametrize("index", [2 ** 63 - 1, 2 ** 64, 2 ** 59])
     def test_index_too_wide_for_a_dense_matrix(self, tmp_path, capsys, index):

@@ -70,7 +70,7 @@ def reference_parse_sparse(source) -> RawData:
     if hasattr(source, "read"):
         lines = source.read().splitlines()
     else:
-        with open(source) as fh:
+        with open(source, encoding="utf-8-sig") as fh:
             lines = fh.read().splitlines()
     rows = []
     labels = []
@@ -202,6 +202,16 @@ class TestParseSparseMatchesReference:
         path.write_bytes(raw)
         assert outcome(parse_sparse, path) == outcome(reference_parse_sparse, path)
 
+    def test_path_drops_a_byte_order_mark(self, tmp_path):
+        # Read as text in the locale's codec, the BOM made line 1's label
+        # '\ufeff1', which float() refuses.
+        path = tmp_path / "d.txt"
+        path.write_bytes(b"\xef\xbb\xbf1 1:2\n-1 2:3\n")
+        raw = parse_sparse(path)
+        assert raw.labels.tolist() == [1, -1]
+        assert raw.X.tolist() == [[2, 0], [0, 3]]
+        assert outcome(parse_sparse, path) == outcome(reference_parse_sparse, path)
+
     def test_stream_splitting_on_cr_only(self, block_lines):
         # Iterating this stream splits "\r\n" between two lines;
         # read().splitlines() keeps it one line break.
@@ -285,7 +295,7 @@ def reference_parse_csv(source) -> RawData:
     if hasattr(source, "read"):
         lines = source.read().splitlines()
     else:
-        with open(source) as fh:
+        with open(source, encoding="utf-8-sig") as fh:
             lines = fh.read().splitlines()
     rows = []
     for lineno, line in enumerate(lines, start=1):
@@ -366,6 +376,16 @@ class TestParseCsvMatchesReference:
     def test_path_reads_universal_newlines(self, block_lines, tmp_path):
         path = tmp_path / "d.csv"
         path.write_bytes(b"f,g\r\n1,2\r0,3\r\nx,1\r\n")
+        assert outcome(parse_csv, path) == outcome(reference_parse_csv, path)
+
+    def test_path_drops_a_byte_order_mark(self, tmp_path):
+        # With the BOM kept, float('\ufeff0') failed and line 1 was skipped
+        # as a header: a silently lost row.
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"\xef\xbb\xbf0,1.0,2.0\n0,1.5,2.5\n1,3.0,3.0\n0,0.5,0.1\n")
+        raw = parse_csv(path)
+        assert raw.labels.tolist() == [0, 0, 1, 0]
+        assert raw.X.tolist() == [[1.0, 2.0], [1.5, 2.5], [3.0, 3.0], [0.5, 0.1]]
         assert outcome(parse_csv, path) == outcome(reference_parse_csv, path)
 
     def test_stream_left_open(self):

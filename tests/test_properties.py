@@ -23,6 +23,7 @@ from astra.activation import (  # noqa: E402
     astra_threshold,
     beta_from_slope,
     empty_terms,
+    logistic_backward,
     logistic_forward,
     output_chain,
     output_forward,
@@ -228,6 +229,30 @@ def test_output_chain_is_the_chain_of_the_partials(b, bxs, tail, data):
     assert dj_dx.tobytes() == (dj_dz * dz_dy * dy_dx).tobytes()
     dj_db = dj_dz * (dz_dy * dy_db + dz_dtau * threshold_grad_b(b))
     assert got == float(np.add.reduce(dj_db)) * slope_grad_beta(slope.beta)
+
+
+# A frozen slope's chain is the logistic's: dz/dy = 1, and beta does not move.
+@CHECK
+@given(st.lists(st.floats(-700.0, 700.0), min_size=1, max_size=30), st.data())
+def test_output_chain_of_a_frozen_slope_is_the_logistic(xs, data):
+    slope, x = AstraParams.frozen(), np.array(xs)
+    dj_dz = arrays_of(data, st.floats(-1e300, 1e300), x.shape)
+    dj_dx = np.empty_like(x)
+    assert output_chain(logistic_forward(x), slope, dj_dz, dj_dx) == 0.0
+    assert dj_dx.tobytes() == (dj_dz * logistic_backward(logistic_forward(x))).tobytes()
+
+
+# A slope's terms and output take its own path, into the terms it made.
+@CHECK
+@given(st.booleans(), st.floats(-30.0, 58.0),
+       st.lists(st.floats(-700.0, 700.0), min_size=1, max_size=30))
+def test_a_slope_takes_its_output_path(trainable, beta, xs):
+    slope, x = AstraParams(beta, trainable=trainable), np.array(xs)
+    terms = slope.terms(x)
+    want = output_forward(x, slope.b, slope.tau) if trainable else logistic_forward(x)
+    assert slope.output(x, terms) is terms and type(terms) is type(want)
+    assert [a.tobytes() for a in terms] == [a.tobytes() for a in want]
+    assert not trainable or terms.x is x
 
 
 # The forward rejects a non-finite preactivation and both output paths clamp
