@@ -52,10 +52,10 @@ def empty_terms(terms, shape):
 
 def _astra_terms(x: np.ndarray, b: float, t):
     """(b*x, s, u, -u/b) with s = b*exp(min(b*x, _LOG_SWITCH)) and
-    u = log(1 + b*exp(b*x)), written into the arrays of OutputTerms `t` (b*x
-    into t.z, which the z-transform overwrites) without overflow: above
-    _LOG_SWITCH, u is replaced by its asymptote log(b) + b*x."""
-    bx = np.multiply(b, x, out=t.z)
+    u = log(1 + b*exp(b*x)), written into the arrays of OutputTerms `t`
+    without overflow: above _LOG_SWITCH, u is replaced by its asymptote
+    log(b) + b*x."""
+    bx = np.multiply(b, x, out=t.bx)
     s = np.minimum(bx, _LOG_SWITCH, out=t.s)
     np.exp(s, out=s)
     s *= b
@@ -217,6 +217,7 @@ class OutputTerms(NamedTuple):
     the intermediates their derivatives reuse."""
 
     x: np.ndarray           # the preactivation, as given; never written
+    bx: np.ndarray          # b*x
     s: np.ndarray           # b*exp(min(b*x, _LOG_SWITCH))
     u: np.ndarray           # log(1 + b*exp(b*x))
     neg_u_b: np.ndarray     # -u/b; 1 - y = exp(-u/b) before clamping
@@ -229,7 +230,7 @@ class OutputTerms(NamedTuple):
 def output_forward(x: np.ndarray, b: float, tau: float,
                    t: OutputTerms | None = None) -> OutputTerms:
     """clamp_unit(z_transform(clamp_unit(astra_forward(x, b)), tau)), bit for
-    bit, keeping what output_backward needs, in the arrays of `t` (fresh
+    bit, keeping what the backward needs, in the arrays of `t` (fresh
     ones without it; t.x is x).  The kernel of network.forward, which checks
     that x is finite; b and tau are a slope's own, which AstraParams keeps
     valid."""
@@ -242,21 +243,25 @@ def output_forward(x: np.ndarray, b: float, tau: float,
     return t
 
 
+def _r_and_one_my(terms: OutputTerms, r: np.ndarray):
+    """(r, 1 - y before the clamp): r = s/(1 + s) into `r` and exp(-u/b)
+    over neg_u_b."""
+    # Above _LOG_SWITCH, s is capped and r is 1 within 1e-15.
+    np.add(1.0, terms.s, out=r)
+    np.divide(terms.s, r, out=r)
+    # Not 1 + expm1(-u/b): that cancels as b -> 1 at large x.
+    return r, np.exp(terms.neg_u_b, out=terms.neg_u_b)
+
+
 def output_backward(terms: OutputTerms, b: float, tau: float, r: np.ndarray):
     """(dy/dx, dz/dy, dy/db, dz/dtau) as astra_backward and
     z_transform_backward give them, each over a term no longer read: dy/dx
     over s, dz/dy over u, dy/db over z and dz/dtau over y_hat; exp(-u/b)
     over neg_u_b, den squared over den, and r = s/(1 + s) into `r`."""
-    # r = s/(1 + s); above _LOG_SWITCH, s is capped and r is 1 within 1e-15.
-    np.add(1.0, terms.s, out=r)
-    np.divide(terms.s, r, out=r)
-    # 1 - y = exp(-u/b) before the clamp.  Not 1 + expm1(-u/b): that
-    # cancels as b -> 1 at large x.
-    one_my = np.exp(terms.neg_u_b, out=terms.neg_u_b)
+    r, one_my = _r_and_one_my(terms, r)
     dy_dx = np.multiply(r, one_my, out=terms.s)
-    # one_my / (b*b) * (r*(1 + bx) - u), with bx = b*x as the forward's
-    dy_db = np.multiply(b, terms.x, out=terms.z)
-    dy_db += 1.0
+    # one_my / (b*b) * (r*(1 + bx) - u)
+    dy_db = np.add(terms.bx, 1.0, out=terms.z)
     dy_db *= r
     dy_db -= terms.u
     one_my /= b * b
@@ -268,19 +273,32 @@ def output_backward(terms: OutputTerms, b: float, tau: float, r: np.ndarray):
 def output_chain(terms, slope: AstraParams, dj_dz, dj_dx) -> float:
     """dj/dbeta through the `terms` of `slope.output`, spent as its path's
     backward says; dj/dx = dj_dz * dz/dy * dy/dx goes into `dj_dx`.  A frozen
-    slope's logistic has dz/dy = 1 and dj/dbeta = 0."""
+    slope's logistic has dz/dy = 1 and dj/dbeta = 0.
+
+    The ASTra chain is in closed form, with g = dj/dz / den^2 and
+    e = exp(-u/b), the unclamped 1 - y:
+    dj/dx = tau(1 - tau) g e r, and dj/db = tau(1 - tau)/b^2 *
+    sum(g e (r(1 + bx) - u)) - tau'(b) * sum(g y_hat (1 - y_hat)), the
+    z-transform's term over the clamped y_hat as its dz/dtau."""
     if not slope.trainable:
         np.multiply(dj_dz, logistic_backward(terms), out=dj_dx)
         return 0.0
-    dy_dx, dz_dy, dy_db, dz_dtau = output_backward(terms, slope.b, slope.tau, dj_dx)
-    np.multiply(dj_dz, dz_dy, out=dj_dx)
-    dj_dx *= dy_dx                                # (n,)
-    # dj_dz * (dz_dy*dy_db + dz_dtau*dtau_db), in the buffer of dy_db
-    dj_db = np.multiply(dz_dy, dy_db, out=dy_db)
-    dz_dtau *= threshold_grad_b(slope.b)
-    dj_db += dz_dtau
-    dj_db *= dj_dz
-    return float(np.add.reduce(dj_db)) * slope_grad_beta(slope.beta)
+    b, tau, t = slope.b, slope.tau, terms
+    g = np.multiply(t.den, t.den, out=t.den)
+    np.divide(dj_dz, g, out=g)
+    tau_term = np.multiply(t.y_hat, t.one_my, out=t.y_hat)
+    tau_term *= g
+    r, ge = _r_and_one_my(t, dj_dx)
+    ge *= g
+    b_term = np.add(t.bx, 1.0, out=t.bx)
+    b_term *= r
+    b_term -= t.u
+    b_term *= ge
+    ge *= tau * (1.0 - tau)
+    dj_dx *= ge                     # r last: it underflows first
+    dj_db = (tau * (1.0 - tau) / (b * b) * float(np.add.reduce(b_term))
+             - threshold_grad_b(b) * float(np.add.reduce(tau_term)))
+    return dj_db * slope_grad_beta(slope.beta)
 
 
 # exp(700) is finite, and below x = -700 the logistic is under 1e-304, which

@@ -103,7 +103,11 @@ def _parse(source, convert) -> RawData:
     if hasattr(source, "read"):
         return _parse_blocks(source, convert)
     with open(source, encoding="utf-8-sig") as fh:   # drops a leading BOM
-        return _parse_blocks(fh, convert)
+        try:
+            return _parse_blocks(fh, convert)
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{source}: not UTF-8 text: {exc.reason} "
+                                  f"0x{exc.object[exc.start]:02x}") from None
 
 
 def _parse_blocks(fh, convert) -> RawData:

@@ -337,6 +337,20 @@ class TestErrorPaths:
         assert "line 2: expected 3 values, got 2" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("name, data", [
+        ("latin.csv", b"lab\xe9l,a\n0,1\n1,2\n0,3\n"),
+        ("latin.txt", b"1 1:0.5\n0 1:1.5\n\xe91 1:2.5\n")], ids=["csv", "sparse"])
+    def test_dataset_not_utf8(self, tmp_path, capsys, name, data):
+        bad = tmp_path / name
+        bad.write_bytes(data)
+        rc = cli.main(["train", "--dataset", str(bad),
+                       "--out", str(tmp_path / "o"), "--epochs", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: ") and str(bad) in err
+        assert "invalid continuation byte 0xe9" in err
+        assert not (tmp_path / "o").exists()
+
     def test_csv_suffix_in_any_case(self, tmp_path, sparse_dataset):
         # Read as sparse text, this file would fail at line 1: bad label.
         raw = parse_sparse(sparse_dataset)

@@ -33,6 +33,7 @@ from astra.experiment import (
 )
 from astra.losses import ALL_KINDS, LossKind
 from astra.metrics import ConfusionMatrix
+from astra.network import ROW_BLOCK_BYTES
 from astra.trainer import TrainConfig, train
 
 
@@ -618,6 +619,24 @@ class TestRotationTask:
                        if (r.method, r.repeat) == (method, repeat)) == 6
         kept = [undersample_minority(ds, 6, seed=[5, r, 101])[1] for r in range(2)]
         assert not np.array_equal(*kept)
+
+    def test_jobs_identical_over_row_blocks(self, tmp_path):
+        # 22 features: each train fold spans two row blocks of the weight
+        # gradient, which the other jobs tests' 3-feature sets never reach.
+        rng = np.random.default_rng(31)
+        X = np.vstack([rng.normal(0, 1, (3940, 22)), rng.normal(1, 1, (60, 22))])
+        y = np.array([0.0] * 3940 + [1.0] * 60)
+        dataset = tmp_path / "wide.txt"
+        write_sparse(dataset, X, y)
+        train_ds = split(Dataset(X=X, y=y.astype(int)), 5, 7, 0, 0)[0]
+        assert len(train_ds.X) > ROW_BLOCK_BYTES // (8 * 22)
+        args = ["cv", "--dataset", str(dataset), "--epochs", "3",
+                "--repeats", "1", "--seed", "7"]
+        for jobs in ("1", "2"):
+            assert cli.main(args + ["--out", str(tmp_path / jobs), "--jobs", jobs]) == 0
+        for name in ("runs.csv", "report.json"):
+            assert ((tmp_path / "1" / name).read_bytes()
+                    == (tmp_path / "2" / name).read_bytes()), name
 
     @pytest.mark.parametrize("method", ["spawn", "forkserver"])
     def test_pool_under_start_method_matches_one_job(self, tmp_path, method):

@@ -4,10 +4,12 @@ The reference is the straightforward composition the kernel replaces:
 separate activation and z-transform calls, np.where for the Leaky ReLU,
 np.outer for the hidden gradient, an axis-0 sum for its bias, and Adam as
 written in the paper, one parameter at a time.  A frozen slope (b = 1,
-tau = 0.5) has its own reference, the logistic written out.  The reference
+tau = 0.5) has its own reference, the logistic written out, and so has the
+ASTra chain from dj/dz to dj/dx and dj/db, in closed form.  The reference
 holds its (n, n_h) hidden arrays column-major, as the kernel does, and then
 every comparison is bit for bit, signs of zero included.  Held row-major,
-the same composition rounds the hidden-layer products and the bias sum
+with the ASTra chain taken through the public partials, the same
+composition rounds the hidden-layer products, the bias sum and the chain
 differently; a second comparison bounds that difference.  A third bounds
 the logistic path against the general path at b = 1.
 """
@@ -42,10 +44,12 @@ from astra.network import (
     ADAM_EPS,
     LEAKY_SLOPE,
     PARAM_NAMES,
+    ROW_BLOCK_BYTES,
     AdamState,
     ForwardTrace,
     backward_and_step,
     forward,
+    hidden_width,
     init_mlp,
     param_views,
 )
@@ -129,15 +133,39 @@ def reference_forward(model, X, hold=np.asfortranarray):
     return hidden_pre, hidden_act, out_pre, y_hat, z
 
 
-def reference_step(model, st, X, y, kind, eta, eta_b, hold=np.asfortranarray):
+def closed_form_chain(ap, out_pre, y_hat, dj_dz):
+    """(dj/dx, dj/db) of the ASTra output, the chain of its partials in
+    closed form, written out: g = dj/dz / den^2, e = exp(-u/b) and
+    r = s/(1 + s) with s = b*exp(b*x), capped as the kernel caps it."""
+    b, tau = ap.b, ap.tau
+    bx = b * out_pre
+    s = b * np.exp(np.minimum(bx, 35.0))
+    u = np.where(bx > 35.0, np.log(b) + bx, np.log1p(s))
+    e, r = np.exp(u / -b), s / (1.0 + s)
+    g = dj_dz / ((1.0 - y_hat) * tau + y_hat * (1.0 - tau)) ** 2
+    dj_dx = r * (g * e * (tau * (1.0 - tau)))
+    dj_db = (tau * (1.0 - tau) / (b * b) * float(np.sum(((1.0 + bx) * r - u) * (g * e)))
+             - threshold_grad_b(b) * float(np.sum(y_hat * (1.0 - y_hat) * g)))
+    return dj_dx, dj_db
+
+
+def partials_chain(ap, out_pre, y_hat, dj_dz):
+    """(dj/dx, dj/db) of the ASTra output as the chain of the public
+    partials, product by product."""
+    dz_dy, dz_dtau = z_transform_backward(y_hat, ap.tau)
+    dy_dx, dy_db = astra_backward(out_pre, ap.b)
+    return (dj_dz * dz_dy * dy_dx,
+            float(np.sum(dj_dz * (dz_dy * dy_db + dz_dtau * threshold_grad_b(ap.b)))))
+
+
+def reference_step(model, st, X, y, kind, eta, eta_b, hold=np.asfortranarray,
+                   chain=closed_form_chain):
     """One training step as the unfused code took it; returns the loss."""
     ap = model.astra
     hidden_pre, hidden_act, out_pre, y_hat, z = reference_forward(model, X, hold)
     loss_value, dj_dz = loss_and_grad(kind, z, y)
     if ap.trainable:
-        dz_dy, dz_dtau = z_transform_backward(y_hat, ap.tau)
-        dy_dx, dy_db = astra_backward(out_pre, ap.b)
-        dj_dx = dj_dz * dz_dy * dy_dx
+        dj_dx, dj_db = chain(ap, out_pre, y_hat, dj_dz)
     else:
         e, y_out = reference_logistic(out_pre)
         dj_dx = dj_dz * (e * y_out * y_out)
@@ -146,12 +174,7 @@ def reference_step(model, st, X, y, kind, eta, eta_b, hold=np.asfortranarray):
     grads = {"w1": dhidden.T @ X, "b1": dhidden.sum(axis=0),
              "w2": hold(hidden_act).T @ dj_dx,
              "b2": np.array([float(np.sum(dj_dx))])}
-    if ap.trainable:
-        dj_db = float(np.sum(dj_dz * (dz_dy * dy_db
-                                      + dz_dtau * threshold_grad_b(ap.b))))
-        grad_beta = dj_db * slope_grad_beta(ap.beta)
-    else:
-        grad_beta = 0.0
+    grad_beta = dj_db * slope_grad_beta(ap.beta) if ap.trainable else 0.0
 
     st.t += 1
     params = named_params(model)
@@ -230,7 +253,8 @@ def test_forward_matches_reference(kind, n_h):
 @pytest.mark.parametrize("n_h", WIDTHS)
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.name)
 def test_steps_near_row_major_reference(kind, n_h, seed):
-    # The size of the rounding change from the row-major hidden layer.
+    # The size of the rounding change from the row-major hidden layer and
+    # from the ASTra chain taken product by product.
     n_x = n_inputs(n_h)
     X, y = batch(seed, n_x)
     fused = make_model(kind, n_x, n_h, seed)
@@ -242,7 +266,7 @@ def test_steps_near_row_major_reference(kind, n_h, seed):
         backward_and_step(fused, fused_adam, trace, y, kind, 0.01, 0.05,
                           approx_cm(trace.z, y))
         reference_step(ref, ref_adam, X, y, kind, 0.01, 0.05,
-                       hold=np.ascontiguousarray)
+                       hold=np.ascontiguousarray, chain=partials_chain)
     for name in ("w1", "b1", "w2", "b2"):
         np.testing.assert_allclose(getattr(fused, name), getattr(ref, name),
                                    rtol=1e-12, atol=1e-15, err_msg=name)
@@ -306,10 +330,40 @@ def test_trace_and_adam_hold_every_array_a_step_writes(kind):
         assert flat.shape == model.theta.shape
     for view in (adam.grad_w1, adam.grad_b1, adam.grad_w2, adam.grad_b2):
         assert view.base is adam.grad
-    held = (trace.dj_dz, trace.dj_dx, adam.grad, adam.tmp, adam.den)
+    assert adam.block.shape == (model.n_x, model.n_h)
+    held = (trace.dj_dz, trace.dj_dx, adam.grad, adam.tmp, adam.den, adam.block)
     backward_and_step(model, adam, forward(model, X, trace), y, kind, 0.01, 0.05)
-    now = (trace.dj_dz, trace.dj_dx, adam.grad, adam.tmp, adam.den)
+    now = (trace.dj_dz, trace.dj_dx, adam.grad, adam.tmp, adam.den, adam.block)
     assert all(a is b for a, b in zip(now, held))
+
+
+BLOCK_ROWS = ROW_BLOCK_BYTES // (8 * 22)
+
+
+# X of exactly one block at 22 features, of 3 full blocks and a ragged one,
+# and the skin fold's 12,020 x 3, which stays one block.
+@pytest.mark.parametrize("n, n_x, n_blocks", [
+    (BLOCK_ROWS, 22, 1), (3 * BLOCK_ROWS + BLOCK_ROWS // 3, 22, 4), (12020, 3, 1)],
+    ids=lambda v: str(v))
+@pytest.mark.parametrize("kind", ALL_KINDS[1::2], ids=lambda k: k.name)
+def test_weight_gradient_sums_row_blocks_in_order(kind, n, n_x, n_blocks):
+    X, y = batch(8, n_x, n=n, m1=36)
+    model = make_model(kind, n_x, hidden_width(n_x), 8)
+    adam, trace = AdamState(model), forward(model, X)
+    backward_and_step(model, adam, trace, y, kind, 0.01, 0.05)
+    dhidden, rows = trace.hidden_act, ROW_BLOCK_BYTES // (8 * n_x)
+
+    def product(a, b):       # into an (n_x, n_h) array laid out as grad_w1.T
+        return np.matmul(a, b, out=np.empty((model.n_h, n_x)).T)
+
+    blocks = [product(X[i:i + rows].T, dhidden[i:i + rows]) for i in range(0, n, rows)]
+    assert len(blocks) == n_blocks
+    want = blocks[0]
+    for block in blocks[1:]:
+        want += block
+    assert same_bits(adam.grad_w1.T, want)
+    np.testing.assert_allclose(adam.grad_w1.T, product(X.T, dhidden),
+                               rtol=1e-12, atol=1e-15)
 
 
 # A skin-shaped batch at n_h = 2, small and at paper scale, and the wide

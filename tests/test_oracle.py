@@ -34,9 +34,11 @@ from astra.network import (
     ADAM_BETA2,
     ADAM_EPS,
     LEAKY_SLOPE,
+    ROW_BLOCK_BYTES,
     AdamState,
     backward_and_step,
     forward,
+    hidden_width,
     init_mlp,
     param_views,
 )
@@ -385,18 +387,23 @@ def test_logistic_chain_within_ulp_of_reference(variant):
 # ---------------------------------------------------------------------------
 # End to end: STEPS training steps of forward, approx_cm and
 # backward_and_step against the same steps in np.longdouble, written out
-# below, on a 400 x 3 batch with 12 positives at n_h = 2.
+# below, on a 400 x 3 batch with 12 positives at n_h = 2, and on a 22-feature
+# batch at n_h = 12 whose weight gradient sums 3 full row blocks and a
+# ragged one.
 
 LD = np.longdouble
 STEPS, ETA, ETA_B = 20, 0.01, 0.1
+BLOCK_ROWS = ROW_BLOCK_BYTES // (8 * 22)
+BATCHES = {"": (400, 3, 12), "-blocks": (3 * BLOCK_ROWS + BLOCK_ROWS // 3, 22, 36)}
 
 
-def step_batch():
-    """The batch shape of test_kernel.py: 388 negatives, 12 positives
+def step_batch(n, n_x, m1):
+    """The batch shape of test_kernel.py: n - m1 negatives, m1 positives
     shifted by 1.5, X feature-major."""
-    rng = np.random.default_rng([0, 3, 5])
-    X = np.vstack([rng.normal(0.0, 1.0, (388, 3)), rng.normal(1.5, 0.8, (12, 3))])
-    return np.asfortranarray(X), np.r_[np.zeros(388, int), np.ones(12, int)]
+    rng = np.random.default_rng([0, n_x, 5])
+    X = np.vstack([rng.normal(0.0, 1.0, (n - m1, n_x)),
+                   rng.normal(1.5, 0.8, (m1, n_x))])
+    return np.asfortranarray(X), np.r_[np.zeros(n - m1, int), np.ones(m1, int)]
 
 
 def ld_slope(beta):
@@ -475,17 +482,23 @@ def longdouble_steps(kind: LossKind, X, y, theta, beta):
 # and two BLAS threads: theta 5.33e-16 (bce-astra), 4.63e-16 (gmn-astra)
 # and 4.94e-16 (gmn); beta 2.8e-16 (bce-astra).  Element by element theta
 # read up to 3.97e-13, where one element crossed zero (2.2e-4 at step 4).
+# On the blocked batch theta read 1.59e-15 (bce-astra), 7.98e-16
+# (gmn-astra) and 5.67e-16 (gmn), and beta 3.78e-16 (gmn-astra); one product
+# over all rows and the chain through the partials gave 1.45e-15, 7.12e-16
+# and 5.67e-16 there.
 MAX_REL_STEP = 2e-15
 
 
 @pytest.mark.skipif(np.finfo(LD).eps == np.finfo(float).eps,
                     reason="np.longdouble is float64 here: no wider reference")
-@pytest.mark.parametrize("kind", [LossKind("bce", True), LossKind("gmn", True),
-                                  LossKind("gmn", False)], ids=lambda k: k.name)
-def test_steps_within_longdouble_reference(kind):
-    X, y = step_batch()
+@pytest.mark.parametrize("kind, batch", [
+    pytest.param(kind, batch, id=kind.name + suffix)
+    for suffix, batch in BATCHES.items()
+    for kind in (LossKind("bce", True), LossKind("gmn", True), LossKind("gmn", False))])
+def test_steps_within_longdouble_reference(kind, batch):
+    X, y = step_batch(*batch)
     astra = AstraParams.from_tau_init(0.25) if kind.use_astra else AstraParams.frozen()
-    model = init_mlp(3, 2, 0, astra)
+    model = init_mlp(X.shape[1], hidden_width(X.shape[1]), 0, astra)
     want = longdouble_steps(kind, X, y, model.theta, astra.beta)
     adam, split, trace = AdamState(model), class_split(y), None
     for step, (theta, beta) in enumerate(want, 1):

@@ -43,6 +43,7 @@ from astra.network import (  # noqa: E402
     to_checkpoint,
 )
 from astra.trainer import _val_fnr_apx  # noqa: E402
+from test_oracle import MAX_EPS_SUM_DJ_DB, MAX_ULP_DJ_DX  # noqa: E402
 
 # 200 examples per property keep the file at a few seconds.
 CHECK = settings(max_examples=200, deadline=None)
@@ -209,10 +210,13 @@ def test_nan_feature_raises(n_x, n, data):
         forward(init_mlp(n_x, 3, n), np.asfortranarray(X))
 
 
-# output_chain is the chain rule over the public partials, in the same numpy
-# calls and order, so it gives their bits, on rows that include the
-# asymptote tail (b*x > 35) and at the cap B_MAX.  |dj/dz| up to 1e300 keeps
-# every product finite: dz/dy <= (1 - tau)/tau, about 14 at B_MAX.
+# output_chain takes the chain rule over the public partials in closed form,
+# on rows that include the asymptote tail (b*x > 35) and at the cap B_MAX.
+# Both forms read the same terms, so each stays within the oracle's chain
+# bound of the other, twice over: dj/dx within twice its tail bound in ulp,
+# and dj/dbeta within twice its bound times the size of the terms that the
+# closed form's two sums add.  |dj/dz| up to 1e300 keeps every product
+# finite: dz/dy <= (1 - tau)/tau, about 14 at B_MAX.
 @CHECK
 @given(st.floats(1.0 + 1e-7, B_MAX),
        st.lists(st.floats(-700.0, 700.0), min_size=1, max_size=30),
@@ -226,9 +230,13 @@ def test_output_chain_is_the_chain_of_the_partials(b, bxs, tail, data):
     got = output_chain(output_forward(x, b, tau), slope, dj_dz, dj_dx)
     dy_dx, dy_db = astra_backward(x, b)
     dz_dy, dz_dtau = z_transform_backward(astra_forward(x, b), tau)
-    assert dj_dx.tobytes() == (dj_dz * dz_dy * dy_dx).tobytes()
-    dj_db = dj_dz * (dz_dy * dy_db + dz_dtau * threshold_grad_b(b))
-    assert got == float(np.add.reduce(dj_db)) * slope_grad_beta(slope.beta)
+    want = dj_dz * dz_dy * dy_dx
+    assert (np.abs(dj_dx - want) <= 2 * MAX_ULP_DJ_DX[1] * np.spacing(np.abs(want))).all()
+    b_terms, tau_terms = dj_dz * dz_dy * dy_db, dj_dz * dz_dtau * threshold_grad_b(b)
+    db_dbeta = slope_grad_beta(slope.beta)
+    size = (math.fsum(np.abs(b_terms)) + math.fsum(np.abs(tau_terms))) * db_dbeta
+    want = float(np.add.reduce(b_terms + tau_terms)) * db_dbeta
+    assert abs(got - want) <= 2 * MAX_EPS_SUM_DJ_DB * np.finfo(float).eps * size
 
 
 # A frozen slope's chain is the logistic's: dz/dy = 1, and beta does not move.
