@@ -76,16 +76,6 @@ def _z_terms(y, tau: float, t):
     return one_my, den, np.divide(num, den, out=num)
 
 
-def _z_grads(t, tau: float):
-    """(dz/dy, dz/dtau) from the _z_terms of `t`, over t.u and t.y_hat."""
-    den2 = np.multiply(t.den, t.den, out=t.den)
-    dz_dy = np.divide(tau * (1.0 - tau), den2, out=t.u)
-    dz_dtau = np.negative(t.y_hat, out=t.y_hat)
-    dz_dtau *= t.one_my
-    dz_dtau /= den2
-    return dz_dy, dz_dtau
-
-
 def _preactivation(x, b: float) -> np.ndarray:
     _check_slope(b)
     xa = np.asarray(x, dtype=float)
@@ -100,7 +90,8 @@ def astra_forward(x, b: float):
     Strictly increasing in x, stable for b*x up to +/-700 (saturates smoothly
     to 0 or 1).  Scalar x gives an np.float64, ndarray x an array; scalar b.
     """
-    neg_u_b = output_forward(_preactivation(x, b), b, 0.5).neg_u_b
+    xa = _preactivation(x, b)
+    neg_u_b = _astra_terms(xa, b, empty_terms(OutputTerms, xa.shape))[3]
     return (-np.expm1(neg_u_b))[()]
 
 
@@ -157,13 +148,15 @@ def slope_from_tau(tau: float) -> float:
 def astra_backward(x, b: float):
     """Partial derivatives (dy/dx, dy/db) of astra_forward.
 
-    dy/dx = s/(1+s) * (1+s)**(-1/b) with s = b*exp(b*x); it is positive
-    everywhere and maximal at x = 0, the threshold point.
+    dy/dx = r*e with r = s/(1+s), s = b*exp(b*x) and e = (1+s)**(-1/b); it
+    is positive everywhere and maximal at x = 0, the threshold point.
+    dy/db = ((b*x + 1)*r - u)*e/b**2 with u = log(1 + s).
     """
-    # Any tau: it moves only the z-transform's derivatives.
-    terms = output_forward(_preactivation(x, b), b, 0.5)
-    dy_dx, _, dy_db, _ = output_backward(terms, b, 0.5, np.empty_like(terms.s))
-    return dy_dx[()], dy_db[()]
+    xa = _preactivation(x, b)
+    t = empty_terms(OutputTerms, xa.shape)
+    bx, _, u, _ = _astra_terms(xa, b, t)
+    r, e = _r_and_one_my(t, np.empty_like(xa))
+    return (r * e)[()], (((bx + 1.0) * r - u) * (e / (b * b)))[()]
 
 
 def threshold_grad_b(b: float) -> float:
@@ -191,11 +184,10 @@ def z_transform(y_hat, tau: float):
 def z_transform_backward(y_hat, tau: float):
     """Partial derivatives (dz/dy_hat, dz/dtau) of z_transform."""
     _check_tau(tau)
-    t = empty_terms(OutputTerms, np.shape(y_hat))
-    y = clamp_unit(np.asarray(y_hat, dtype=float), out=t.y_hat)
-    _z_terms(y, tau, t)
-    dz_dy, dz_dtau = _z_grads(t, tau)
-    return dz_dy[()], dz_dtau[()]
+    y = clamp_unit(np.asarray(y_hat, dtype=float))
+    one_my, den, _ = _z_terms(y, tau, empty_terms(OutputTerms, y.shape))
+    den *= den
+    return (tau * (1.0 - tau) / den)[()], (-y * one_my / den)[()]
 
 
 def misorder_band_upper(b: float) -> float:
@@ -216,7 +208,6 @@ class OutputTerms(NamedTuple):
     """The activation and z-transform of an array of preactivations, with
     the intermediates their derivatives reuse."""
 
-    x: np.ndarray           # the preactivation, as given; never written
     bx: np.ndarray          # b*x
     s: np.ndarray           # b*exp(min(b*x, _LOG_SWITCH))
     u: np.ndarray           # log(1 + b*exp(b*x))
@@ -231,10 +222,10 @@ def output_forward(x: np.ndarray, b: float, tau: float,
                    t: OutputTerms | None = None) -> OutputTerms:
     """clamp_unit(z_transform(clamp_unit(astra_forward(x, b)), tau)), bit for
     bit, keeping what the backward needs, in the arrays of `t` (fresh
-    ones without it; t.x is x).  The kernel of network.forward, which checks
+    ones without it).  The kernel of network.forward, which checks
     that x is finite; b and tau are a slope's own, which AstraParams keeps
     valid."""
-    t = empty_terms(OutputTerms, x.shape)._replace(x=x) if t is None else t
+    t = empty_terms(OutputTerms, x.shape) if t is None else t
     _astra_terms(x, b, t)
     y = np.expm1(t.neg_u_b, out=t.y_hat)
     clamp_unit(np.negative(y, out=y), out=y)
@@ -251,23 +242,6 @@ def _r_and_one_my(terms: OutputTerms, r: np.ndarray):
     np.divide(terms.s, r, out=r)
     # Not 1 + expm1(-u/b): that cancels as b -> 1 at large x.
     return r, np.exp(terms.neg_u_b, out=terms.neg_u_b)
-
-
-def output_backward(terms: OutputTerms, b: float, tau: float, r: np.ndarray):
-    """(dy/dx, dz/dy, dy/db, dz/dtau) as astra_backward and
-    z_transform_backward give them, each over a term no longer read: dy/dx
-    over s, dz/dy over u, dy/db over z and dz/dtau over y_hat; exp(-u/b)
-    over neg_u_b, den squared over den, and r = s/(1 + s) into `r`."""
-    r, one_my = _r_and_one_my(terms, r)
-    dy_dx = np.multiply(r, one_my, out=terms.s)
-    # one_my / (b*b) * (r*(1 + bx) - u)
-    dy_db = np.add(terms.bx, 1.0, out=terms.z)
-    dy_db *= r
-    dy_db -= terms.u
-    one_my /= b * b
-    dy_db *= one_my
-    dz_dy, dz_dtau = _z_grads(terms, tau)
-    return dy_dx, dz_dy, dy_db, dz_dtau
 
 
 def output_chain(terms, slope: AstraParams, dj_dz, dj_dx) -> float:
@@ -394,7 +368,7 @@ class AstraParams:
     def terms(self, x: np.ndarray):
         """Fresh terms of this slope's output path over preactivations x."""
         if self.trainable:
-            return empty_terms(OutputTerms, x.shape)._replace(x=x)
+            return empty_terms(OutputTerms, x.shape)
         return empty_terms(LogisticTerms, x.shape)
 
     def output(self, x: np.ndarray, t):

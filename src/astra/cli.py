@@ -58,7 +58,9 @@ def _load_dataset(path: str) -> Dataset:
 def environment() -> dict:
     """The Python, numpy and BLAS a run used, numpy's SIMD level (the
     dispatch targets active here, which move the bits of `exp` and `log`),
-    the machine and its CPU count."""
+    the machine, its CPU count and the variables that, with it, set
+    OpenBLAS's thread count (which moves the bits of a large matmul), each
+    as set or None."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = f"{blas.get('name', 'unknown')} {blas.get('version', '')}".strip()
@@ -72,7 +74,9 @@ def environment() -> dict:
         simd = "unknown"
     return {"python": platform.python_version(), "numpy": np.__version__,
             "blas": blas, "simd": simd, "machine": platform.machine(),
-            "cpus": os.cpu_count()}
+            "cpus": os.cpu_count(),
+            "blas_threads": {k: os.environ.get(k) for k in (
+                "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}}
 
 
 def _write_json(path: Path, payload: dict) -> None:

@@ -65,7 +65,7 @@ class TestTrainCommand:
     def test_manifest_records_environment(self, tmp_path, sparse_dataset):
         env = cli.environment()
         assert set(env) == {"python", "numpy", "blas", "simd", "machine",
-                            "cpus"}
+                            "cpus", "blas_threads"}
         assert env["numpy"] == np.__version__ and env["cpus"] >= 1
         runs = {"train": ["--epochs", "2"], "cv": ["--epochs", "2", "--repeats",
                                                   "1", "--loss", "bce"],
@@ -82,6 +82,17 @@ class TestTrainCommand:
                              "--out", str(again)]) == 0
             rerun = json.loads((again / "manifest.json").read_text())
             assert {**rerun, "out": None} == {**manifest, "out": None}
+
+    def test_environment_records_blas_thread_setting(self, monkeypatch):
+        names = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+        for name in names:
+            monkeypatch.delenv(name, raising=False)
+        assert cli.environment()["blas_threads"] == dict.fromkeys(names)
+        for value, name in enumerate(names, 1):
+            monkeypatch.setenv(name, str(value))
+        assert cli.environment()["blas_threads"] == {
+            "OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": "2",
+            "OMP_NUM_THREADS": "3"}
 
     def test_rerun_from_manifest_byte_identical(self, tmp_path, sparse_dataset):
         config = tmp_path / "cfg.json"

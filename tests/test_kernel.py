@@ -29,7 +29,6 @@ from astra.activation import (
     clamp_unit,
     logistic_backward,
     logistic_forward,
-    output_backward,
     output_forward,
     slope_grad_beta,
     threshold_grad_b,
@@ -307,15 +306,9 @@ def test_workspace_reuses_arrays():
 
 
 def test_backward_writes_over_the_terms_it_replaces():
-    # The derivatives take the buffers of the terms they replace, and r the
-    # caller's: a trace holds no row buffer for them.
+    # dy/dx takes the buffer of the term it replaces: a trace holds no row
+    # buffer for it.
     x = np.linspace(-40.0, 40.0, 801)
-    terms = output_forward(x, 1.5, 0.3)
-    s, r = terms.s.copy(), np.empty_like(x)
-    replaced = (terms.s, terms.u, terms.z, terms.y_hat)
-    for grad, term in zip(output_backward(terms, 1.5, 0.3, r), replaced):
-        assert np.shares_memory(grad, term)
-    assert same_bits(r, s / (1.0 + s))
     logistic = logistic_forward(x)
     assert np.shares_memory(logistic_backward(logistic), logistic.e)
 
@@ -401,8 +394,7 @@ def test_logistic_path_near_general_path():
     general = output_forward(TAIL_X, 1.0, 0.5)
     np.testing.assert_allclose(frozen.z, general.z, rtol=1e-15, atol=0)
     assert frozen.y_hat is frozen.z
-    dy_dx, dz_dy, _, _ = output_backward(general, 1.0, 0.5,
-                                         np.empty_like(TAIL_X))
+    dy_dx, _ = astra_backward(TAIL_X, 1.0)
     np.testing.assert_allclose(logistic_backward(frozen), dy_dx,
                                rtol=1e-14, atol=0)
 
@@ -411,8 +403,7 @@ def test_general_path_has_unit_z_slope_at_b_one():
     # Why the logistic path drops dz/dy: at b = 1 and tau = 0.5 the general
     # path's dz/dy is exactly 1.0.
     x = np.linspace(-800.0, 800.0, 16001)
-    _, dz_dy, _, _ = output_backward(output_forward(x, 1.0, 0.5), 1.0, 0.5,
-                                     np.empty_like(x))
+    dz_dy, _ = z_transform_backward(output_forward(x, 1.0, 0.5).y_hat, 0.5)
     assert np.all(dz_dy == 1.0)
 
 
