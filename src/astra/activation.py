@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -131,10 +130,9 @@ def beta_from_slope(b: float) -> float:
     return math.log(b - 1.0)
 
 
-@cache
 def slope_from_tau(tau: float) -> float:
-    """Solve astra_threshold(b) == tau for b by bisection, once per tau in
-    the open range AstraParams.from_tau_init checks."""
+    """Solve astra_threshold(b) == tau for b by bisection, tau between
+    astra_threshold(B_MAX) (about 0.066) and 0.5."""
     lo, hi = B_MIN, B_MAX
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -349,21 +347,6 @@ class AstraParams:
         elif b > B_MAX:
             b, beta = B_MAX, beta_from_slope(B_MAX)
         self.beta, self.b, self.tau = beta, b, astra_threshold(b)
-
-    @classmethod
-    def from_tau_init(cls, tau_init: float) -> "AstraParams":
-        """The trainable slope whose threshold is `tau_init`.
-
-        beta reaches every b in (B_MIN, B_MAX] but not B_MIN, and
-        slope_from_tau stops short of B_MAX, so tau_init must lie strictly
-        between astra_threshold(B_MAX) (about 0.066) and
-        astra_threshold(B_MIN) = 0.5.
-        """
-        lo, hi = astra_threshold(B_MAX), astra_threshold(B_MIN)
-        if not lo < tau_init < hi:
-            raise ValueError(f"tau_init must be in ({lo!r}, {hi!r}), "
-                             f"got {tau_init!r}")
-        return cls(beta_from_slope(slope_from_tau(tau_init)))
 
     def terms(self, x: np.ndarray):
         """Fresh terms of this slope's output path over preactivations x."""

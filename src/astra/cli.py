@@ -46,6 +46,8 @@ def _load_dataset(path: str) -> Dataset:
     if not p.exists():
         raise DataFormatError(f"dataset not found: {path}")
     raw = parse_csv(p) if p.suffix.lower() == ".csv" else parse_sparse(p)
+    if not raw.X.shape[1]:
+        raise DataFormatError(f"{path}: no feature values")
     # The parsers read nan and inf; no run can learn from them.
     for values, what in ((raw.labels[:, None], "label"), (raw.X, "feature value")):
         bad = np.flatnonzero(~np.isfinite(values).all(axis=1))

@@ -73,8 +73,8 @@ class Dataset:
         return Dataset(X=self.X[idx], y=self.y[idx])
 
 
-def parse_sparse(source) -> RawData:
-    """Parse the sparse text format from a path or open text stream.
+def parse_sparse(path) -> RawData:
+    """Parse the sparse text format from a path.
 
     Each non-blank line is a label and ``index:value`` tokens, split on
     whitespace: the label and the values as ``float()`` reads them, each
@@ -82,31 +82,29 @@ def parse_sparse(source) -> RawData:
     ``str.splitlines``.  Omitted indices read as 0; the feature width is the
     largest index seen.  Malformed and too-wide lines are reported by number.
 
-    The source is read and converted BLOCK_LINES lines at a time, so the
+    The file is read and converted BLOCK_LINES lines at a time, so the
     peak memory is about twice the result (the converted blocks, then X)
-    plus one block's text and tokens.  A stream passed in is not closed.
+    plus one block's text and tokens.
     """
-    return _parse(source, _sparse_block)
+    return _parse(path, _sparse_block)
 
 
-def parse_csv(source) -> RawData:
-    """Parse a plain CSV ``label,f1,...,fn`` from a path or open text stream.
+def parse_csv(path) -> RawData:
+    """Parse a plain CSV ``label,f1,...,fn`` from a path.
 
     Each non-blank line holds as many comma-separated values as the first,
     each read as ``float()`` reads it; a non-numeric line 1 (a header) is
     skipped.  Lines, errors and memory are as in parse_sparse.
     """
-    return _parse(source, _csv_block)
+    return _parse(path, _csv_block)
 
 
-def _parse(source, convert) -> RawData:
-    if hasattr(source, "read"):
-        return _parse_blocks(source, convert)
-    with open(source, encoding="utf-8-sig") as fh:   # drops a leading BOM
+def _parse(path, convert) -> RawData:
+    with open(path, encoding="utf-8-sig") as fh:   # drops a leading BOM
         try:
             return _parse_blocks(fh, convert)
         except UnicodeDecodeError as exc:
-            raise DataFormatError(f"{source}: not UTF-8 text: {exc.reason} "
+            raise DataFormatError(f"{path}: not UTF-8 text: {exc.reason} "
                                   f"0x{exc.object[exc.start]:02x}") from None
 
 
@@ -140,16 +138,10 @@ def _parse_blocks(fh, convert) -> RawData:
 
 def _line_blocks(fh):
     """The lines of ``fh.read().splitlines()``, line breaks kept, in lists
-    of about BLOCK_LINES.  The last line read is held back and split again
-    with the next read, in case it ends in a carriage return that the next
-    read's line feed completes."""
-    tail = ""
+    of about BLOCK_LINES.  fh reads universal newlines, so every read ends
+    at a line feed or the end of the file, and no line break spans two."""
     while chunk := "".join(islice(fh, BLOCK_LINES)):
-        lines = (tail + chunk).splitlines(keepends=True)
-        tail = lines.pop()
-        yield lines
-    if tail:
-        yield [tail]
+        yield chunk.splitlines(keepends=True)
 
 
 def _sparse_block(lines, lineno: int, width):
@@ -356,13 +348,8 @@ def standardize(train: Dataset, others: list[Dataset] | None = None):
 
 def stratified_folds(ds: Dataset, k: int, seed) -> np.ndarray:
     """The fold, 0 to k - 1, of each example: each class is shuffled on its
-    own and dealt round-robin into the k folds, which partition the dataset."""
-    if ds.m1 < 1:
-        raise ValueError("dataset has no positives")
-    if k < 2:
-        raise ValueError("need k >= 2")
-    if ds.m_tot < k:
-        raise ValueError("fewer examples than folds")
+    own and dealt round-robin into the k folds, which partition the dataset.
+    k and the classes are as experiment.check_protocol accepts them."""
     rng = np.random.default_rng(seed)
     assignments = np.empty(ds.m_tot, dtype=int)
     for cls in (0, 1):
@@ -374,9 +361,7 @@ def stratified_folds(ds: Dataset, k: int, seed) -> np.ndarray:
 
 def fold_split(ds: Dataset, plan: np.ndarray, test_fold: int, val_fold: int):
     """(train, val, test) datasets for one rotation of the plan, the fold of
-    each example (stratified_folds)."""
-    if test_fold == val_fold:
-        raise ValueError("test and validation folds must differ")
+    each example (stratified_folds), the test and validation folds apart."""
     masks = ((plan != test_fold) & (plan != val_fold), plan == val_fold,
              plan == test_fold)
     return tuple(ds.subset(np.flatnonzero(mask)) for mask in masks)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activation import AstraParams, NonFiniteError
+from .activation import AstraParams, NonFiniteError, beta_from_slope, slope_from_tau
 from .data import Dataset, write_records
 from .losses import LossKind
 from .metrics import approx_cm, class_split, positive_cells, rates
@@ -32,9 +32,10 @@ log = logging.getLogger(__name__)
 # The paper's adaptive slope learning rate: eta_b starts at ETA_B_MIN, stays
 # within [ETA_B_MIN, ETA_B_MAX], and is multiplied by K_MULT or K_DEC as the
 # train e-ratio is above or below 1.  A trainable slope starts at the
-# threshold TAU_INIT.
+# threshold TAU_INIT, from the beta BETA_INIT.
 ETA_B_MIN, ETA_B_MAX, K_MULT, K_DEC = 0.01, 0.5, 1.1, 0.99
 TAU_INIT = 0.25
+BETA_INIT = beta_from_slope(slope_from_tau(TAU_INIT))
 
 
 @dataclass(frozen=True)
@@ -102,7 +103,7 @@ def _val_fnr_apx(trace: ForwardTrace) -> float:
 def build_model(cfg: TrainConfig, n_x: int) -> Mlp:
     n_h = cfg.n_h if cfg.n_h is not None else hidden_width(n_x)
     if cfg.loss.use_astra:
-        astra = AstraParams.from_tau_init(TAU_INIT)
+        astra = AstraParams(BETA_INIT)
     else:
         astra = AstraParams.frozen()
     return init_mlp(n_x, n_h, cfg.seed, astra=astra)

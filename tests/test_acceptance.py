@@ -29,7 +29,7 @@ from astra.data import fold_split, parse_sparse, standardize, stratified_folds, 
 from astra.losses import ALL_KINDS, LossKind, bce_loss, gmn_loss, loss_and_grad
 from astra.metrics import counting_cm, g_mean
 from astra.network import forward, init_mlp, predict_labels
-from astra.trainer import TrainConfig, train
+from astra.trainer import BETA_INIT, TrainConfig, train
 from test_experiment import enumeration_p_value
 from astra.experiment import wilcoxon_signed_rank
 
@@ -92,7 +92,7 @@ def test_criterion_2_gradients():
     X = rng.normal(size=(6, 3))
     y = np.array([1, 0, 0, 1, 0, 0], dtype=float)
     for kind in ALL_KINDS:
-        ap = (AstraParams.from_tau_init(0.25) if kind.use_astra
+        ap = (AstraParams(BETA_INIT) if kind.use_astra
               else AstraParams.frozen())
         model = init_mlp(3, 2, seed=23, astra=ap)
         trace = forward(model, X)

@@ -18,6 +18,7 @@ from astra.activation import (
     z_transform,
     z_transform_backward,
 )
+from astra.trainer import BETA_INIT, TAU_INIT
 
 
 def logistic(x):
@@ -246,7 +247,7 @@ class TestMisorderBand:
 
 class TestAstraParams:
     def test_from_tau_init(self):
-        p = AstraParams.from_tau_init(0.25)
+        p = AstraParams(BETA_INIT)
         assert p.b == pytest.approx(7.396, abs=1e-3)
         assert p.beta == pytest.approx(5.396, abs=1e-3)
         assert p.tau == pytest.approx(0.25, abs=1e-12)
@@ -267,22 +268,24 @@ class TestAstraParams:
         assert (p.beta, p.b, p.tau) == (5.0, 1.0, 0.5)
 
     def test_tau_init_slope_is_slope_from_tau(self):
-        # from_tau_init derives b from beta_from_slope(slope_from_tau(t)):
-        # the round trip moves no bit of slope_from_tau's b.
+        # BETA_INIT is beta_from_slope(slope_from_tau(TAU_INIT)): the round
+        # trip moves no bit of slope_from_tau's b, at TAU_INIT or elsewhere.
+        assert AstraParams(BETA_INIT).b == slope_from_tau(TAU_INIT)
+        assert BETA_INIT.hex() == "0x1.595dc730f3f88p+2"
         lo = astra_threshold(60.0)
         grid = np.concatenate([np.linspace(lo, 0.5, 2002)[1:-1],
                                0.5 - np.logspace(-16, -4, 50)])
         for t in map(float, grid):
-            assert AstraParams.from_tau_init(t).b == slope_from_tau(t)
+            assert AstraParams(beta_from_slope(slope_from_tau(t))).b == slope_from_tau(t)
 
     def test_step_clamps_ceiling(self):
-        p = AstraParams.from_tau_init(0.25)
+        p = AstraParams(BETA_INIT)
         p.step_beta(-1e6, 1.0)
         assert p.b == 60.0
         assert p.tau == pytest.approx(astra_threshold(60.0))
 
     def test_b_cached_consistently(self):
-        p = AstraParams.from_tau_init(0.3)
+        p = AstraParams(beta_from_slope(slope_from_tau(0.3)))
         p.step_beta(0.37, 0.1)
         assert p.b == pytest.approx(slope_from_beta(p.beta), rel=1e-15)
         assert p.tau == pytest.approx(astra_threshold(p.b), rel=1e-15)

@@ -82,6 +82,10 @@ class TestTrainCommand:
                              "--out", str(again)]) == 0
             rerun = json.loads((again / "manifest.json").read_text())
             assert {**rerun, "out": None} == {**manifest, "out": None}
+        # undersample's outputs rerun byte for byte from its manifest too.
+        for name in ("undersampled.txt", "kept_positives.json"):
+            assert ((tmp_path / "undersample-again" / name).read_bytes()
+                    == (tmp_path / "undersample" / name).read_bytes())
 
     def test_environment_records_blas_thread_setting(self, monkeypatch):
         names = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -419,6 +423,26 @@ class TestErrorPaths:
         assert cli.main([command, "--dataset", str(path), "--out", str(out),
                          *flags]) == 2
         assert ("parse error: expected exactly two distinct labels"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flags", [
+        ("train", ["--epochs", "1"]),
+        ("cv", ["--epochs", "1", "--repeats", "2", "--folds", "3"]),
+        ("undersample", ["--keep-positives", "4"])])
+    @pytest.mark.parametrize("name, text", [
+        ("labels.txt", "1\n" * 12 + "2\n" * 6),
+        ("labels.csv", "label\n" + "1\n" * 12 + "2\n" * 6),
+    ], ids=["sparse", "csv"])
+    def test_dataset_without_features(self, tmp_path, capsys, command, flags,
+                                      name, text):
+        # Both readers read a label-only file; no network can learn from it.
+        path = tmp_path / name
+        path.write_text(text)
+        out = tmp_path / "o"
+        assert cli.main([command, "--dataset", str(path), "--out", str(out),
+                         *flags]) == 2
+        assert (f"parse error: {path}: no feature values"
                 in capsys.readouterr().err)
         assert not out.exists()
 

@@ -466,6 +466,32 @@ class TestRunCv:
         with pytest.raises(ValueError, match=match):
             run_cv(ds, TrainConfig(epochs=1), methods, repeats=repeats, k=k)
 
+    def test_every_accepted_protocol_gives_trainable_rotations(self):
+        # Up to 8 positives and 8 folds, keep from none to more than exist:
+        # every rotation of a protocol check_protocol accepts has a train
+        # set of both classes, a validation and a test positive, and test
+        # and validation folds apart.  The fold helpers rely on this.
+        rotations = 0
+        for m1 in range(1, 9):
+            for m0 in range(m1, m1 + 6):
+                ds = Dataset(X=np.arange(m0 + m1, dtype=float)[:, None],
+                             y=np.repeat([0, 1], [m0, m1]))
+                for k, keep in itertools.product(range(1, 9), [None, *range(m1 + 2)]):
+                    try:
+                        check_protocol(ds, k, keep, 1, 1)
+                    except ValueError:
+                        continue
+                    for seed in (0, 1):
+                        reduced = (ds if keep is None
+                                   else experiment.undersample(ds, keep, seed, 0)[0])
+                        for fold in range(k):
+                            tr, va, te = split(reduced, k, seed, 0, fold)
+                            assert tr.m1 >= 1 and tr.m0 >= 1
+                            assert va.m1 >= 1 and te.m1 >= 1
+                            assert tr.m_tot + va.m_tot + te.m_tot == reduced.m_tot
+                            rotations += 1
+        assert rotations == 4032
+
     def test_single_method_needs_no_pairs(self):
         rng = np.random.default_rng(23)
         ds = Dataset(X=rng.normal(size=(110, 2)), y=np.array([0] * 100 + [1] * 10))

@@ -52,7 +52,7 @@ from astra.network import (
     init_mlp,
     param_views,
 )
-from astra.trainer import _val_fnr_apx
+from astra.trainer import BETA_INIT, _val_fnr_apx
 
 # Even and odd widths from 1 up, and the widths of the two benchmark shapes.
 WIDTHS = (1, 2, 3, 4, 5, 6, 12)
@@ -76,7 +76,7 @@ def batch(seed, n_x, n=400, m1=12):
 
 
 def make_model(kind, n_x, n_h, seed):
-    ap = (AstraParams.from_tau_init(0.25) if kind.use_astra
+    ap = (AstraParams(BETA_INIT) if kind.use_astra
           else AstraParams.frozen())
     return init_mlp(n_x, n_h, seed, astra=ap)
 

@@ -16,6 +16,7 @@ from astra.network import (
     predict_labels,
     to_checkpoint,
 )
+from astra.trainer import BETA_INIT
 
 
 def fresh_adam(model):
@@ -86,7 +87,7 @@ class TestForward:
         assert trace.y_hat == pytest.approx([0.5] * 3)
 
     def test_zero_weights_astra(self):
-        ap = AstraParams.from_tau_init(0.25)
+        ap = AstraParams(BETA_INIT)
         model = init_mlp(2, 2, seed=0, astra=ap)
         model.w1[:] = 0
         model.w2[:] = 0
@@ -119,7 +120,7 @@ class TestForward:
     @pytest.mark.parametrize("X, model", [
         (np.zeros((5, 3)), init_mlp(3, 2, seed=0)),
         (None, init_mlp(3, 3, seed=0)),
-        (None, init_mlp(3, 2, seed=0, astra=AstraParams.from_tau_init(0.25))),
+        (None, init_mlp(3, 2, seed=0, astra=AstraParams(BETA_INIT))),
         (np.zeros((4, 3)), init_mlp(3, 2, seed=0)),
     ], ids=["rows", "n_h", "trainable", "copy"])
     def test_trace_made_for_something_else(self, X, model):
@@ -135,7 +136,7 @@ class TestBackward:
     def test_full_gradient_finite_differences(self, kind, toy_batch):
         X, y = toy_batch
         if kind.use_astra:
-            ap = AstraParams.from_tau_init(0.25)
+            ap = AstraParams(BETA_INIT)
         else:
             ap = AstraParams.frozen()
         model = init_mlp(3, 2, seed=7, astra=ap)
@@ -193,7 +194,7 @@ class TestBackward:
     def test_zero_rates_leave_parameters(self, toy_batch):
         X, y = toy_batch
         model = init_mlp(3, 2, seed=7,
-                         astra=AstraParams.from_tau_init(0.25))
+                         astra=AstraParams(BETA_INIT))
         before = to_checkpoint(model)
         trace = forward(model, X)
         backward_and_step(model, fresh_adam(model), trace, y,
@@ -250,7 +251,7 @@ class TestBackward:
 
 class TestPredictLabels:
     def test_boundary_maps_to_positive(self):
-        ap = AstraParams.from_tau_init(0.25)
+        ap = AstraParams(BETA_INIT)
         model = init_mlp(2, 2, seed=0, astra=ap)
         model.w1[:] = 0
         model.w2[:] = 0
@@ -264,7 +265,7 @@ class TestPredictLabels:
         assert np.array_equal(predict_labels(model, X), (trace.y_hat >= 0.5).astype(int))
 
     def test_three_formulations_agree(self):
-        ap = AstraParams.from_tau_init(0.25)
+        ap = AstraParams(BETA_INIT)
         model = init_mlp(3, 2, seed=5, astra=ap)
         X = np.random.default_rng(1).normal(size=(200, 3))
         trace = forward(model, X)
@@ -278,7 +279,7 @@ class TestCheckpoint:
     def test_roundtrip_bit_exact(self, tmp_path, toy_batch):
         X, y = toy_batch
         model = init_mlp(3, 2, seed=11,
-                         astra=AstraParams.from_tau_init(0.25))
+                         astra=AstraParams(BETA_INIT))
         adam = fresh_adam(model)
         for _ in range(3):
             trace = forward(model, X)
@@ -313,7 +314,7 @@ class TestCheckpoint:
         # b and tau are written for readers; beta and trainable are the
         # state, so a file where they disagree is rejected.
         payload = to_checkpoint(init_mlp(3, 2, seed=0,
-                                         astra=AstraParams.from_tau_init(0.25)))
+                                         astra=AstraParams(BETA_INIT)))
         payload["astra"].update(edit)
         with pytest.raises(ValueError):
             from_checkpoint(payload)

@@ -43,6 +43,7 @@ from astra.network import (
     init_mlp,
     param_views,
 )
+from astra.trainer import BETA_INIT
 
 # b near 1, the bulk, and the slope cap B_MAX.
 SLOPES = [1 + 1e-7, 1.5, 4.0, 30.0, 60.0]
@@ -500,7 +501,7 @@ MAX_REL_STEP = 2e-15
     for kind in (LossKind("bce", True), LossKind("gmn", True), LossKind("gmn", False))])
 def test_steps_within_longdouble_reference(kind, batch):
     X, y = step_batch(*batch)
-    astra = AstraParams.from_tau_init(0.25) if kind.use_astra else AstraParams.frozen()
+    astra = AstraParams(BETA_INIT) if kind.use_astra else AstraParams.frozen()
     model = init_mlp(X.shape[1], hidden_width(X.shape[1]), 0, astra)
     want = longdouble_steps(kind, X, y, model.theta, astra.beta)
     adam, split, trace = AdamState(model), class_split(y), None

@@ -28,6 +28,7 @@ from astra.activation import (  # noqa: E402
     output_chain,
     output_forward,
     slope_from_beta,
+    slope_from_tau,
     slope_grad_beta,
     threshold_grad_b,
     z_transform,
@@ -162,7 +163,7 @@ def test_val_fnr_apx_from_positives_is_full_set_fnr(seed, n_x, n_h, n, tau):
     rng = np.random.default_rng(seed)
     X = rng.normal(0.0, 2.0, (n, n_x))
     y = rng.permutation(np.r_[0, 1, rng.integers(0, 2, n - 2)])
-    astra = AstraParams.frozen() if tau is None else AstraParams.from_tau_init(tau)
+    astra = AstraParams.frozen() if tau is None else AstraParams(beta_from_slope(slope_from_tau(tau)))
     model = init_mlp(n_x, n_h, seed, astra=astra)
     model.b1 = rng.normal(0.0, 1.0, n_h)
     model.b2 = float(rng.normal())

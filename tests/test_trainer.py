@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from astra import trainer
-from astra.activation import B_MAX, AstraParams, astra_threshold
 from astra.data import Dataset, read_records
 from astra.losses import ALL_KINDS, LossKind
 from astra.metrics import ClassSplit
@@ -50,16 +49,6 @@ class TestEtaBUpdate:
     def test_accepts_the_edges(self):
         cfg = TrainConfig(epochs=0, eta=5e-324, n_h=1)
         assert (cfg.epochs, cfg.eta, cfg.n_h) == (0, 5e-324, 1)
-
-    def test_tau_init_range_is_the_slopes(self):
-        # Open at both ends: b = 1 has no beta, and slope_from_tau stops
-        # short of B_MAX.
-        lo, hi = astra_threshold(B_MAX), 0.5
-        for tau in (lo, hi, math.nextafter(lo, 0.0), math.nextafter(hi, 1.0)):
-            with pytest.raises(ValueError, match="tau_init must be in"):
-                AstraParams.from_tau_init(tau)
-        for tau in (math.nextafter(lo, 1.0), math.nextafter(hi, 0.0)):
-            assert AstraParams.from_tau_init(tau).trainable
 
 
 class TestTrain:
