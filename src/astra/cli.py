@@ -59,21 +59,19 @@ def _load_dataset(path: str) -> Dataset:
 
 def environment() -> dict:
     """The Python, numpy and BLAS a run used, numpy's SIMD level (the
-    dispatch targets active here, which move the bits of `exp` and `log`),
+    dispatch targets its show_config report finds here, which move the bits
+    of `exp` and `log`; "unknown" before numpy 1.26),
     the machine, its CPU count and the variables that, with it, set
     OpenBLAS's thread count (which moves the bits of a large matmul), each
     as set or None."""
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    simd = "unknown"
+    try:    # numpy < 1.26 has no mode
+        config = np.show_config(mode="dicts")
+        simd = " ".join(config.get("SIMD Extensions", {}).get("found", ()))
+        blas = config["Build Dependencies"]["blas"]
         blas = f"{blas.get('name', 'unknown')} {blas.get('version', '')}".strip()
     except (TypeError, KeyError):
         blas = "unknown"
-    try:    # private names of numpy 2
-        from numpy._core._multiarray_umath import (__cpu_dispatch__,
-                                                   __cpu_features__)
-        simd = " ".join(t for t in __cpu_dispatch__ if __cpu_features__.get(t))
-    except (ImportError, AttributeError, TypeError):
-        simd = "unknown"
     return {"python": platform.python_version(), "numpy": np.__version__,
             "blas": blas, "simd": simd, "machine": platform.machine(),
             "cpus": os.cpu_count(),
@@ -216,9 +214,7 @@ def _report(results, out: Path, runs_csv, show: bool = False) -> int:
 
 def cmd_undersample(cfg: dict) -> int:
     out = Path(cfg["out"])
-    seed = cfg.get("seed", TrainConfig.seed)
-    if seed < 0:        # as TrainConfig rejects it for train and cv
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    seed = _train_config(cfg).seed
     ds = _load_dataset(cfg["dataset"])
     reduced, kept_idx = experiment.undersample(ds, cfg["keep_positives"], seed, 0)
     out.mkdir(parents=True, exist_ok=True)
@@ -298,7 +294,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 4
 

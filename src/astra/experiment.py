@@ -76,13 +76,14 @@ def _midranks(values: np.ndarray) -> np.ndarray:
 
 
 def wilcoxon_signed_rank(diffs) -> float:
-    """Two-sided paired Wilcoxon signed-rank p-value, exact at every n.
+    """Two-sided paired Wilcoxon signed-rank p-value from the exact null
+    distribution: exact up to n = 53 pairs, float64-rounded above.
 
     Zero differences are dropped (none left gives p = 1).  The null
     distribution of 2*W+ over the 2^n sign assignments is a shift-convolution
     over the doubled midranks, held as probabilities halved at each rank:
-    dyadic rationals, exact up to n = 53.  It is symmetric about half its
-    total, so p is twice the nearer tail, the only part built.  Cost: O(n^3).
+    dyadic rationals.  It is symmetric about half its total, so p is twice
+    the nearer tail, the only part built.  Cost: O(n^3).
     """
     d = np.asarray(diffs, dtype=float)
     d = d[d != 0.0]

@@ -52,18 +52,13 @@ def param_views(flat: np.ndarray, n_h: int, n_x: int) -> tuple:
             flat[n_w1 + n_h:-1], flat[-1:])
 
 
-def _all_finite(a: np.ndarray) -> bool:
-    """Whether every element of `a` is finite: max and min propagate NaN."""
-    return (math.isfinite(np.maximum.reduce(a, axis=None, initial=0.0))
-            and math.isfinite(np.minimum.reduce(a, axis=None, initial=0.0)))
-
-
 def _check_finite(model: "Mlp", flat: np.ndarray, message: str) -> None:
     """Raise NonFiniteError(message naming the first parameter whose block
     of the flat parameter-sized vector holds a non-finite value), if any."""
-    if not _all_finite(flat):
+    if not np.isfinite(flat).all():
         views = param_views(flat, model.n_h, model.n_x)
-        k = next(k for k, a in zip(PARAM_NAMES, views) if not _all_finite(a))
+        k = next(k for k, a in zip(PARAM_NAMES, views)
+                 if not np.isfinite(a).all())
         raise NonFiniteError(message.format(k))
 
 
@@ -204,7 +199,7 @@ def forward(model: Mlp, X: np.ndarray,
     np.matmul(hidden[:n], model.w2, out=trace.out_pre)
     np.matmul(hidden[n:], model.w2, out=trace.pre[n:])
     trace.pre += model.b2
-    if not _all_finite(trace.pre):
+    if not np.isfinite(trace.pre).all():
         raise NonFiniteError("preactivation must be finite")
     ap.output(trace.pre, trace.out_all)
     return trace

@@ -25,13 +25,13 @@ from astra.activation import (
     z_transform,
     z_transform_backward,
 )
-from astra.data import fold_split, parse_sparse, standardize, stratified_folds, write_sparse
+from astra.data import Dataset, fold_split, parse_sparse, standardize, stratified_folds, write_sparse
 from astra.losses import ALL_KINDS, LossKind, bce_loss, gmn_loss, loss_and_grad
 from astra.metrics import counting_cm, g_mean
 from astra.network import forward, init_mlp, predict_labels
 from astra.trainer import BETA_INIT, TrainConfig, train
 from test_experiment import enumeration_p_value
-from astra.experiment import wilcoxon_signed_rank
+from astra.experiment import compare, run_cv, wilcoxon_signed_rank
 
 
 def check(num: int, desc: str, ok: bool) -> None:
@@ -307,3 +307,39 @@ def test_criterion_9_significance_engine():
                             - enumeration_p_value(d)) < 1e-12
     ok = ok and abs(wilcoxon_signed_rank(np.arange(1.0, 11.0)) - 2 / 1024) < 1e-15
     check(9, "exact Wilcoxon matches sign enumeration for n <= 10", ok)
+
+
+# Criteria 10-12: the abstract's stated range, IR 588.24 to 4000, in a
+# reduced protocol (2 repeats x 5 folds, 300 epochs, eta 0.01, seed 0).  The
+# rule was fixed before the first run: no run fails, and gmn-astra's mean
+# test G-Mean is at least bce's.  gmn-astra over gmn is not asserted: the
+# full 10 x 5 runs at 10,000 epochs do not show it.
+def _stated_range(num: int, ds, keep_positives=None) -> None:
+    cfg = TrainConfig(epochs=300, eta=0.01, seed=0)
+    kinds = [LossKind("bce", False), LossKind("gmn", True)]
+    results = run_cv(ds, cfg, kinds, repeats=2, k=5,
+                     keep_positives=keep_positives, jobs=2)
+    failed = sum(r.error is not None for r in results)
+    gm = {kind.name: [r.g_mean for r in results if r.method == kind.name]
+          for kind in kinds}
+    bce, ga = np.mean(gm["bce"]), np.mean(gm["gmn-astra"])
+    ir = (ds.m_tot - ds.m1) / (keep_positives or ds.m1)
+    p = compare(gm["gmn-astra"], gm["bce"]) if not failed else float("nan")
+    check(num, f"IR {ir:.2f}, n_x {ds.n_x}: mean test G-Mean BCE {bce:.3f}, "
+               f"GMN-ASTra {ga:.3f}, p {p:.4f}, {failed} failed",
+          failed == 0 and ga >= bce)
+
+
+def test_criterion_10_stated_range_ir_588(skin_shaped_file):
+    _stated_range(10, cli._load_dataset(str(skin_shaped_file)))
+
+
+def test_criterion_11_stated_range_ir_4000(skin_shaped_file):
+    _stated_range(11, cli._load_dataset(str(skin_shaped_file)), keep_positives=5)
+
+
+def test_criterion_12_stated_range_22_features():
+    rng = np.random.default_rng(35)
+    X = np.vstack([rng.normal(0.0, 1.0, (20000, 22)),
+                   rng.normal(1.0, 1.0, (34, 22))])
+    _stated_range(12, Dataset(X=X, y=np.array([0] * 20000 + [1] * 34)))

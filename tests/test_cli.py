@@ -18,6 +18,14 @@ from astra.losses import ALL_KINDS
 from astra.trainer import TrainConfig
 
 
+def src_env(**extra) -> dict:
+    """This environment with `extra` set and the source tree first on
+    PYTHONPATH, for a subprocess that imports astra."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+
 @pytest.fixture
 def sparse_dataset(tmp_path):
     """Small imbalanced dataset in sparse text form (labels 1/2, 2 rare)."""
@@ -97,6 +105,40 @@ class TestTrainCommand:
         assert cli.environment()["blas_threads"] == {
             "OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": "2",
             "OMP_NUM_THREADS": "3"}
+
+    def test_environment_simd_drops_disabled_features(self):
+        if "X86_V4" not in cli.environment()["simd"].split():
+            pytest.skip("numpy dispatches no X86_V4 here to turn off")
+        env = src_env(NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "from astra.cli import environment; print(environment()['simd'])"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert "X86_V4" not in done.stdout.split()
+
+    def test_environment_without_numpys_report(self, monkeypatch):
+        def no_mode(*args, **kwargs):   # numpy before 1.26
+            raise TypeError("show_config() got an unexpected keyword 'mode'")
+
+        monkeypatch.setattr(cli.np, "show_config", no_mode)
+        env = cli.environment()
+        assert (env["blas"], env["simd"]) == ("unknown", "unknown")
+        monkeypatch.setattr(cli.np, "show_config", lambda mode: {})
+        env = cli.environment()
+        assert (env["blas"], env["simd"]) == ("unknown", "")
+
+    def test_key_error_in_a_command_propagates(self, monkeypatch, tmp_path):
+        # Only ValueError means invalid configuration (exit 4); a KeyError
+        # is a bug and shows its traceback.
+        def buggy(cfg):
+            raise KeyError("missing")
+
+        monkeypatch.setitem(cli.COMMANDS, "report",
+                            (buggy, *cli.COMMANDS["report"][1:]))
+        with pytest.raises(KeyError, match="missing"):
+            cli.main(["report", "--runs", str(tmp_path / "runs.csv"),
+                      "--out", str(tmp_path / "out")])
 
     def test_rerun_from_manifest_byte_identical(self, tmp_path, sparse_dataset):
         config = tmp_path / "cfg.json"
@@ -1040,11 +1082,8 @@ assert main(["cv", "--dataset", data, "--out", out + "/cv", "--jobs", "2",
 
 
 def test_numpy_is_the_only_runtime_dependency(tmp_path, sparse_dataset):
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
     done = subprocess.run([sys.executable, "-c", NUMPY_ONLY, str(sparse_dataset),
-                           str(tmp_path)], env=env, capture_output=True,
+                           str(tmp_path)], env=src_env(), capture_output=True,
                           text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "train" / "summary.json").exists()
