@@ -138,8 +138,9 @@ def _train_config(cfg: dict) -> TrainConfig:
 
 
 def _manifest(command: str, cfg: dict, tcfg: TrainConfig, loss: bool) -> dict:
-    """The options given plus every TrainConfig field at its resolved value,
-    the loss (if `loss`) under the option names loss/astra."""
+    """The options in `cfg`, given or set to the default the command read,
+    plus every TrainConfig field at its resolved value, the loss (if `loss`)
+    under the option names loss/astra."""
     manifest = {"command": command, "environment": environment(), **cfg,
                 **vars(tcfg)}
     del manifest["loss"]
@@ -152,7 +153,7 @@ def _manifest(command: str, cfg: dict, tcfg: TrainConfig, loss: bool) -> dict:
 def cmd_train(cfg: dict) -> int:
     out = Path(cfg["out"])
     tcfg = _train_config(cfg)
-    k = cfg.get("folds", experiment.FOLDS)
+    k = cfg.setdefault("folds", experiment.FOLDS)
     ds = _load_dataset(cfg["dataset"])
     experiment.check_protocol(ds, k, None, 1, 1)
     train_ds, val_ds, test_ds = experiment.split(ds, k, tcfg.seed, 0, 0)
@@ -180,8 +181,8 @@ def cmd_cv(cfg: dict) -> int:
     else:   # all four, or the two with the ASTra setting given
         methods = [kind for kind in ALL_KINDS if "astra" not in cfg
                    or kind.use_astra == tcfg.loss.use_astra]
-    k = cfg.get("folds", experiment.FOLDS)
-    repeats = cfg.get("repeats", experiment.REPEATS)
+    k = cfg.setdefault("folds", experiment.FOLDS)
+    repeats = cfg.setdefault("repeats", experiment.REPEATS)
     keep_positives = cfg.get("keep_positives")
     ds = _load_dataset(cfg["dataset"])
     jobs = cfg.get("jobs", 1)
@@ -214,7 +215,7 @@ def _report(results, out: Path, runs_csv, show: bool = False) -> int:
 
 def cmd_undersample(cfg: dict) -> int:
     out = Path(cfg["out"])
-    seed = _train_config(cfg).seed
+    seed = cfg.setdefault("seed", _train_config(cfg).seed)
     ds = _load_dataset(cfg["dataset"])
     reduced, kept_idx = experiment.undersample(ds, cfg["keep_positives"], seed, 0)
     out.mkdir(parents=True, exist_ok=True)
@@ -249,7 +250,7 @@ HELP = {"config": "JSON config file; flags override it",
 # in the order --help lists them.
 COMMANDS = {
     "train": (cmd_train, "train one model on one dataset",
-              ("seed", "dataset", "loss", "astra", "epochs", "folds", "n_h")),
+              ("seed", "dataset", "loss", "astra", "epochs", "folds")),
     "cv": (cmd_cv, "repeated stratified cross-validation",
            ("seed", "dataset", "loss", "astra", "epochs", "repeats", "folds",
             "keep_positives", "jobs")),

@@ -37,7 +37,8 @@ ADAM_EPS = 1e-8
 ROW_BLOCK_BYTES = 352 * 1024
 
 def hidden_width(n_x: int) -> int:
-    """Architecture rule: n_h = ceil((n_x + 1) / 2), for one output unit."""
+    """Architecture rule: n_h = ceil((n_x + 1) / 2), for one output unit; at
+    3 and 22 features, the paper's "from two to 12 hidden units"."""
     return math.ceil((n_x + 1) / 2)
 
 

@@ -44,7 +44,6 @@ class TrainConfig:
     eta: float = 0.001
     loss: LossKind = LossKind("bce", False)
     seed: int = 0
-    n_h: int | None = None        # override of the ceil((n_x+1)/2) rule
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -53,8 +52,6 @@ class TrainConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0 < self.eta < np.inf:
             raise ValueError(f"eta must be finite and > 0, got {self.eta}")
-        if self.n_h is not None and self.n_h < 1:
-            raise ValueError(f"n_h must be >= 1, got {self.n_h}")
 
 
 @dataclass(frozen=True)
@@ -100,15 +97,6 @@ def _val_fnr_apx(trace: ForwardTrace) -> float:
     return fn / (fn + tp)
 
 
-def build_model(cfg: TrainConfig, n_x: int) -> Mlp:
-    n_h = cfg.n_h if cfg.n_h is not None else hidden_width(n_x)
-    if cfg.loss.use_astra:
-        astra = AstraParams(BETA_INIT)
-    else:
-        astra = AstraParams.frozen()
-    return init_mlp(n_x, n_h, cfg.seed, astra=astra)
-
-
 def train(cfg: TrainConfig, train_set: Dataset, val_set: Dataset):
     """Run exactly cfg.epochs full-batch steps; return (Snapshot, records).
 
@@ -125,7 +113,8 @@ def train(cfg: TrainConfig, train_set: Dataset, val_set: Dataset):
     if val_set.m1 < 1:
         raise ValueError("validation set must contain positives")
 
-    model = build_model(cfg, train_set.n_x)
+    astra = AstraParams(BETA_INIT) if cfg.loss.use_astra else AstraParams.frozen()
+    model = init_mlp(train_set.n_x, hidden_width(train_set.n_x), cfg.seed, astra)
     adam = AdamState(model)
     # Feature-major, the layout network.forward is fast in: no copy of the
     # X that experiment.split returns, and one of the validation positives.

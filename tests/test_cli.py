@@ -142,7 +142,7 @@ class TestTrainCommand:
 
     def test_rerun_from_manifest_byte_identical(self, tmp_path, sparse_dataset):
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"eta": 0.01, "n_h": 3}))
+        config.write_text(json.dumps({"eta": 0.01}))
         first, again = tmp_path / "a", tmp_path / "b"
         assert cli.main(["train", "--dataset", str(sparse_dataset),
                          "--config", str(config), "--out", str(first),
@@ -627,9 +627,11 @@ class TestConfigFile:
     @pytest.mark.parametrize("content, rc, message", [
         ("[1, 2]", 2, "parse error"),
         ('{"eta": ', 2, "parse error"),
-        ('{"n_h": "three"}', 4, "invalid configuration: n_h"),
+        ('{"seed": "three"}', 4, "invalid configuration: seed"),
         ('{"loss": "gmn", "astra": true}', 4, "invalid configuration: astra"),
         ('{"eta_b_mni": 0.1}', 4, "unknown config key(s): eta_b_mni"),
+        # The hidden width is network.hidden_width's rule alone.
+        ('{"n_h": 3}', 4, "unknown config key(s): n_h"),
         ('{"out": 5}', 4, "invalid configuration: out must be a path string"),
         ('{"dataset": ["x"]}', 4,
          "invalid configuration: dataset must be a path string"),
@@ -639,7 +641,7 @@ class TestConfigFile:
         (json.dumps({"tau_init": astra_threshold(B_MAX)}), 4,
          "unknown config key(s): tau_init"),
     ], ids=["not-an-object", "malformed", "bad-type", "bad-choice",
-            "unknown-key", "out-not-a-string", "dataset-not-a-string",
+            "unknown-key", "n-h", "out-not-a-string", "dataset-not-a-string",
             "tau-init-at-half", "tau-init-at-b-max"])
     def test_rejected(self, tmp_path, sparse_dataset, capsys, content, rc,
                       message):
@@ -661,13 +663,12 @@ class TestConfigFile:
         ('{"eta": 0}', "eta must be"),
         ('{"eta": NaN}', "eta must be"),
         ('{"eta": Infinity}', "eta must be"),
-        ('{"n_h": 0}', "n_h must be"),
         # The slope schedule is made of trainer constants, not settings.
         ('{"eta_b_max": Infinity}', "unknown config key(s): eta_b_max"),
         ('{"k_mult": NaN}', "unknown config key(s): k_mult"),
         ('{"k_mult": Infinity}', "unknown config key(s): k_mult"),
     ], ids=["negative-epochs", "negative-eta", "zero-eta", "nan-eta",
-            "infinite-eta", "zero-n-h", "infinite-eta-b-max", "nan-k-mult",
+            "infinite-eta", "infinite-eta-b-max", "nan-k-mult",
             "infinite-k-mult"])
     def test_bad_train_setting_rejected(self, tmp_path, sparse_dataset, capsys,
                                         command, content, message):
@@ -700,7 +701,7 @@ class TestConfigFile:
                 "tau_init" in capsys.readouterr().err)
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag, value", [("--epochs", "-3"), ("--n-h", "0")])
+    @pytest.mark.parametrize("flag, value", [("--epochs", "-3")])
     def test_bad_train_flag_rejected(self, tmp_path, sparse_dataset, capsys,
                                      flag, value):
         out = tmp_path / "o"
@@ -726,7 +727,6 @@ class TestConfigFile:
         ("undersample", '{"seed": "zero"}'),
         # Cast from their text, as flags are: none is truncated.
         ("cv", '{"epochs": 2.7}'),
-        ("train", '{"n_h": 2.9}'),
         ("undersample", '{"seed": -0.5}'),
         ("cv", '{"epochs": true}'),
         ("train", '{"epochs": 3.0}'),
@@ -789,26 +789,29 @@ class TestConfigFile:
         out = tmp_path / "o"
         assert cli.main([command, "--dataset", str(sparse_dataset), "--config",
                          str(config), "--out", str(out), *flags]) == 0
+        # The manifest holds each default the command read; jobs, which
+        # never changes a result, stays out.
         manifest = json.loads((out / "manifest.json").read_text())
-        assert all(manifest.get(key) in (None, 0) for key in content)
+        want = {"seed": 0, "folds": 5, "repeats": 10, "jobs": None}
+        assert {key: manifest.get(key) for key in content} == {
+            key: want[key] for key in content}
 
     def test_values_cast_to_field_types(self, tmp_path, sparse_dataset):
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"n_h": "3", "eta": "0.01", "epochs": 4}))
+        config.write_text(json.dumps({"seed": "3", "eta": "0.01", "epochs": 4}))
         out = tmp_path / "o"
         assert cli.main(["train", "--dataset", str(sparse_dataset), "--config",
                          str(config), "--out", str(out)]) == 0
-        assert json.loads((out / "checkpoint.json").read_text())["n_h"] == 3
+        assert json.loads((out / "checkpoint.json").read_text())["seed"] == 3
         manifest = json.loads((out / "manifest.json").read_text())
-        assert (manifest["n_h"], manifest["eta"]) == (3, 0.01)
+        assert (manifest["seed"], manifest["eta"]) == (3, 0.01)
 
 
 # The interface of each command, written out: its options besides --config,
 # each with a value it takes (a path option takes the one `_base` gives it)
 # and one that does not cast.
 COMMAND_OPTIONS = {
-    "train": ("out", "seed", "dataset", "loss", "astra", "epochs", "folds",
-              "n_h"),
+    "train": ("out", "seed", "dataset", "loss", "astra", "epochs", "folds"),
     "cv": ("out", "seed", "dataset", "loss", "astra", "epochs", "repeats",
            "folds", "keep_positives", "jobs"),
     "undersample": ("out", "seed", "dataset", "keep_positives"),
@@ -816,7 +819,7 @@ COMMAND_OPTIONS = {
 }
 PATHS = ("out", "dataset", "runs")
 GOOD = {"seed": 3, "loss": "gmn", "astra": "on", "epochs": 2, "folds": 4,
-        "n_h": 2, "repeats": 2, "keep_positives": 6, "jobs": 1}
+        "repeats": 2, "keep_positives": 6, "jobs": 1}
 BAD = {**dict.fromkeys(GOOD, "x"), "loss": "mse", "astra": "yes",
        **dict.fromkeys(PATHS, 5)}
 

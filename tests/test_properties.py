@@ -216,17 +216,14 @@ def test_nan_feature_raises(n_x, n, data):
 # Both forms read the same terms, so each stays within the oracle's chain
 # bound of the other, twice over: dj/dx within twice its tail bound in ulp,
 # and dj/dbeta within twice its bound times the size of the terms that the
-# closed form's two sums add.  |dj/dz| up to 1e300 keeps every product
+# closed form's two sums add, plus as many subnormal steps per row: a
+# product below the normal range rounds on the subnormal grid, an absolute
+# error no relative bound covers.  |dj/dz| up to 1e300 keeps every product
 # finite: dz/dy <= (1 - tau)/tau, about 14 at B_MAX.
-@CHECK
-@given(st.floats(1.0 + 1e-7, B_MAX),
-       st.lists(st.floats(-700.0, 700.0), min_size=1, max_size=30),
-       st.floats(36.0, 700.0), st.data())
-def test_output_chain_is_the_chain_of_the_partials(b, bxs, tail, data):
+def check_output_chain(b, bxs, tail, dj_dz):
     slope = AstraParams(beta_from_slope(b))
     b, tau = slope.b, slope.tau
     x = np.array([*bxs, tail]) / b
-    dj_dz = arrays_of(data, st.floats(-1e300, 1e300), x.shape)
     dj_dx = np.empty_like(x)
     got = output_chain(output_forward(x, b, tau), slope, dj_dz, dj_dx)
     dy_dx, dy_db = astra_backward(x, b)
@@ -237,7 +234,23 @@ def test_output_chain_is_the_chain_of_the_partials(b, bxs, tail, data):
     db_dbeta = slope_grad_beta(slope.beta)
     size = (math.fsum(np.abs(b_terms)) + math.fsum(np.abs(tau_terms))) * db_dbeta
     want = float(np.add.reduce(b_terms + tau_terms)) * db_dbeta
-    assert abs(got - want) <= 2 * MAX_EPS_SUM_DJ_DB * np.finfo(float).eps * size
+    assert abs(got - want) <= 2 * MAX_EPS_SUM_DJ_DB * (
+        np.finfo(float).eps * size + np.finfo(float).smallest_subnormal * len(x))
+
+
+@CHECK
+@given(st.floats(1.0 + 1e-7, B_MAX),
+       st.lists(st.floats(-700.0, 700.0), min_size=1, max_size=30),
+       st.floats(36.0, 700.0), st.data())
+def test_output_chain_is_the_chain_of_the_partials(b, bxs, tail, data):
+    dj_dz = arrays_of(data, st.floats(-1e300, 1e300), (len(bxs) + 1,))
+    check_output_chain(b, bxs, tail, dj_dz)
+
+
+def test_output_chain_of_subnormal_products():
+    # A Hypothesis draw whose two dj/dbeta sums came one subnormal apart.
+    tiny = np.finfo(float).tiny
+    check_output_chain(4.0, [1.0, 0.0], 36.0, np.array([tiny, 0.0, tiny]))
 
 
 # A frozen slope's chain is the logistic's: dz/dy = 1, and beta does not move.

@@ -39,16 +39,15 @@ class TestEtaBUpdate:
         ({"eta": 0.0}, "eta"),
         ({"eta": math.nan}, "eta"),
         ({"eta": math.inf}, "eta"),
-        ({"n_h": 0}, "n_h"),
         ({"seed": -1}, "seed"),
     ])
-    def test_rejects_bad_epochs_eta_and_n_h(self, setting, field):
+    def test_rejects_bad_epochs_eta_and_seed(self, setting, field):
         with pytest.raises(ValueError, match=f"^{field} must be"):
             TrainConfig(**setting)
 
     def test_accepts_the_edges(self):
-        cfg = TrainConfig(epochs=0, eta=5e-324, n_h=1)
-        assert (cfg.epochs, cfg.eta, cfg.n_h) == (0, 5e-324, 1)
+        cfg = TrainConfig(epochs=0, eta=5e-324, seed=0)
+        assert (cfg.epochs, cfg.eta, cfg.seed) == (0, 5e-324, 0)
 
 
 class TestTrain:
